@@ -21,6 +21,7 @@ from .mappings import (
 )
 from .namespaces import RDF
 from .pg import PgValidationError
+from .pgjson import FILE_EXTENSION as PG_JSON_EXTENSION
 from .pgjson import SchemaError, parse_pg_json, serialize_pg_json
 from .rdf import (
     canonicalize_bnodes,
@@ -44,6 +45,7 @@ from .transforms import (
     to_rdf_like_pg,
     to_simple_pg,
 )
+from .turtle import FILE_EXTENSIONS as TURTLE_EXTENSIONS
 from .turtle import (
     NotPlainRdfError,
     TurtleParseError,
@@ -53,11 +55,15 @@ from .turtle import (
     unfold_to_rdf,
 )
 
-_EXTENSIONS = {"turtle-star": (".ttls", ".ttl"), "pg-json": (".pg.json",)}
+_EXTENSIONS = {"turtle-star": TURTLE_EXTENSIONS, "pg-json": (PG_JSON_EXTENSION,)}
 
 
 class CliUsageError(Exception):
     pass
+
+
+class InputEncodingError(Exception):
+    """An input file is not valid UTF-8."""
 
 
 def _check_format(path: str, expected: str, override: str | None, role: str) -> None:
@@ -73,8 +79,16 @@ def _check_format(path: str, expected: str, override: str | None, role: str) -> 
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """The file's text, with newlines translated as text-mode open does."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputEncodingError(
+            f"{path}: invalid UTF-8 at byte offset {exc.start}: {exc.reason}"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _write(text: str, path: str | None) -> None:
@@ -272,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except CliUsageError as exc:
         print(str(exc), file=sys.stderr)
+        return 2
+    except InputEncodingError as exc:
+        print(f"encoding error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -15,8 +15,9 @@ from typing import Iterable, Iterator, Union
 from .namespaces import RDF_LANG_STRING, XSD_STRING
 
 # Shallow IRI validation: reject characters RFC 3987 excludes outright,
-# not a full grammar check.
-_IRI_BAD_CHARS = frozenset('<>"{}|^`\\')
+# not a full grammar check.  On str patterns \s matches exactly the code
+# points for which str.isspace() is true.
+_IRI_BAD_CHAR_RE = re.compile(r'[<>"{}|^`\\\s]')
 _BNODE_LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 _LANG_TAG_RE = re.compile(r"[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*\Z")
 
@@ -34,9 +35,16 @@ class Iri:
             raise ValueError("IRI must be non-empty")
         if ":" not in self.value:
             raise ValueError(f"IRI must contain a scheme separator ':': {self.value!r}")
-        for c in self.value:
-            if c in _IRI_BAD_CHARS or c.isspace():
-                raise ValueError(f"IRI contains forbidden character {c!r}: {self.value!r}")
+        bad = _IRI_BAD_CHAR_RE.search(self.value)
+        if bad is not None:
+            raise ValueError(
+                f"IRI contains forbidden character {bad.group()!r}: {self.value!r}"
+            )
+
+
+# The default datatypes of Literal, built once.
+_XSD_STRING_IRI = Iri(XSD_STRING)
+_LANG_STRING_IRI = Iri(RDF_LANG_STRING)
 
 
 @dataclass(frozen=True)
@@ -69,7 +77,7 @@ class Literal:
         if not isinstance(self.lexical_form, str):
             raise TypeError("literal lexical form must be str")
         if self.datatype is None:
-            resolved = Iri(RDF_LANG_STRING) if self.language is not None else Iri(XSD_STRING)
+            resolved = _LANG_STRING_IRI if self.language is not None else _XSD_STRING_IRI
             object.__setattr__(self, "datatype", resolved)
         elif not isinstance(self.datatype, Iri):
             raise TypeError(f"literal datatype must be Iri, got {type(self.datatype).__name__}")
@@ -130,10 +138,11 @@ class RdfStarGraph:
     """An immutable set of RDF-star triples.
 
     Iteration yields triples in the deterministic term order, so derived
-    listings and serializations are stable across runs.
+    listings and serializations are stable across runs.  The order is
+    sorted on first iteration and kept, so later iterations cost O(n).
     """
 
-    __slots__ = ("_triples",)
+    __slots__ = ("_triples", "_order")
 
     def __init__(self, triples: Iterable[Triple] = ()) -> None:
         tset = frozenset(triples)
@@ -141,13 +150,16 @@ class RdfStarGraph:
             if not isinstance(t, Triple):
                 raise TypeError(f"graph element is not a Triple: {t!r}")
         self._triples = tset
+        self._order: tuple[Triple, ...] | None = None
 
     @property
     def triples(self) -> frozenset[Triple]:
         return self._triples
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(sorted(self._triples, key=term_key))
+        if self._order is None:
+            self._order = tuple(sorted(self._triples, key=term_key))
+        return iter(self._order)
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -231,8 +243,18 @@ def metadata_triples(g: RdfStarGraph) -> frozenset[Triple]:
 
 
 def ordinary_triples(g: RdfStarGraph) -> frozenset[Triple]:
-    """Every triple asserted or embedded in g, minus g's metadata triples."""
-    return (g.triples | embedded_triples(g)) - metadata_triples(g)
+    """Every triple asserted or embedded in g, minus g's metadata triples.
+
+    One walk over g: only metadata triples embed anything, so only they
+    are descended into.
+    """
+    metadata: set[Triple] = set()
+    embedded: set[Triple] = set()
+    for t in g.triples:
+        if is_metadata_triple(t):
+            metadata.add(t)
+            embedded.update(x for x in _triple_terms(t) if isinstance(x, Triple))
+    return (g.triples | embedded) - metadata
 
 
 def redundant_triples(g: RdfStarGraph) -> frozenset[Triple]:
@@ -348,18 +370,20 @@ def canonicalize_bnodes(g: RdfStarGraph) -> RdfStarGraph:
     """
     if not blank_node_labels(g):
         return g
-    visited: dict[RdfStarGraph, int] = {}
-    states: list[RdfStarGraph] = []
+    # Visited states are kept as bare triple sets, without the sorted
+    # order each graph caches once iterated.
+    visited: dict[frozenset[Triple], int] = {}
+    states: list[frozenset[Triple]] = []
     current = g
-    while current not in visited:
-        visited[current] = len(states)
-        states.append(current)
+    while current.triples not in visited:
+        visited[current.triples] = len(states)
+        states.append(current.triples)
         renumbered = _renumber_pass(current)
         if renumbered == current:
             return current
         current = renumbered
-    cycle = states[visited[current]:]
-    return min(cycle, key=_graph_key)
+    cycle = states[visited[current.triples]:]
+    return min((RdfStarGraph(c) for c in cycle), key=_graph_key)
 
 
 def _skeleton(x: Term):

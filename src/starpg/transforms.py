@@ -37,16 +37,10 @@ from .rdf import (
     RdfStarGraph,
     Term,
     Triple,
-    attribute_triples,
-    embedded_triples,
     is_metadata_triple,
     mentioned_terms,
-    metadata_triples,
     minimize,
     ordinary_triples,
-    relationship_triples,
-    subject_object_nodes,
-    subject_object_terms,
     term_key,
 )
 
@@ -128,12 +122,15 @@ def _literal_note(l: Literal) -> str:
     return f'"{l.lexical_form}"^^<{l.datatype.value}>'
 
 
-def check_pg_convertible(g: RdfStarGraph, mode: str = "lenient") -> ConvertibilityReport:
-    """Check the four conditions under which an RDF-star graph maps to a
-    property graph: embedded triples only as subjects of metadata triples,
-    no nested metadata, metadata objects are literals, and every mentioned
-    literal carries a property value in the given mode."""
+def _check(g: RdfStarGraph, mode: str, strong: bool) -> ConvertibilityReport:
+    """Both convertibility checks in one pass over g in term order.
+
+    The pass records, for each embedded triple with a literal object, the
+    top-level triples that host it, so the strong condition costs no
+    second pass.
+    """
     violations: list[Violation] = []
+    hosts: dict[Triple, list[Triple]] = defaultdict(list)
     for t in g:
         if isinstance(t.subject, Triple):
             if is_metadata_triple(t.subject):
@@ -144,30 +141,44 @@ def check_pg_convertible(g: RdfStarGraph, mode: str = "lenient") -> Convertibili
                 violations.append(Violation(t, "3", "metadata triple object is not a literal"))
         if isinstance(t.object, Triple):
             violations.append(Violation(t, "2", "triple embedded in object position"))
-        for term in sorted(mentioned_terms(t), key=term_key):
-            if isinstance(term, Literal) and value_from_literal(term, mode) is None:
+        mentioned = mentioned_terms(t)
+        for term in sorted((x for x in mentioned if isinstance(x, Literal)), key=term_key):
+            if value_from_literal(term, mode) is None:
                 violations.append(
                     Violation(t, "4", f"literal {_literal_note(term)} has no property value")
                 )
+        if strong:
+            for e in mentioned:
+                if isinstance(e, Triple) and isinstance(e.object, Literal):
+                    hosts[e].append(t)
+    for e in sorted(hosts, key=term_key):
+        reason = f"embeds attribute triple with object {_literal_note(e.object)}"
+        violations.extend(Violation(t, "strong", reason) for t in hosts[e])
     return ConvertibilityReport(tuple(violations))
+
+
+def check_pg_convertible(g: RdfStarGraph, mode: str = "lenient") -> ConvertibilityReport:
+    """Check the four conditions under which an RDF-star graph maps to a
+    property graph: embedded triples only as subjects of metadata triples,
+    no nested metadata, metadata objects are literals, and every mentioned
+    literal carries a property value in the given mode.
+
+    One pass over g, linear in its size.  Violations come in graph order;
+    per triple, conditions 1, 3, 2, then 4 per literal in term order.
+    """
+    return _check(g, mode, strong=False)
 
 
 def check_strongly_pg_convertible(g: RdfStarGraph, mode: str = "lenient") -> ConvertibilityReport:
     """As check_pg_convertible, plus: no embedded triple has a literal
-    object (metadata may only annotate relationship triples)."""
-    violations = list(check_pg_convertible(g, mode).violations)
-    for e in sorted(embedded_triples(g), key=term_key):
-        if isinstance(e.object, Literal):
-            for t in g:
-                if e in mentioned_terms(t):
-                    violations.append(
-                        Violation(
-                            t,
-                            "strong",
-                            f"embeds attribute triple with object {_literal_note(e.object)}",
-                        )
-                    )
-    return ConvertibilityReport(tuple(violations))
+    object (metadata may only annotate relationship triples).
+
+    The same single pass, n log n overall.  The violations of
+    check_pg_convertible come first; then one "strong" violation per
+    hosting top-level triple, by term order of the embedded attribute
+    triple and, for each, by host in graph order.
+    """
+    return _check(g, mode, strong=True)
 
 
 @dataclass(frozen=True)
@@ -201,6 +212,23 @@ def _literal_vertex_properties(l: Literal, mode: str) -> set[Property]:
     return props
 
 
+def _assemble(g: RdfStarGraph, edges: list[Triple], vertex_map: dict, edge_map: dict,
+              props: dict[str, set[Property]], mode: str) -> PropertyGraph:
+    """The property graph both RDF-to-PG transforms share: one edge per
+    triple of edges, and g's metadata triples, in term order, as
+    properties of the edge of their embedded subject."""
+    src = {edge_map[t]: vertex_map[t.subject] for t in edges}
+    tgt = {edge_map[t]: vertex_map[t.object] for t in edges}
+    lbl = {edge_map[t]: iri_to_string(t.predicate) for t in edges}
+    edge_props: dict[str, set[Property]] = defaultdict(set)
+    for m in g:
+        if is_metadata_triple(m):
+            value = value_from_literal(m.object, mode)  # a literal by condition 3
+            edge_props[edge_map[m.subject]].add(Property(iri_to_string(m.predicate), value))
+    props.update(edge_props)
+    return PropertyGraph(vertex_map.values(), edge_map.values(), src, tgt, lbl, props)
+
+
 def to_rdf_like_pg(g: RdfStarGraph, mode: str = "lenient") -> RdfLikePgResult:
     """Transform a convertible graph into the RDF-like property graph.
 
@@ -213,9 +241,9 @@ def to_rdf_like_pg(g: RdfStarGraph, mode: str = "lenient") -> RdfLikePgResult:
     if not report.convertible:
         raise NotConvertibleError(report)
 
-    terms = sorted(subject_object_terms(g), key=term_key)
-    vertex_map = {term: f"v{i}" for i, term in enumerate(terms, start=1)}
     ordinary = sorted(ordinary_triples(g), key=term_key)
+    terms = {x for t in ordinary for x in (t.subject, t.object) if not isinstance(x, Triple)}
+    vertex_map = {term: f"v{i}" for i, term in enumerate(sorted(terms, key=term_key), start=1)}
     edge_map = {t: f"e{i}" for i, t in enumerate(ordinary, start=1)}
 
     props: dict[str, set[Property]] = {}
@@ -230,16 +258,7 @@ def to_rdf_like_pg(g: RdfStarGraph, mode: str = "lenient") -> RdfLikePgResult:
         else:
             props[vid] = _literal_vertex_properties(term, mode)
 
-    src = {edge_map[t]: vertex_map[t.subject] for t in ordinary}
-    tgt = {edge_map[t]: vertex_map[t.object] for t in ordinary}
-    lbl = {edge_map[t]: iri_to_string(t.predicate) for t in ordinary}
-    edge_props: dict[str, set[Property]] = defaultdict(set)
-    for m in sorted(metadata_triples(g), key=term_key):
-        value = value_from_literal(m.object, mode)  # a literal by condition 3
-        edge_props[edge_map[m.subject]].add(Property(iri_to_string(m.predicate), value))
-    props.update(edge_props)
-
-    graph = PropertyGraph(vertex_map.values(), edge_map.values(), src, tgt, lbl, props)
+    graph = _assemble(g, ordinary, vertex_map, edge_map, props, mode)
     return RdfLikePgResult(graph, vertex_map, edge_map)
 
 
@@ -342,29 +361,24 @@ def to_simple_pg(g: RdfStarGraph, mode: str = "lenient") -> SimplePgResult:
     if not report.convertible:
         raise NotStronglyConvertibleError(report)
 
-    nodes = sorted(subject_object_nodes(g), key=term_key)
-    vertex_map: dict[Union[Iri, BNode], str] = {n: f"v{i}" for i, n in enumerate(nodes, start=1)}
-    relations = sorted(relationship_triples(g), key=term_key)
+    ordinary = sorted(ordinary_triples(g), key=term_key)
+    nodes = {x for t in ordinary for x in (t.subject, t.object) if isinstance(x, (Iri, BNode))}
+    vertex_map: dict[Union[Iri, BNode], str] = {
+        n: f"v{i}" for i, n in enumerate(sorted(nodes, key=term_key), start=1)
+    }
+    relations = [t for t in ordinary if isinstance(t.object, (Iri, BNode))]
     edge_map = {t: f"e{i}" for i, t in enumerate(relations, start=1)}
 
     props: dict[str, set[Property]] = {vid: set() for vid in vertex_map.values()}
     for node, vid in vertex_map.items():
         if isinstance(node, Iri):
             props[vid].add(Property(IRI_KEY, Text(iri_to_string(node))))
-    for a in sorted(attribute_triples(g), key=term_key):
-        value = value_from_literal(a.object, mode)
-        props[vertex_map[a.subject]].add(Property(iri_to_string(a.predicate), value))
+    for a in ordinary:
+        if isinstance(a.object, Literal):
+            value = value_from_literal(a.object, mode)
+            props[vertex_map[a.subject]].add(Property(iri_to_string(a.predicate), value))
 
-    src = {edge_map[t]: vertex_map[t.subject] for t in relations}
-    tgt = {edge_map[t]: vertex_map[t.object] for t in relations}
-    lbl = {edge_map[t]: iri_to_string(t.predicate) for t in relations}
-    edge_props: dict[str, set[Property]] = defaultdict(set)
-    for m in sorted(metadata_triples(g), key=term_key):
-        value = value_from_literal(m.object, mode)
-        edge_props[edge_map[m.subject]].add(Property(iri_to_string(m.predicate), value))
-    props.update(edge_props)
-
-    graph = PropertyGraph(vertex_map.values(), edge_map.values(), src, tgt, lbl, props)
+    graph = _assemble(g, relations, vertex_map, edge_map, props, mode)
     return SimplePgResult(graph, vertex_map, edge_map)
 
 

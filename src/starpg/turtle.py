@@ -75,16 +75,21 @@ _NUMBER_RE = re.compile(
     r")"
 )
 _ESCAPES = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}
+_TRIVIA_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
+_IRI_BODY_RE = re.compile(r"[^>\n]*")
+_STRING_RUN_RE = re.compile(r'[^"\\\n\r]*')
 
 
 class _Parser:
+    """Recursive descent over the text; the scanner keeps only pos, and
+    line and column are computed from it when an error is raised."""
+
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
         self.prefixes: dict[str, str] = {}
         self.triples: set[Triple] = set()
+        self.iris: dict[str, Iri] = {}  # equal IRIs share one object
 
     # -- scanning primitives -------------------------------------------
 
@@ -92,47 +97,34 @@ class _Parser:
         i = self.pos + k
         return self.text[i] if i < len(self.text) else ""
 
-    def advance(self) -> str:
-        c = self.text[self.pos]
-        self.pos += 1
-        if c == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return c
-
-    def error(self, message: str, at: tuple[int, int] | None = None) -> NoReturn:
-        line, col = at if at is not None else (self.line, self.col)
-        raise TurtleParseError(line, col, message)
-
-    def here(self) -> tuple[int, int]:
-        return (self.line, self.col)
+    def error(self, message: str, at: int | None = None) -> NoReturn:
+        pos = self.pos if at is None else at
+        line = self.text.count("\n", 0, pos) + 1
+        column = pos - self.text.rfind("\n", 0, pos)
+        raise TurtleParseError(line, column, message)
 
     def skip_trivia(self) -> None:
-        while self.pos < len(self.text):
-            c = self.peek()
-            if c in " \t\r\n":
-                self.advance()
-            elif c == "#":
-                while self.pos < len(self.text) and self.peek() != "\n":
-                    self.advance()
-            else:
-                return
+        self.pos = _TRIVIA_RE.match(self.text, self.pos).end()
 
     def take(self, expected: str, what: str) -> None:
         for c in expected:
             if self.peek() != c:
                 self.error(f"expected {what}")
-            self.advance()
+            self.pos += 1
 
     def match_re(self, pattern: re.Pattern) -> str | None:
         m = pattern.match(self.text, self.pos)
         if m is None:
             return None
-        for _ in range(m.end() - self.pos):
-            self.advance()
+        self.pos = m.end()
         return m.group()
+
+    def iri(self, value: str) -> Iri:
+        """The Iri for value; raises ValueError like Iri itself."""
+        iri = self.iris.get(value)
+        if iri is None:
+            iri = self.iris[value] = Iri(value)
+        return iri
 
     # -- grammar -------------------------------------------------------
 
@@ -148,8 +140,8 @@ class _Parser:
         return RdfStarGraph(self.triples), dict(self.prefixes)
 
     def directive(self) -> None:
-        at = self.here()
-        self.advance()  # '@'
+        at = self.pos
+        self.pos += 1  # '@'
         word = self.match_re(_PREFIX_RE) or ""
         if word == "base":
             self.error("@base is not supported", at)
@@ -159,7 +151,7 @@ class _Parser:
         label = self.match_re(_PREFIX_RE) or ""
         if self.peek() != ":":
             self.error("expected ':' after prefix label")
-        self.advance()
+        self.pos += 1
         self.skip_trivia()
         iri = self.iriref()
         self.prefixes[label] = iri.value  # a later declaration wins
@@ -178,12 +170,12 @@ class _Parser:
                 self.triples.add(Triple(subject, predicate, obj))
                 self.skip_trivia()
                 if self.peek() == ",":
-                    self.advance()
+                    self.pos += 1
                     continue
                 break
             if self.peek() == ";":
                 while self.peek() == ";":
-                    self.advance()
+                    self.pos += 1
                     self.skip_trivia()
                 if self.peek() == ".":
                     return
@@ -194,7 +186,7 @@ class _Parser:
         self.skip_trivia()
         if self.peek() != ".":
             self.error("expected '.'")
-        self.advance()
+        self.pos += 1
 
     def subject(self):
         self.skip_trivia()
@@ -262,29 +254,24 @@ class _Parser:
         self.skip_trivia()
         if self.peek() != ">" or self.peek(1) != ">":
             self.error("expected '>>'")
-        self.advance()
-        self.advance()
+        self.pos += 2
         return Triple(subject, predicate, obj)
 
     def iriref(self) -> Iri:
-        at = self.here()
+        at = self.pos
         self.take("<", "IRI")
-        chars: list[str] = []
-        while True:
-            c = self.peek()
-            if c == "" or c == "\n":
-                self.error("unterminated IRI", at)
-            if c == ">":
-                self.advance()
-                break
-            chars.append(self.advance())
+        end = _IRI_BODY_RE.match(self.text, self.pos).end()
+        if end == len(self.text) or self.text[end] == "\n":
+            self.error("unterminated IRI", at)
+        value = self.text[self.pos:end]
+        self.pos = end + 1  # past '>'
         try:
-            return Iri("".join(chars))
+            return self.iri(value)
         except ValueError as exc:
             self.error(f"invalid IRI: {exc}", at)
 
     def bnode(self) -> BNode:
-        at = self.here()
+        at = self.pos
         self.take("_:", "blank node label")
         label = self.match_re(_BNODE_RE)
         if label is None:
@@ -292,37 +279,37 @@ class _Parser:
         return BNode(label)
 
     def pname_or_keyword(self, as_subject: bool):
-        at = self.here()
+        at = self.pos
         prefix = self.match_re(_PREFIX_RE) or ""
         if self.peek() != ":":
             if not as_subject and prefix == "a":
-                return Iri(RDF_TYPE)
+                return self.iri(RDF_TYPE)
             if prefix in ("true", "false"):
                 self.error("literal not allowed here", at)
             if prefix:
                 self.error(f"expected ':' in prefixed name after {prefix!r}", at)
             self.error(f"unexpected character {self.peek()!r}", at)
-        self.advance()
+        self.pos += 1
         return self.resolve_pname(prefix, at)
 
     def pname_or_boolean(self):
-        at = self.here()
+        at = self.pos
         word = self.match_re(_PREFIX_RE) or ""
         if self.peek() != ":":
             if word in ("true", "false"):
-                return Literal(word, Iri(XSD_BOOLEAN))
+                return Literal(word, self.iri(XSD_BOOLEAN))
             if word:
                 self.error(f"expected ':' in prefixed name after {word!r}", at)
             self.error(f"unexpected character {self.peek()!r}", at)
-        self.advance()
+        self.pos += 1
         return self.resolve_pname(word, at)
 
-    def resolve_pname(self, prefix: str, at: tuple[int, int]) -> Iri:
+    def resolve_pname(self, prefix: str, at: int) -> Iri:
         if prefix not in self.prefixes:
             self.error(f"unknown prefix {prefix!r}", at)
         local = self.match_re(_LOCAL_RE) or ""
         try:
-            return Iri(self.prefixes[prefix] + local)
+            return self.iri(self.prefixes[prefix] + local)
         except ValueError as exc:
             self.error(f"invalid IRI from prefixed name: {exc}", at)
 
@@ -331,45 +318,41 @@ class _Parser:
         if lex is None:
             self.error("malformed number")
         if "e" in lex or "E" in lex:
-            return Literal(lex, Iri(XSD_DOUBLE))
+            return Literal(lex, self.iri(XSD_DOUBLE))
         if "." in lex:
-            return Literal(lex, Iri(XSD_DECIMAL))
-        return Literal(lex, Iri(XSD_INTEGER))
+            return Literal(lex, self.iri(XSD_DECIMAL))
+        return Literal(lex, self.iri(XSD_INTEGER))
 
     def string_literal(self) -> Literal:
-        at = self.here()
-        self.advance()  # opening quote
+        at = self.pos
+        self.pos += 1  # opening quote
         if self.peek() == '"' and self.peek(1) == '"':
             self.error("triple-quoted strings are not supported", at)
         chars: list[str] = []
         while True:
+            chars.append(self.match_re(_STRING_RUN_RE))
             c = self.peek()
             if c == "" or c in "\n\r":
                 self.error("unterminated string literal", at)
             if c == '"':
-                self.advance()
+                self.pos += 1
                 break
-            if c == "\\":
-                esc_at = self.here()
-                self.advance()
-                e = self.peek()
-                if e not in _ESCAPES:
-                    self.error(f"unsupported escape \\{e}", esc_at)
-                chars.append(_ESCAPES[e])
-                self.advance()
-                continue
-            chars.append(self.advance())
+            # c is a backslash
+            e = self.peek(1)
+            if e not in _ESCAPES:
+                self.error(f"unsupported escape \\{e}", self.pos)
+            chars.append(_ESCAPES[e])
+            self.pos += 2
         lex = "".join(chars)
         # Language tag or datatype must be adjacent, per Turtle.
         if self.peek() == "@":
-            self.advance()
+            self.pos += 1
             tag = self.match_re(_LANG_RE)
             if tag is None:
                 self.error("malformed language tag")
             return Literal(lex, language=tag)
         if self.peek() == "^" and self.peek(1) == "^":
-            self.advance()
-            self.advance()
+            self.pos += 2
             self.skip_trivia()
             if self.peek() == "<":
                 if self.peek(1) == "<":

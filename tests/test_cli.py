@@ -1,6 +1,8 @@
 import json
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +66,18 @@ class TestCheck:
         path = ttls("@@ nonsense")
         assert main(["check", path]) == 2
         assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, offset", [
+        (b"\xff", 0),
+        (b"<http://example.org/s> <http://example.org/p> \"\xff\" .\n", 47),
+    ])
+    def test_invalid_utf8_is_exit_2(self, tmp_path, capsys, data, offset):
+        path = tmp_path / "bad.ttls"
+        path.write_bytes(data)
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid UTF-8 at byte offset {offset}" in err
+        assert "Traceback" not in err
 
     def test_missing_file_is_exit_2(self, capsys):
         assert main(["check", "/nonexistent/file.ttls"]) == 2
@@ -250,8 +264,12 @@ class TestEndToEnd:
         assert result.returncode == 2
 
     def test_console_entry_point(self):
-        result = subprocess.run(
-            ["starpg", "check", ALICE_BOB], capture_output=True, text=True
-        )
+        # The declared script when installed; otherwise the same main()
+        # through the package's __main__.
+        pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+        assert 'starpg = "starpg.cli:main"' in pyproject
+        script = shutil.which("starpg")
+        command = [script] if script else [sys.executable, "-m", "starpg"]
+        result = subprocess.run(command + ["check", ALICE_BOB], capture_output=True, text=True)
         assert result.returncode == 0
         assert result.stdout.strip() == "OK"

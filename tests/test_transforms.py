@@ -1,7 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
+import starpg.transforms
+from starpg.transforms import _literal_note
 from starpg import (
     RDF_LANG_STRING,
     XSD_DOUBLE,
@@ -25,18 +29,24 @@ from starpg import (
     Text,
     Triple,
     attribute_triples,
+    Violation,
     canonicalize_values,
     check_pg_convertible,
+    embedded_triples,
     check_strongly_pg_convertible,
     from_rdf_like_pg,
+    is_metadata_triple,
     is_minimal,
     is_property_unique,
     isomorphic,
+    mentioned_terms,
     minimize,
     pg_to_rdf_star,
     relationship_triples,
+    term_key,
     to_rdf_like_pg,
     to_simple_pg,
+    value_from_literal,
 )
 from conftest import (
     AGE_CERTAINTY,
@@ -59,6 +69,43 @@ R = Iri(EX + "r")
 
 def conditions(report):
     return [v.condition for v in report.violations]
+
+
+def _rescan_oracle(g, mode):
+    """The strong check as first written: conditions 1-4 per triple, with
+    every mentioned term sorted, then one rescan of g per embedded
+    attribute triple.  Quadratic; the reference the one-pass check must
+    match violation for violation, order included."""
+    out = []
+    for t in g:
+        if isinstance(t.subject, Triple):
+            if is_metadata_triple(t.subject):
+                out.append(Violation(t, "1", "embedded subject is itself a metadata triple"))
+            if not isinstance(t.object, Literal):
+                out.append(Violation(t, "3", "metadata triple object is not a literal"))
+        if isinstance(t.object, Triple):
+            out.append(Violation(t, "2", "triple embedded in object position"))
+        for x in sorted(mentioned_terms(t), key=term_key):
+            if isinstance(x, Literal) and value_from_literal(x, mode) is None:
+                out.append(Violation(t, "4", f"literal {_literal_note(x)} has no property value"))
+    for e in sorted(embedded_triples(g), key=term_key):
+        if isinstance(e.object, Literal):
+            reason = f"embeds attribute triple with object {_literal_note(e.object)}"
+            out += [Violation(t, "strong", reason) for t in g if e in mentioned_terms(t)]
+    return tuple(out)
+
+
+_NODES = st.sampled_from([S, O, BNode("x1")])
+_LITERALS = st.sampled_from([
+    Literal("v"), Literal("5", Iri(XSD_INTEGER)), Literal("abc", Iri(XSD_INTEGER)),
+    Literal("chat", language="fr"),
+])
+_PREDICATES = st.sampled_from([P, Q])
+_TRIPLES = st.recursive(
+    st.builds(Triple, _NODES, _PREDICATES, _NODES | _LITERALS),
+    lambda inner: st.builds(Triple, _NODES | inner, _PREDICATES, _NODES | _LITERALS | inner),
+    max_leaves=6,
+)
 
 
 class TestConvertibility:
@@ -119,6 +166,46 @@ class TestStrongConvertibility:
 
     def test_empty_graph_is_strongly_convertible(self):
         assert check_strongly_pg_convertible(RdfStarGraph()).convertible
+
+    def test_matches_rescan_oracle_on_random_corpora(self):
+        rng = random.Random(37)
+        graphs = [randgen.random_rdf_star_graph(rng) for _ in range(300)]
+        graphs += [randgen.random_convertible_graph(rng) for _ in range(200)]
+        graphs += [randgen.random_convertible_graph(rng, strong=True) for _ in range(100)]
+        for g in graphs:
+            for mode in ("lenient", "strict"):
+                want = _rescan_oracle(g, mode)
+                assert check_strongly_pg_convertible(g, mode).violations == want
+                base = tuple(v for v in want if v.condition != "strong")
+                assert check_pg_convertible(g, mode).violations == base
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_TRIPLES, max_size=12))
+    def test_matches_rescan_oracle_on_hypothesis_graphs(self, triples):
+        g = RdfStarGraph(triples)
+        assert check_strongly_pg_convertible(g).violations == _rescan_oracle(g, "lenient")
+
+    def test_one_mentioned_terms_call_per_triple(self, monkeypatch):
+        # 2,000 annotated attribute triples: the rescan would call
+        # mentioned_terms about 2,000 times per top-level triple.
+        people = [Iri(f"{EX}person/{i}") for i in range(2000)]
+        g = RdfStarGraph(
+            [Triple(Triple(x, P, Literal(str(i))), Q, Literal("registry"))
+             for i, x in enumerate(people)]
+            + [Triple(x, R, y) for x, y in zip(people, people[1:])]
+        )
+        calls = 0
+        original = starpg.transforms.mentioned_terms
+
+        def counting(x):
+            nonlocal calls
+            calls += 1
+            return original(x)
+
+        monkeypatch.setattr(starpg.transforms, "mentioned_terms", counting)
+        report = check_strongly_pg_convertible(g)
+        assert conditions(report) == ["strong"] * 2000
+        assert calls <= len(g) + 2
 
 
 class TestTripleClassification:

@@ -278,6 +278,29 @@ class TestParseErrors:
         err = self.check("ex:a ex:b ex:c .", "unknown prefix")
         assert err.line >= 1 and err.column >= 1
 
+    def test_position_after_multi_line_comment(self):
+        text = (f"# first line\n# second line, with <{EX}not> an IRI\n   # third\n"
+                f"<{EX}s> <{EX}p> nope:o .")
+        self.check(text, "unknown prefix", line=4, column=47)
+
+    def test_position_on_crlf_line(self):
+        text = f'<{EX}s> <{EX}p> <{EX}o> .\r\n<{EX}s> <{EX}p> "x"@9 .\r\n'
+        self.check(text, "language tag", line=2, column=51)
+
+    def test_position_after_crlf_blank_line(self):
+        text = f"<{EX}s> <{EX}p> <{EX}o> .\r\n\r\n<{EX}s> <{EX}p> <{EX}o>\r\n<{EX}t>"
+        self.check(text, "'.'", line=4, column=1)
+
+    def test_position_in_long_string_after_escapes(self):
+        text = f'<{EX}s>\n  <{EX}p> "' + 'ab\\"cd\\\\ef' * 40 + '\\q" .'
+        self.check(text, "unsupported escape \\q", line=2, column=427)
+
+    def test_position_of_iri_unterminated_at_end_of_input(self):
+        self.check(f"<{EX}s> <{EX}p>\n  <{EX}never", "unterminated IRI", line=2, column=3)
+
+    def test_position_of_iri_unterminated_at_newline(self):
+        self.check(f"<{EX}s> <{EX}p>\n  <{EX}ne\nver> .", "unterminated IRI", line=2, column=3)
+
 
 class TestSerialize:
     def test_alice_bob_exact_text(self, alice_bob):
