@@ -121,6 +121,8 @@ def parse_pg_json(text: str) -> PropertyGraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("/", f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError("/", "invalid JSON: arrays or objects nested too deeply") from None
     _require(isinstance(doc, dict), "/", "document must be an object")
     _check_keys(doc, "/", {"vertices", "edges"}, set())
     _require(isinstance(doc["vertices"], list), "/vertices", "vertices must be an array")

@@ -10,6 +10,8 @@ from __future__ import annotations
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, Union
 
 from .namespaces import RDF_LANG_STRING, XSD_STRING
@@ -332,58 +334,87 @@ def relabel_bnodes(g: RdfStarGraph, mapping: dict[str, str]) -> RdfStarGraph:
     return RdfStarGraph(_map_triple(t, mapping) for t in g.triples)
 
 
-def _renumber_pass(g: RdfStarGraph) -> RdfStarGraph:
-    """Renumber blank nodes b1, b2, ... in first-appearance order.
+def _flatten(x: Term, key: list, slots: list[tuple[int, str]]) -> None:
+    """Append term_key(x) to key with its nesting flattened away.
 
-    Appearance order walks triples in deterministic order, each triple
-    subject before object, descending into embedded triples.
+    Each kind tag is followed by a fixed shape, so flat keys of terms
+    compare exactly as their nested term_keys do.  The position of every
+    blank node label in key is appended to slots with the label, in
+    first-appearance order: subject before object, embedded triples
+    descended into.
     """
-    order: list[str] = []
-    seen: set[str] = set()
-
-    def walk(x: Term) -> None:
-        if isinstance(x, BNode):
-            if x.label not in seen:
-                seen.add(x.label)
-                order.append(x.label)
-        elif isinstance(x, Triple):
-            walk(x.subject)
-            walk(x.object)
-
-    for t in g:
-        walk(t)
-    return relabel_bnodes(g, {label: f"b{i}" for i, label in enumerate(order, start=1)})
-
-
-def _graph_key(g: RdfStarGraph) -> tuple:
-    return tuple(term_key(t) for t in g)
+    if isinstance(x, Iri):
+        key += (0, x.value)
+    elif isinstance(x, BNode):
+        slots.append((len(key) + 1, x.label))
+        key += (1, x.label)
+    elif isinstance(x, Literal):
+        key += (2, x.lexical_form, x.datatype.value, x.language or "")
+    else:
+        key.append(3)
+        _flatten(x.subject, key, slots)
+        _flatten(x.predicate, key, slots)
+        _flatten(x.object, key, slots)
 
 
 def canonicalize_bnodes(g: RdfStarGraph) -> RdfStarGraph:
     """Deterministically renumber blank nodes to b1, b2, ...
 
-    Renumbering can shift triple order, which in turn can shift the
-    first-appearance numbering, so a single pass need not be stable.
-    The pass is repeated until the graph stops changing; should it ever
-    revisit a state instead, the smallest graph on that cycle is the
-    result.  Either way the function is idempotent.
+    One pass numbers blank nodes in first-appearance order: triples in
+    term order, each triple subject before object, descending into
+    embedded triples.  Renumbering can shift triple order, which in turn
+    can shift the numbering, so a single pass need not be stable.  The
+    pass is repeated until the graph stops changing; should it ever
+    revisit a state instead, the smallest graph on that cycle (in term
+    order) is the result.  Either way the function is idempotent.
+
+    Passes run on flat sort keys of the b triples that hold a blank node,
+    built once, so a pass costs O(b log b) key comparisons and the whole
+    call O(passes * b log b) plus one relabel_bnodes to build the result.
+    The number of passes is not bounded by this scheme: it depends on the
+    blank-node topology and can reach thousands on a few dozen nodes.
     """
     if not blank_node_labels(g):
         return g
-    # Visited states are kept as bare triple sets, without the sorted
-    # order each graph caches once iterated.
-    visited: dict[frozenset[Triple], int] = {}
-    states: list[frozenset[Triple]] = []
-    current = g
-    while current.triples not in visited:
-        visited[current.triples] = len(states)
-        states.append(current.triples)
-        renumbered = _renumber_pass(current)
-        if renumbered == current:
-            return current
-        current = renumbered
-    cycle = states[visited[current.triples]:]
-    return min((RdfStarGraph(c) for c in cycle), key=_graph_key)
+    ids: dict[str, int] = {}
+    rows: list[tuple[list, list[tuple[int, int]]]] = []  # flat key, (position, node id) per slot
+    for t in g.triples:
+        key: list = []
+        slots: list[tuple[int, str]] = []
+        _flatten(t, key, slots)
+        if slots:
+            rows.append((key, [(p, ids.setdefault(label, len(ids))) for p, label in slots]))
+    # vals[n] is the current label of node id n; the rest holds every key
+    # element, so one itemgetter call per row builds its key tuple.
+    vals: list = list(ids)
+    getters = []
+    nodes: list[list[int]] = []  # node ids of each row in slot order
+    for key, slots in rows:
+        index = list(range(len(vals), len(vals) + len(key)))
+        vals += key
+        for p, n in slots:
+            index[p] = n
+        getters.append(itemgetter(*index))
+        nodes.append([n for _, n in slots])
+    names = [f"b{i}" for i in range(1, len(ids) + 1)]
+    node_ids = range(len(ids))
+    # A state is the sorted tuple of the keys; triples without blank nodes
+    # are the same in every state and never change which state is smaller.
+    visited: dict[tuple, int] = {}
+    states: list[tuple[tuple, list[str]]] = []
+    while True:
+        keys = [get(vals) for get in getters]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        state = tuple(map(keys.__getitem__, order))
+        if state in visited:
+            break
+        visited[state] = len(states)
+        states.append((state, vals[:len(ids)]))
+        first = dict.fromkeys(chain.from_iterable(map(nodes.__getitem__, order)))
+        vals[:len(ids)] = map(dict(zip(first, names)).__getitem__, node_ids)
+    # An unchanged pass is a cycle of length one.
+    _, labels = min(states[visited[state]:], key=itemgetter(0))
+    return relabel_bnodes(g, dict(zip(ids, labels)))
 
 
 def _skeleton(x: Term):
@@ -414,7 +445,15 @@ def _bnode_signatures(g: RdfStarGraph) -> dict[str, tuple]:
 
 
 def isomorphic(a: RdfStarGraph, b: RdfStarGraph) -> bool:
-    """Graph equality up to a bijective renaming of blank node labels."""
+    """Graph equality up to a bijective renaming of blank node labels.
+
+    Backtracking search over label assignments, most constrained label
+    first, with candidates restricted to labels of equal occurrence
+    signature.  Each source triple is checked once it is fully assigned,
+    by the assignment that completed it, so a search step costs the degree
+    of the label assigned, not len(a).  The number of steps is not
+    bounded: graphs with many automorphic labels may backtrack a lot.
+    """
     if a.triples == b.triples:
         return True
     if len(a) != len(b):
@@ -430,37 +469,60 @@ def isomorphic(a: RdfStarGraph, b: RdfStarGraph) -> bool:
     if sorted(siga.values()) != sorted(sigb.values()):
         return False
 
-    candidates = {x: [y for y in lb if sigb[y] == siga[x]] for x in la}
+    by_signature: dict[tuple, list[str]] = defaultdict(list)
+    for y in lb:
+        by_signature[sigb[y]].append(y)
+    candidates = {x: by_signature[siga[x]] for x in la}
     order = sorted(la, key=lambda x: len(candidates[x]))
     target = b.triples
-    source = list(a.triples)
-    labels_of = {t: frozenset(x.label for x in _triple_terms(t) if isinstance(x, BNode))
-                 for t in source}
+    labels_of: dict[Triple, frozenset[str]] = {}
+    hosts: dict[str, list[Triple]] = defaultdict(list)  # label -> source triples holding it
+    for t in a.triples:
+        labels = frozenset(x.label for x in _triple_terms(t) if isinstance(x, BNode))
+        labels_of[t] = labels
+        for x in labels:
+            hosts[x].append(t)
     mapping: dict[str, str] = {}
     used: set[str] = set()
 
-    def consistent() -> bool:
-        # Every source triple with all of its blank nodes assigned must map
-        # into the target; checked eagerly to prune the search.
-        for t in source:
-            if labels_of[t] and labels_of[t] <= mapping.keys():
+    def consistent(x: str) -> bool:
+        # Every source triple that assigning x completed must map into the
+        # target; triples completed earlier were checked then.
+        for t in hosts[x]:
+            if labels_of[t] <= mapping.keys():
                 if _map_triple(t, mapping) not in target:
                     return False
         return True
 
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return relabel_bnodes(a, mapping).triples == target
+    # Depth-first over order without recursion, which would overflow the
+    # stack beyond about a thousand labels; tried[i] is the index of the
+    # next candidate for order[i].
+    tried = [0] * len(order)
+
+    def assign_next(i: int) -> bool:
         x = order[i]
-        for y in candidates[x]:
+        while tried[i] < len(candidates[x]):
+            y = candidates[x][tried[i]]
+            tried[i] += 1
             if y in used:
                 continue
             mapping[x] = y
             used.add(y)
-            if consistent() and extend(i + 1):
+            if consistent(x):
                 return True
             del mapping[x]
             used.discard(y)
+        tried[i] = 0
         return False
 
-    return extend(0)
+    i = 0
+    while i >= 0:
+        if i < len(order) and assign_next(i):
+            i += 1
+            continue
+        if i == len(order) and relabel_bnodes(a, mapping).triples == target:
+            return True
+        i -= 1
+        if i >= 0:
+            used.discard(mapping.pop(order[i]))
+    return False

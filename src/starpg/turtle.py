@@ -4,9 +4,10 @@ Supported: @prefix, IRIs in angle brackets, prefixed names, blank node
 labels, the keyword 'a', quoted strings with \\" \\\\ \\n \\r \\t escapes,
 language tags, ^^ datatypes, bare integer/decimal/double/boolean
 shorthands, predicate lists (;), object lists (,), embedded triples in
-<< >> with arbitrary nesting, and # comments.  Everything else
-(collections, blank node property lists, triple-quoted strings, @base) is
-a parse error with a 1-based line/column diagnostic.
+<< >> nested up to MAX_NESTING_DEPTH levels, and # comments.  Everything
+else (collections, blank node property lists, triple-quoted strings,
+@base, deeper nesting) is a parse error with a 1-based line/column
+diagnostic.
 
 Serialization is deterministic: prefixes sorted by label, one triple per
 line in term order, blank nodes renumbered b1, b2, ... in first-appearance
@@ -46,6 +47,12 @@ from .rdf import (
 )
 
 FILE_EXTENSIONS = (".ttls", ".ttl")
+
+# The deepest << >> nesting the parser accepts (a triple embedded in a
+# triple has nesting_depth 1).  Parsing and every later stage recurse
+# once or twice per level, so this keeps them well inside Python's
+# default recursion limit.
+MAX_NESTING_DEPTH = 100
 
 
 class TurtleParseError(Exception):
@@ -90,6 +97,7 @@ class _Parser:
         self.prefixes: dict[str, str] = {}
         self.triples: set[Triple] = set()
         self.iris: dict[str, Iri] = {}  # equal IRIs share one object
+        self.depth = 0  # << >> levels open at pos
 
     # -- scanning primitives -------------------------------------------
 
@@ -243,6 +251,9 @@ class _Parser:
         return self.pname_or_boolean()
 
     def embedded(self) -> Triple:
+        if self.depth == MAX_NESTING_DEPTH:
+            self.error(f"embedded triples nested deeper than {MAX_NESTING_DEPTH} levels")
+        self.depth += 1
         self.take("<<", "'<<'")
         self.skip_trivia()
         c = self.peek()
@@ -255,6 +266,7 @@ class _Parser:
         if self.peek() != ">" or self.peek(1) != ">":
             self.error("expected '>>'")
         self.pos += 2
+        self.depth -= 1
         return Triple(subject, predicate, obj)
 
     def iriref(self) -> Iri:

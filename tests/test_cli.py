@@ -13,6 +13,7 @@ from starpg import (
     pg_to_rdf_star,
 )
 from starpg.cli import main
+from starpg.turtle import MAX_NESTING_DEPTH
 from conftest import DATA_DIR, EX, build_kubrick_pg
 
 ALICE_BOB = str(DATA_DIR / "alice_bob.ttls")
@@ -77,6 +78,16 @@ class TestCheck:
         assert main(["check", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"invalid UTF-8 at byte offset {offset}" in err
+        assert "Traceback" not in err
+
+    def test_deep_nesting_is_exit_2(self, capsys, ttls):
+        depth = 1200
+        path = ttls(f"@prefix ex: <{EX}> .\n" + "<<" * depth + "ex:s ex:p ex:o"
+                    + ">> ex:p ex:o " * depth + ".\n")
+        assert main(["check", path]) == 2
+        err = capsys.readouterr().err
+        assert (f"parse error: line 2, column {2 * MAX_NESTING_DEPTH + 1}: "
+                f"embedded triples nested deeper than {MAX_NESTING_DEPTH} levels") in err
         assert "Traceback" not in err
 
     def test_missing_file_is_exit_2(self, capsys):
@@ -184,6 +195,16 @@ class TestPg2Rdf:
         path.write_text('{"vertices": []}', encoding="utf-8")
         assert main(["pg2rdf", str(path)]) == 2
         assert "schema error" in capsys.readouterr().err
+
+    def test_deeply_nested_json_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.pg.json"
+        depth = 5000
+        path.write_text('{"vertices": ' + "[" * depth + "]" * depth + ', "edges": []}',
+                        encoding="utf-8")
+        assert main(["pg2rdf", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "schema error: /: invalid JSON: arrays or objects nested too deeply" in err
+        assert "Traceback" not in err
 
     def test_equal_mapping_prefixes_rejected(self, capsys):
         code = main([

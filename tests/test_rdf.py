@@ -1,16 +1,22 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import starpg.rdf
 from starpg import (
     XSD_INTEGER,
     XSD_STRING,
     BNode,
+    Integer,
     Iri,
     Literal,
+    Property,
+    PropertyGraph,
     RdfStarGraph,
+    Text,
     Triple,
     blank_node_labels,
     canonicalize_bnodes,
@@ -23,6 +29,7 @@ from starpg import (
     minimize,
     nesting_depth,
     ordinary_triples,
+    pg_to_rdf_star,
     redundant_triples,
     relabel_bnodes,
     subject_object_nodes,
@@ -263,6 +270,113 @@ class TestBlankNodeHandling:
         assert blank_node_labels(canon) == {"b1"}
 
 
+def _fixpoint_oracle(g: RdfStarGraph) -> tuple[RdfStarGraph, int]:
+    """canonicalize_bnodes as first written, rebuilding the graph on every
+    pass; returns the result and the length of the cycle the passes ended
+    on (1 when they reached a fixpoint)."""
+
+    def renumber_pass(h: RdfStarGraph) -> RdfStarGraph:
+        order: list[str] = []
+        seen: set[str] = set()
+
+        def walk(x) -> None:
+            if isinstance(x, BNode):
+                if x.label not in seen:
+                    seen.add(x.label)
+                    order.append(x.label)
+            elif isinstance(x, Triple):
+                walk(x.subject)
+                walk(x.object)
+
+        for t in h:
+            walk(t)
+        return relabel_bnodes(h, {label: f"b{i}" for i, label in enumerate(order, start=1)})
+
+    if not blank_node_labels(g):
+        return g, 1
+    visited: dict[frozenset, int] = {}
+    states: list[frozenset] = []
+    current = g
+    while current.triples not in visited:
+        visited[current.triples] = len(states)
+        states.append(current.triples)
+        renumbered = renumber_pass(current)
+        if renumbered == current:
+            return current, 1
+        current = renumbered
+    cycle = states[visited[current.triples]:]
+    smallest = min((RdfStarGraph(c) for c in cycle),
+                   key=lambda h: tuple(term_key(t) for t in h))
+    return smallest, len(cycle)
+
+
+def _bnode_dense_graph(rng: random.Random) -> RdfStarGraph:
+    """5-15 blank nodes wired at random, a fifth of the triples annotated."""
+    nodes = [BNode(f"n{i}") for i in range(rng.randint(5, 15))]
+    objects = nodes + [O, Literal("v")]
+    triples = set()
+    for _ in range(rng.randint(len(nodes), 2 * len(nodes))):
+        t = Triple(rng.choice(nodes), rng.choice((P, Q)), rng.choice(objects))
+        if rng.random() < 0.2:
+            t = Triple(t, R, rng.choice(nodes + [Literal("w")]))
+        triples.add(t)
+    return RdfStarGraph(triples)
+
+
+def _circulant_pg(n: int) -> PropertyGraph:
+    """n vertices, each knowing the next two; the edge to the second
+    carries a property.  pg_to_rdf_star gives each vertex a blank node."""
+    vertices = [f"v{i:03d}" for i in range(n)]
+    edges: list[str] = []
+    src, tgt, lbl = {}, {}, {}
+    props = {v: [Property("name", Text(v))] for v in vertices}
+    for i, v in enumerate(vertices):
+        for step in (1, 2):
+            e = f"e{len(edges) + 1}"
+            edges.append(e)
+            src[e], tgt[e], lbl[e] = v, vertices[(i + step) % n], "knows"
+            props[e] = [Property("since", Integer(1990 + i))] if step == 2 else []
+    return PropertyGraph(vertices, edges, src, tgt, lbl, props)
+
+
+class TestCanonicalizationOracle:
+    def test_matches_oracle_on_random_corpus(self):
+        rng = random.Random(29)
+        for _ in range(1000):
+            g = randgen.random_rdf_star_graph(rng)
+            assert canonicalize_bnodes(g) == _fixpoint_oracle(g)[0]
+
+    def test_matches_oracle_on_bnode_dense_graphs(self):
+        rng = random.Random(31)
+        cycles = 0
+        for _ in range(400):
+            g = _bnode_dense_graph(rng)
+            want, cycle = _fixpoint_oracle(g)
+            assert canonicalize_bnodes(g) == want
+            cycles += cycle > 1
+        # the smallest-state branch must be exercised, not just the fixpoint
+        assert cycles >= 100
+
+    def test_matches_oracle_on_circulant_pg2rdf_output(self):
+        g = pg_to_rdf_star(_circulant_pg(24))
+        assert canonicalize_bnodes(g) == _fixpoint_oracle(g)[0]
+
+    def test_one_relabel_call_per_canonicalization(self, monkeypatch):
+        calls = []
+        relabel = starpg.rdf.relabel_bnodes
+
+        def counting(g, mapping):
+            calls.append(len(g))
+            return relabel(g, mapping)
+
+        monkeypatch.setattr(starpg.rdf, "relabel_bnodes", counting)
+        for g in (pg_to_rdf_star(_circulant_pg(32)), _bnode_dense_graph(random.Random(3)),
+                  RdfStarGraph([Triple(BNode("b1"), P, O)])):
+            calls.clear()
+            canonicalize_bnodes(g)
+            assert len(calls) == 1
+
+
 class TestIsomorphism:
     def test_equal_graphs_are_isomorphic(self, alice_bob):
         assert isomorphic(alice_bob, alice_bob)
@@ -314,6 +428,120 @@ class TestIsomorphism:
             Triple(BNode("other"), R, Literal("w")),
         ])
         assert not isomorphic(a, b)
+
+
+def _rescanning_isomorphic(a: RdfStarGraph, b: RdfStarGraph) -> bool:
+    """isomorphic as first written: after each assignment it rescans every
+    source triple and checks all the fully assigned ones."""
+    if a.triples == b.triples:
+        return True
+    if len(a) != len(b):
+        return False
+    la = sorted(blank_node_labels(a))
+    lb = sorted(blank_node_labels(b))
+    if len(la) != len(lb) or not la:
+        return False
+    skeleton = starpg.rdf._skeleton
+    if Counter(skeleton(t) for t in a.triples) != Counter(skeleton(t) for t in b.triples):
+        return False
+    siga = starpg.rdf._bnode_signatures(a)
+    sigb = starpg.rdf._bnode_signatures(b)
+    if sorted(siga.values()) != sorted(sigb.values()):
+        return False
+    candidates = {x: [y for y in lb if sigb[y] == siga[x]] for x in la}
+    order = sorted(la, key=lambda x: len(candidates[x]))
+    source = list(a.triples)
+    labels_of = {t: frozenset(x.label for x in mentioned_terms(t) if isinstance(x, BNode))
+                 for t in source}
+    mapping: dict[str, str] = {}
+    used: set[str] = set()
+
+    def consistent() -> bool:
+        return all(starpg.rdf._map_triple(t, mapping) in b.triples
+                   for t in source if labels_of[t] and labels_of[t] <= mapping.keys())
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return relabel_bnodes(a, mapping).triples == b.triples
+        x = order[i]
+        for y in candidates[x]:
+            if y in used:
+                continue
+            mapping[x] = y
+            used.add(y)
+            if consistent() and extend(i + 1):
+                return True
+            del mapping[x]
+            used.discard(y)
+        return False
+
+    return extend(0)
+
+
+def _shuffled_labels(g: RdfStarGraph, rng: random.Random) -> RdfStarGraph:
+    labels = sorted(blank_node_labels(g))
+    renamed = [f"z{i}" for i in range(len(labels))]
+    rng.shuffle(renamed)
+    return relabel_bnodes(g, dict(zip(labels, renamed)))
+
+
+class TestIsomorphismOracle:
+    def graphs(self, seed: int):
+        rng = random.Random(seed)
+        for i in range(600):
+            g = _bnode_dense_graph(rng) if i % 2 else randgen.random_rdf_star_graph(rng)
+            yield g, _shuffled_labels(g, rng), rng
+
+    def test_matches_oracle_on_relabelled_copies(self):
+        for g, h, _ in self.graphs(37):
+            assert isomorphic(g, h) is _rescanning_isomorphic(g, h) is True
+
+    def test_matches_oracle_with_one_triple_changed(self):
+        for g, h, rng in self.graphs(41):
+            if not h:
+                continue
+            triples = sorted(h.triples, key=term_key)
+            t = triples.pop(rng.randrange(len(triples)))
+            triples.append(Triple(t.subject, Q if t.predicate != Q else P, t.object))
+            changed = RdfStarGraph(triples)
+            assert isomorphic(g, changed) == _rescanning_isomorphic(g, changed)
+
+    def test_matches_oracle_with_two_blank_nodes_rewired(self):
+        outcomes = set()
+        for g, h, rng in self.graphs(43):
+            triples = sorted(h.triples, key=term_key)
+            hosts = [t for t in triples if len(blank_node_labels(RdfStarGraph([t]))) >= 2]
+            if not hosts:
+                continue
+            t = rng.choice(hosts)
+            x, y = rng.sample(sorted(blank_node_labels(RdfStarGraph([t]))), 2)
+            rewired = h.difference([t]).union(relabel_bnodes(RdfStarGraph([t]), {x: y, y: x}))
+            result = isomorphic(g, rewired)
+            assert result == _rescanning_isomorphic(g, rewired)
+            outcomes.add(result)
+        assert outcomes == {False, True}
+
+    def test_map_triple_calls_bounded_by_degree(self, monkeypatch):
+        # 2,000 blank nodes, each with a unique name and one knows edge:
+        # every label has one candidate, and each triple is checked once
+        # when its last label is assigned, plus once in the final relabel.
+        n = 2000
+        name, knows = Iri("http://example.org/name"), Iri("http://example.org/knows")
+        a = RdfStarGraph(
+            [Triple(BNode(f"x{i}"), name, Literal(f"person {i}")) for i in range(n)]
+            + [Triple(BNode(f"x{i}"), knows, BNode(f"x{(i * 7 + 1) % n}")) for i in range(n)]
+        )
+        b = _shuffled_labels(a, random.Random(47))
+        calls = []
+        map_triple = starpg.rdf._map_triple
+
+        def counting(t, mapping):
+            calls.append(t)
+            return map_triple(t, mapping)
+
+        monkeypatch.setattr(starpg.rdf, "_map_triple", counting)
+        assert isomorphic(a, b)
+        assert len(calls) <= 3 * len(a)
 
 
 @settings(max_examples=60, deadline=None)

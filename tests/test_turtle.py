@@ -20,12 +20,14 @@ from starpg import (
     embed_plain_rdf,
     embedded_triples,
     format_term,
+    isomorphic,
     nesting_depth,
     parse_turtle_star,
     serialize_turtle_star,
     unfold_to_rdf,
 )
-from conftest import EX, FOAF, build_alice_bob
+from starpg.turtle import MAX_NESTING_DEPTH
+from conftest import AGE, CERTAINTY, EX, FOAF, KNOWS, NAME, build_alice_bob
 import randgen
 
 PREFIX_BLOCK = f"@prefix ex: <{EX}> .\n@prefix foaf: <{FOAF}> .\n"
@@ -192,6 +194,11 @@ class TestParseEmbedded:
         g = parse(f"<<<<<{EX}s> <{EX}p> <{EX}o>>> <{EX}q> 1>> <{EX}q> 2 .")
         assert nesting_depth(next(iter(g))) == 2
 
+    def test_nesting_up_to_the_limit(self):
+        d = MAX_NESTING_DEPTH
+        g = parse("<<" * d + f"<{EX}s> <{EX}p> <{EX}o>" + f">> <{EX}q> 1 " * d + ".")
+        assert nesting_depth(next(iter(g))) == d
+
     def test_whitespace_inside_markers_optional(self):
         a = parse(f"<< <{EX}s> <{EX}p> <{EX}o> >> <{EX}q> 1 .")
         b = parse(f"<<<{EX}s> <{EX}p> <{EX}o>>> <{EX}q> 1 .")
@@ -286,6 +293,12 @@ class TestParseErrors:
     def test_position_on_crlf_line(self):
         text = f'<{EX}s> <{EX}p> <{EX}o> .\r\n<{EX}s> <{EX}p> "x"@9 .\r\n'
         self.check(text, "language tag", line=2, column=51)
+
+    def test_nesting_beyond_the_limit(self):
+        d = MAX_NESTING_DEPTH + 1
+        text = f"@prefix ex: <{EX}> .\n" + "<<" * d + "ex:s ex:p ex:o" + ">> ex:q 1 " * d + "."
+        self.check(text, f"nested deeper than {MAX_NESTING_DEPTH} levels",
+                   line=2, column=2 * MAX_NESTING_DEPTH + 1)
 
     def test_position_after_crlf_blank_line(self):
         text = f"<{EX}s> <{EX}p> <{EX}o> .\r\n\r\n<{EX}s> <{EX}p> <{EX}o>\r\n<{EX}t>"
@@ -394,6 +407,46 @@ class TestRoundTrip:
         text = serialize_turtle_star(graph, prefixes)
         assert parse(text) == alice_bob
         assert serialize_turtle_star(parse(text), prefixes) == text
+
+
+def _anonymous_social_graph(persons: int, anonymous: int, annotated: int) -> RdfStarGraph:
+    """The shape of the benchmark's anon-1k Turtle-star input: persons
+    with a name, an age and one knows edge; some of them know a named
+    anonymous person (a blank node); some knows edges carry a certainty."""
+    rng = random.Random(persons)
+    people = [Iri(f"{EX}p{i}") for i in range(persons)]
+    triples, knows = [], []
+    for i, p in enumerate(people):
+        triples.append(Triple(p, NAME, Literal(f"person {i}")))
+        triples.append(Triple(p, AGE, Literal(str(rng.randint(18, 90)), Iri(XSD_INTEGER))))
+        knows.append(Triple(p, KNOWS, people[(i * 7 + 1) % persons]))
+    for k, p in enumerate(rng.sample(people, anonymous)):
+        x = BNode(f"x{k}")
+        knows.append(Triple(p, KNOWS, x))
+        triples.append(Triple(x, NAME, Literal(f"anonymous {k}")))
+    for t in rng.sample(knows, annotated):
+        certainty = Literal(f"0.{rng.randrange(1000):03d}", Iri(XSD_DECIMAL))
+        triples.append(Triple(t, CERTAINTY, certainty))
+    return RdfStarGraph(triples + knows)
+
+
+class TestDeterminismAtScale:
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        g = _anonymous_social_graph(persons=1200, anonymous=1000, annotated=300)
+        return g, unfold_to_rdf(g)
+
+    @pytest.mark.parametrize("which", ["turtle-star", "unfolded"])
+    def test_serialization_is_deterministic_and_canonical(self, graphs, which):
+        g = graphs[which == "unfolded"]
+        assert len(blank_node_labels(g)) >= 1000
+        prefixes = {"ex": EX, "foaf": FOAF, "rdf": RDF}
+        text = serialize_turtle_star(g, prefixes)
+        rebuilt = RdfStarGraph(list(g.triples)[::-1])
+        assert serialize_turtle_star(rebuilt, prefixes) == text
+        reparsed = parse(text)
+        assert reparsed == canonicalize_bnodes(g)
+        assert isomorphic(g, reparsed)
 
 
 class TestUnfold:
