@@ -8,6 +8,7 @@ Data goes to -o or standard output; diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from typing import TextIO
@@ -273,6 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Terms, triples, properties and graphs are immutable and refer only to
+    # objects built before them, so the data model is acyclic and reference
+    # counting frees it.  The cyclic collector would only rescan that live
+    # data, so it is off while the command runs.  The few cycles made
+    # elsewhere, such as the argument parser's, wait for the process to exit
+    # or for the collector, which in-process callers get back as it was.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except TurtleParseError as exc:
@@ -297,6 +306,9 @@ def main(argv: list[str] | None = None) -> int:
             NotPropertyUniqueError, NotEdgeUniqueError, NotPlainRdfError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -46,6 +46,12 @@ def _canonical_double(d: float) -> str:
     return r + "E0"
 
 
+# The datatypes of value_to_literal, built once.
+_XSD_INTEGER_IRI = Iri(XSD_INTEGER)
+_XSD_DOUBLE_IRI = Iri(XSD_DOUBLE)
+_XSD_BOOLEAN_IRI = Iri(XSD_BOOLEAN)
+
+
 def value_to_literal(v: PropertyValue) -> Literal:
     """Map a property value to its canonical RDF literal.
 
@@ -55,11 +61,11 @@ def value_to_literal(v: PropertyValue) -> Literal:
     if isinstance(v, Text):
         return Literal(v.value)
     if isinstance(v, Integer):
-        return Literal(str(v.value), Iri(XSD_INTEGER))
+        return Literal(str(v.value), _XSD_INTEGER_IRI)
     if isinstance(v, Double):
-        return Literal(_canonical_double(v.value), Iri(XSD_DOUBLE))
+        return Literal(_canonical_double(v.value), _XSD_DOUBLE_IRI)
     if isinstance(v, Boolean):
-        return Literal("true" if v.value else "false", Iri(XSD_BOOLEAN))
+        return Literal("true" if v.value else "false", _XSD_BOOLEAN_IRI)
     raise TypeError(f"not a PropertyValue: {v!r}")
 
 
@@ -100,12 +106,9 @@ def value_from_literal(l: Literal, mode: str = "lenient") -> PropertyValue | Non
     return v
 
 
-def iri_to_string(i: Iri) -> str:
-    return i.value
-
-
 def string_to_iri(s: str) -> Iri | None:
-    """The inverse direction; None when s is not a valid absolute IRI."""
+    """The IRI with text s (the inverse of Iri.value); None when s is not a
+    valid absolute IRI."""
     try:
         return Iri(s)
     except (TypeError, ValueError):

@@ -10,6 +10,7 @@ Serialization sorts everything, making output byte-stable across runs.
 from __future__ import annotations
 
 import json
+import math
 import re
 
 from .pg import (
@@ -79,22 +80,6 @@ def _parse_value(obj, path: str):
     raise SchemaError(path, f"unknown value type {kind!r}")
 
 
-def _encode_value(value) -> dict:
-    if isinstance(value, Text):
-        return {"type": "string", "value": value.value}
-    if isinstance(value, Integer):
-        n = value.value
-        return {"type": "integer", "value": n if abs(n) <= _SAFE_INT else str(n)}
-    if isinstance(value, Double):
-        d = value.value
-        if d == float("inf"):
-            return {"type": "double", "value": "INF"}
-        if d == float("-inf"):
-            return {"type": "double", "value": "-INF"}
-        return {"type": "double", "value": d}
-    return {"type": "boolean", "value": value.value}
-
-
 def _parse_properties(obj: dict, path: str) -> list[Property]:
     entries = obj.get("properties", [])
     _require(isinstance(entries, list), f"{path}/properties", "properties must be an array")
@@ -160,26 +145,79 @@ def parse_pg_json(text: str) -> PropertyGraph:
     return PropertyGraph(vertices, edges, src, tgt, lbl, props)
 
 
+# The fixed layout of serialize_pg_json, as json.dumps(..., indent=2) lays
+# out the document; each %s is already JSON text.
+_DOCUMENT = """\
+{
+  "vertices": %s,
+  "edges": %s
+}
+"""
+_VERTEX = """\
+    {
+      "id": %s,
+      "properties": %s
+    }"""
+_EDGE = """\
+    {
+      "id": %s,
+      "src": %s,
+      "tgt": %s,
+      "label": %s,
+      "properties": %s
+    }"""
+_PROPERTY = """\
+        {
+          "key": %s,
+          "value": {
+            "type": "%s",
+            "value": %s
+          }
+        }"""
+
+# The C routine that json.dumps(..., ensure_ascii=False) quotes strings with.
+_quote = json.encoder.encode_basestring
+
+
+def _array(items: list[str], indent: str) -> str:
+    """A JSON array of rendered items, closed at indent; [] when empty."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
+def _property_json(p: Property) -> str:
+    """One property; integers beyond the safe range and infinities travel
+    as strings, other numbers as json writes them."""
+    v = p.value
+    if isinstance(v, Text):
+        kind, raw = "string", _quote(v.value)
+    elif isinstance(v, Integer):
+        n = v.value
+        kind, raw = "integer", int.__repr__(n) if abs(n) <= _SAFE_INT else _quote(str(n))
+    elif isinstance(v, Double):
+        d = v.value
+        kind = "double"
+        raw = '"INF"' if d == math.inf else '"-INF"' if d == -math.inf else float.__repr__(d)
+    else:
+        kind, raw = "boolean", "true" if v.value else "false"
+    return _PROPERTY % (_quote(p.key), kind, raw)
+
+
 def serialize_pg_json(g: PropertyGraph) -> str:
-    """Serialize with vertices, edges, and properties in sorted order."""
+    """Serialize with vertices, edges, and properties in sorted order.
 
-    def properties(x: str) -> list[dict]:
-        return [
-            {"key": p.key, "value": _encode_value(p.value)}
-            for p in sorted(g.properties(x), key=property_sort_key)
-        ]
+    The layout is fixed: the text equals json.dumps of the same document
+    with indent=2, ensure_ascii=False and allow_nan=False, plus a final
+    newline, but it is written directly rather than through a dict tree.
+    """
 
-    doc = {
-        "vertices": [{"id": v, "properties": properties(v)} for v in sorted(g.vertices)],
-        "edges": [
-            {
-                "id": e,
-                "src": g.source(e),
-                "tgt": g.target(e),
-                "label": g.label(e),
-                "properties": properties(e),
-            }
-            for e in sorted(g.edges)
-        ],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+    def properties(x: str) -> str:
+        items = [_property_json(p) for p in sorted(g.properties(x), key=property_sort_key)]
+        return _array(items, "      ")
+
+    vertices = [_VERTEX % (_quote(v), properties(v)) for v in sorted(g.vertices)]
+    edges = [
+        _EDGE % (_quote(e), _quote(g.source(e)), _quote(g.target(e)), _quote(g.label(e)),
+                 properties(e))
+        for e in sorted(g.edges)
+    ]
+    return _DOCUMENT % (_array(vertices, "  "), _array(edges, "  "))

@@ -317,16 +317,24 @@ def blank_node_labels(g: RdfStarGraph) -> frozenset[str]:
     return frozenset(x.label for x in mentioned_terms(g) if isinstance(x, BNode))
 
 
-def _map_triple(t: Triple, mapping: dict[str, str]) -> Triple:
-    def conv(x: Term) -> Term:
-        if isinstance(x, BNode):
-            new = mapping.get(x.label)
-            return BNode(new) if new is not None else x
-        if isinstance(x, Triple):
-            return Triple(conv(x.subject), x.predicate, conv(x.object))
-        return x
+def _holds_bnode(x: Term) -> bool:
+    """True iff x is a blank node or embeds one; stops at the first."""
+    if isinstance(x, Triple):
+        return _holds_bnode(x.subject) or _holds_bnode(x.object)
+    return isinstance(x, BNode)
 
-    return Triple(conv(t.subject), t.predicate, conv(t.object))
+
+def _map_term(x: Term, mapping: dict[str, str]) -> Term:
+    if isinstance(x, BNode):
+        new = mapping.get(x.label)
+        return BNode(new) if new is not None else x
+    if isinstance(x, Triple):
+        return Triple(_map_term(x.subject, mapping), x.predicate, _map_term(x.object, mapping))
+    return x
+
+
+def _map_triple(t: Triple, mapping: dict[str, str]) -> Triple:
+    return Triple(_map_term(t.subject, mapping), t.predicate, _map_term(t.object, mapping))
 
 
 def relabel_bnodes(g: RdfStarGraph, mapping: dict[str, str]) -> RdfStarGraph:
@@ -374,7 +382,7 @@ def canonicalize_bnodes(g: RdfStarGraph) -> RdfStarGraph:
     The number of passes is not bounded by this scheme: it depends on the
     blank-node topology and can reach thousands on a few dozen nodes.
     """
-    if not blank_node_labels(g):
+    if not any(map(_holds_bnode, g.triples)):
         return g
     ids: dict[str, int] = {}
     rows: list[tuple[list, list[tuple[int, int]]]] = []  # flat key, (position, node id) per slot
@@ -428,19 +436,19 @@ def _skeleton(x: Term):
     return ("triple", (_skeleton(x.subject), _skeleton(x.predicate), _skeleton(x.object)))
 
 
+def _bnode_occurrences(x: Term, path: tuple, skel, occ: dict[str, list]) -> None:
+    if isinstance(x, BNode):
+        occ[x.label].append((path, skel))
+    elif isinstance(x, Triple):
+        _bnode_occurrences(x.subject, path + ("s",), skel, occ)
+        _bnode_occurrences(x.object, path + ("o",), skel, occ)
+
+
 def _bnode_signatures(g: RdfStarGraph) -> dict[str, tuple]:
     """Label -> sorted occurrence contexts (position path, host skeleton)."""
     occ: dict[str, list] = defaultdict(list)
-
-    def walk(x: Term, path: tuple, skel) -> None:
-        if isinstance(x, BNode):
-            occ[x.label].append((path, skel))
-        elif isinstance(x, Triple):
-            walk(x.subject, path + ("s",), skel)
-            walk(x.object, path + ("o",), skel)
-
     for t in g.triples:
-        walk(t, (), _skeleton(t))
+        _bnode_occurrences(t, (), _skeleton(t), occ)
     return {label: tuple(sorted(entries)) for label, entries in occ.items()}
 
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Union
+from functools import cache
+from typing import Callable, Union
 
 from .mappings import (
     MappingConfig,
     assign_vertex_identities,
-    iri_to_string,
     string_to_iri,
     value_from_literal,
     value_to_literal,
@@ -127,11 +127,19 @@ def _check(g: RdfStarGraph, mode: str, strong: bool) -> ConvertibilityReport:
 
     The pass records, for each embedded triple with a literal object, the
     top-level triples that host it, so the strong condition costs no
-    second pass.
+    second pass.  Each distinct literal is valued once.
     """
     violations: list[Violation] = []
     hosts: dict[Triple, list[Triple]] = defaultdict(list)
+    has_value = cache(lambda l: value_from_literal(l, mode) is not None)
     for t in g:
+        if not is_metadata_triple(t):
+            # Its only possible literal is its object; it embeds nothing.
+            if isinstance(t.object, Literal) and not has_value(t.object):
+                violations.append(
+                    Violation(t, "4", f"literal {_literal_note(t.object)} has no property value")
+                )
+            continue
         if isinstance(t.subject, Triple):
             if is_metadata_triple(t.subject):
                 violations.append(
@@ -143,7 +151,7 @@ def _check(g: RdfStarGraph, mode: str, strong: bool) -> ConvertibilityReport:
             violations.append(Violation(t, "2", "triple embedded in object position"))
         mentioned = mentioned_terms(t)
         for term in sorted((x for x in mentioned if isinstance(x, Literal)), key=term_key):
-            if value_from_literal(term, mode) is None:
+            if not has_value(term):
                 violations.append(
                     Violation(t, "4", f"literal {_literal_note(term)} has no property value")
                 )
@@ -219,12 +227,12 @@ def _assemble(g: RdfStarGraph, edges: list[Triple], vertex_map: dict, edge_map: 
     properties of the edge of their embedded subject."""
     src = {edge_map[t]: vertex_map[t.subject] for t in edges}
     tgt = {edge_map[t]: vertex_map[t.object] for t in edges}
-    lbl = {edge_map[t]: iri_to_string(t.predicate) for t in edges}
+    lbl = {edge_map[t]: t.predicate.value for t in edges}
     edge_props: dict[str, set[Property]] = defaultdict(set)
     for m in g:
         if is_metadata_triple(m):
             value = value_from_literal(m.object, mode)  # a literal by condition 3
-            edge_props[edge_map[m.subject]].add(Property(iri_to_string(m.predicate), value))
+            edge_props[edge_map[m.subject]].add(Property(m.predicate.value, value))
     props.update(edge_props)
     return PropertyGraph(vertex_map.values(), edge_map.values(), src, tgt, lbl, props)
 
@@ -251,7 +259,7 @@ def to_rdf_like_pg(g: RdfStarGraph, mode: str = "lenient") -> RdfLikePgResult:
         if isinstance(term, Iri):
             props[vid] = {
                 Property(KIND_KEY, Text(KIND_IRI)),
-                Property(IRI_KEY, Text(iri_to_string(term))),
+                Property(IRI_KEY, Text(term.value)),
             }
         elif isinstance(term, BNode):
             props[vid] = {Property(KIND_KEY, Text(KIND_BLANK_NODE))}
@@ -289,6 +297,7 @@ def from_rdf_like_pg(p: PropertyGraph, minimal: bool = True) -> RdfStarGraph:
     """
     term_map: dict[str, Term] = {}
     counter = 0
+    iri_of = cache(string_to_iri)  # labels, keys and datatypes repeat
     for v in sorted(p.vertices):
         by_key: dict[str, list] = defaultdict(list)
         for prop in sorted(p.properties(v), key=property_sort_key):
@@ -312,7 +321,7 @@ def from_rdf_like_pg(p: PropertyGraph, minimal: bool = True) -> RdfStarGraph:
                 raise MalformedRdfLikePgError(f"literal vertex {v!r} has unexpected properties")
             value = _single(by_key, LITERAL_KEY, v)
             datatype = _text_value(_single(by_key, DATATYPE_KEY, v), DATATYPE_KEY, v)
-            dt_iri = string_to_iri(datatype)
+            dt_iri = iri_of(datatype)
             if dt_iri is None:
                 raise MalformedRdfLikePgError(
                     f"vertex {v!r} datatype is not a valid IRI: {datatype!r}"
@@ -332,13 +341,13 @@ def from_rdf_like_pg(p: PropertyGraph, minimal: bool = True) -> RdfStarGraph:
         subject = term_map[p.source(e)]
         if isinstance(subject, Literal):
             raise MalformedRdfLikePgError(f"edge {e!r} starts at a literal vertex")
-        predicate = string_to_iri(p.label(e))
+        predicate = iri_of(p.label(e))
         if predicate is None:
             raise MalformedRdfLikePgError(f"edge {e!r} label is not a valid IRI: {p.label(e)!r}")
         t = Triple(subject, predicate, term_map[p.target(e)])
         triples.add(t)
         for prop in sorted(p.properties(e), key=property_sort_key):
-            key_iri = string_to_iri(prop.key)
+            key_iri = iri_of(prop.key)
             if key_iri is None:
                 raise MalformedRdfLikePgError(
                     f"edge {e!r} property key is not a valid IRI: {prop.key!r}"
@@ -372,11 +381,11 @@ def to_simple_pg(g: RdfStarGraph, mode: str = "lenient") -> SimplePgResult:
     props: dict[str, set[Property]] = {vid: set() for vid in vertex_map.values()}
     for node, vid in vertex_map.items():
         if isinstance(node, Iri):
-            props[vid].add(Property(IRI_KEY, Text(iri_to_string(node))))
+            props[vid].add(Property(IRI_KEY, Text(node.value)))
     for a in ordinary:
         if isinstance(a.object, Literal):
             value = value_from_literal(a.object, mode)
-            props[vertex_map[a.subject]].add(Property(iri_to_string(a.predicate), value))
+            props[vertex_map[a.subject]].add(Property(a.predicate.value, value))
 
     graph = _assemble(g, relations, vertex_map, edge_map, props, mode)
     return SimplePgResult(graph, vertex_map, edge_map)
@@ -424,12 +433,18 @@ def canonicalize_values(g: RdfStarGraph, mode: str = "lenient") -> RdfStarGraph:
     canonical literal; literals outside the value mapping stay unchanged.
     Idempotent, and the identity on graphs that are already canonical."""
 
-    def conv(x: Term) -> Term:
-        if isinstance(x, Literal):
-            value = value_from_literal(x, mode)
-            return value_to_literal(value) if value is not None else x
-        if isinstance(x, Triple):
-            return Triple(conv(x.subject), x.predicate, conv(x.object))
-        return x
+    @cache
+    def canonical(l: Literal) -> Literal:
+        value = value_from_literal(l, mode)
+        return value_to_literal(value) if value is not None else l
 
-    return RdfStarGraph(conv(t) for t in g.triples)
+    return RdfStarGraph(_map_literals(t, canonical) for t in g.triples)
+
+
+def _map_literals(x: Term, f: Callable[[Literal], Literal]) -> Term:
+    """x with every literal l in it, embedded ones included, replaced by f(l)."""
+    if isinstance(x, Literal):
+        return f(x)
+    if isinstance(x, Triple):
+        return Triple(_map_literals(x.subject, f), x.predicate, _map_literals(x.object, f))
+    return x

@@ -1,3 +1,4 @@
+import gc
 import json
 import shutil
 import subprocess
@@ -12,6 +13,7 @@ from starpg import (
     parse_turtle_star,
     pg_to_rdf_star,
 )
+import starpg.cli
 from starpg.cli import main
 from starpg.turtle import MAX_NESTING_DEPTH
 from conftest import DATA_DIR, EX, build_kubrick_pg
@@ -261,6 +263,65 @@ class TestRoundtrip:
         # annotation comes back as the equivalent double
         path = ttls(f"<<<{EX}s> <{EX}p> <{EX}o>>> <{EX}q> 0.50 .")
         assert main(["roundtrip", path]) == 0
+
+
+class TestCollector:
+    """main runs a command with the cyclic collector off and leaves the
+    collector as it found it, whatever the outcome."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        before = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if before else gc.disable)()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check", ALICE_BOB], 0),
+        (["check", ALICE_BOB, "--level", "strong"], 1),
+        (["check", KUBRICK, "--from", "turtle-star"], 2),
+    ], ids=["exit-0", "exit-1", "exit-2"])
+    def test_state_is_restored(self, collector, argv, code, capsys):
+        assert main(argv) == code
+        assert gc.isenabled() == collector
+
+    def test_state_is_restored_after_a_usage_error(self, collector, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", ALICE_BOB, "--level", "nonsense"])
+        assert exc.value.code == 2
+        assert gc.isenabled() == collector
+
+    def test_command_runs_without_the_collector(self, collector, monkeypatch, capsys):
+        seen = []
+        command = starpg.cli.cmd_check
+
+        def recording(args):
+            seen.append(gc.isenabled())
+            return command(args)
+
+        monkeypatch.setattr(starpg.cli, "cmd_check", recording)
+        assert main(["check", ALICE_BOB]) == 0
+        assert seen == [False]
+        assert gc.isenabled() == collector
+
+    def test_commands_leave_no_cycles_of_starpg_objects(self, ttls, capsys):
+        # The collector is off while a command runs, so anything of starpg's
+        # caught in a reference cycle would stay until the process exits.
+        blank = ttls("_:x <http://example.org/p> _:y .\n"
+                     "<< _:x <http://example.org/p> _:y >> <http://example.org/q> 1 .\n")
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for argv in (["roundtrip", blank], ["unfold", blank], ["pg2rdf", KUBRICK],
+                         ["rdf2pg", blank, "--mode", "rdf-like"], ["check", ALICE_BOB]):
+                assert main(argv) == 0
+            gc.collect()
+            ours = [o for o in gc.garbage
+                    if str(getattr(o, "__module__", "")).startswith("starpg")]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert ours == []
 
 
 class TestEndToEnd:

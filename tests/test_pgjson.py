@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from starpg import (
     Boolean,
@@ -16,8 +18,77 @@ from starpg import (
     parse_pg_json,
     serialize_pg_json,
 )
+from starpg.pg import property_sort_key
 from conftest import build_kubrick_pg
 import randgen
+
+
+def _encode_value_oracle(value) -> dict:
+    if isinstance(value, Text):
+        return {"type": "string", "value": value.value}
+    if isinstance(value, Integer):
+        n = value.value
+        return {"type": "integer", "value": n if abs(n) <= 2**53 - 1 else str(n)}
+    if isinstance(value, Double):
+        d = value.value
+        if d == float("inf"):
+            return {"type": "double", "value": "INF"}
+        if d == float("-inf"):
+            return {"type": "double", "value": "-INF"}
+        return {"type": "double", "value": d}
+    return {"type": "boolean", "value": value.value}
+
+
+def _json_dumps_oracle(g: PropertyGraph) -> str:
+    """serialize_pg_json as first written: a dict tree through json.dumps.
+    The direct writer must give the same text."""
+
+    def properties(x: str) -> list[dict]:
+        return [
+            {"key": p.key, "value": _encode_value_oracle(p.value)}
+            for p in sorted(g.properties(x), key=property_sort_key)
+        ]
+
+    doc = {
+        "vertices": [{"id": v, "properties": properties(v)} for v in sorted(g.vertices)],
+        "edges": [
+            {
+                "id": e,
+                "src": g.source(e),
+                "tgt": g.target(e),
+                "label": g.label(e),
+                "properties": properties(e),
+            }
+            for e in sorted(g.edges)
+        ],
+    }
+    return json.dumps(doc, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+
+
+# Strings with quotes, backslashes, control characters and non-ASCII text.
+_TEXT = st.text(alphabet=st.sampled_from('ab"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+                max_size=6) | st.text(max_size=6)
+_VALUES = st.one_of(
+    st.builds(Text, _TEXT),
+    st.builds(Integer, st.integers() | st.sampled_from(
+        [2**53 - 1, 2**53, -(2**53 - 1), -(2**53), -(2**60), 10**30])),
+    st.builds(Double, st.floats(allow_nan=False) | st.sampled_from(
+        [math.inf, -math.inf, -0.0, 1e300, 5e-324, 2.0**53])),
+    st.builds(Boolean, st.booleans()),
+)
+_PROPERTIES = st.lists(st.builds(Property, _TEXT, _VALUES), max_size=4)
+
+
+@st.composite
+def _property_graphs(draw):
+    ids = draw(st.lists(_TEXT.filter(bool), unique=True, max_size=8))
+    vertices = ids[: draw(st.integers(0, len(ids)))]
+    edges = ids[len(vertices):] if vertices else []
+    src = {e: draw(st.sampled_from(vertices)) for e in edges}
+    tgt = {e: draw(st.sampled_from(vertices)) for e in edges}
+    lbl = {e: draw(_TEXT) for e in edges}
+    props = {x: draw(_PROPERTIES) for x in vertices + edges}
+    return PropertyGraph(vertices, edges, src, tgt, lbl, props)
 
 
 def err(text: str) -> SchemaError:
@@ -212,3 +283,36 @@ class TestSerialize:
 
     def test_serialization_is_deterministic(self, kubrick_pg):
         assert serialize_pg_json(kubrick_pg) == serialize_pg_json(build_kubrick_pg())
+
+
+class TestWriterMatchesJsonDumps:
+    """The direct writer against the json.dumps serializer it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_property_graphs())
+    def test_hypothesis_graphs(self, g):
+        assert serialize_pg_json(g) == _json_dumps_oracle(g)
+
+    def test_random_graphs(self):
+        rng = random.Random(53)
+        for _ in range(300):
+            g = randgen.random_property_graph(rng)
+            assert serialize_pg_json(g) == _json_dumps_oracle(g)
+
+    def test_kubrick_and_empty_graph(self, kubrick_pg):
+        assert serialize_pg_json(kubrick_pg) == _json_dumps_oracle(kubrick_pg)
+        assert serialize_pg_json(PropertyGraph()) == _json_dumps_oracle(PropertyGraph())
+
+    @pytest.mark.parametrize("value", [
+        Text('say "hi" \\ C:\\path'), Text("tab\tnew\nline\x00\x1f\x7f"),
+        Text("caf\u00e9 \u2028 \U0001f600"), Text(""),
+        Integer(2**53 - 1), Integer(2**53), Integer(-(2**53)), Integer(-(2**60)), Integer(0),
+        Double(math.inf), Double(-math.inf), Double(-0.0), Double(1e300), Double(1e-7),
+        Double(0.1), Boolean(True), Boolean(False),
+    ])
+    def test_edge_case_values(self, value):
+        g = PropertyGraph(
+            ["v", 'w"\\'], ["e"], {"e": "v"}, {"e": 'w"\\'}, {"e": "l\u00e9"},
+            {"v": [Property('k"\n', value)], "e": [Property("k", value)]},
+        )
+        assert serialize_pg_json(g) == _json_dumps_oracle(g)

@@ -47,6 +47,7 @@ from starpg import (
     to_rdf_like_pg,
     to_simple_pg,
     value_from_literal,
+    value_to_literal,
 )
 from conftest import (
     AGE_CERTAINTY,
@@ -509,6 +510,60 @@ class TestCanonicalizeValues:
     def test_idempotent(self, alice_bob):
         once = canonicalize_values(alice_bob)
         assert canonicalize_values(once) == once
+
+
+def _canonical_per_occurrence(x):
+    """canonicalize_values as first written: every literal occurrence valued."""
+    if isinstance(x, Literal):
+        value = value_from_literal(x)
+        return value_to_literal(value) if value is not None else x
+    if isinstance(x, Triple):
+        return Triple(_canonical_per_occurrence(x.subject), x.predicate,
+                      _canonical_per_occurrence(x.object))
+    return x
+
+
+class TestLiteralValuing:
+    """Each distinct literal is valued once per pass, not once per occurrence."""
+
+    # k literals, two of them outside the value mapping, each the object of
+    # m plain triples; ten of those triples are annotated.
+    LITERALS = [Literal("x"), Literal("7", Iri(XSD_INTEGER)), Literal("0.50", Iri(XSD_DOUBLE)),
+                Literal("abc", Iri(XSD_INTEGER)), Literal("chat", language="fr")]
+    M = 40
+
+    @pytest.mark.parametrize(
+        "run",
+        [check_pg_convertible, check_strongly_pg_convertible, canonicalize_values],
+        ids=["check_pg_convertible", "check_strongly_pg_convertible", "canonicalize_values"],
+    )
+    def test_value_from_literal_runs_once_per_distinct_literal(self, monkeypatch, run):
+        subjects = [Iri(f"{EX}s/{i}") for i in range(self.M)]
+        plain = [Triple(x, P, lit) for x in subjects for lit in self.LITERALS]
+        metadata = [Triple(t, Q, Literal("registry")) for t in plain[:10]]
+        g = RdfStarGraph(plain + metadata)
+        # A metadata triple mentions two literals: its object and the
+        # object of its embedded triple.
+        bound = len(self.LITERALS) + 2 * len(metadata)
+        calls = 0
+        original = starpg.transforms.value_from_literal
+
+        def counting(l, mode="lenient"):
+            nonlocal calls
+            calls += 1
+            return original(l, mode)
+
+        monkeypatch.setattr(starpg.transforms, "value_from_literal", counting)
+        result = run(g)
+        assert calls <= bound
+        monkeypatch.undo()
+        if run is canonicalize_values:
+            assert result == RdfStarGraph(_canonical_per_occurrence(t) for t in g)
+        else:
+            want = _rescan_oracle(g, "lenient")
+            if run is check_pg_convertible:
+                want = tuple(v for v in want if v.condition != "strong")
+            assert result.violations == want
 
 
 class TestRoundTripProperty:
