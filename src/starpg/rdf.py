@@ -7,11 +7,10 @@ of triples underneath and structural sharing is free.
 
 from __future__ import annotations
 
+import copy
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
 from typing import Iterable, Iterator, Union
 
 from .namespaces import RDF_LANG_STRING, XSD_STRING
@@ -342,195 +341,402 @@ def relabel_bnodes(g: RdfStarGraph, mapping: dict[str, str]) -> RdfStarGraph:
     return RdfStarGraph(_map_triple(t, mapping) for t in g.triples)
 
 
-def _flatten(x: Term, key: list, slots: list[tuple[int, str]]) -> None:
-    """Append term_key(x) to key with its nesting flattened away.
+_ERASED = (1, "")  # term_key of a blank node with its label erased
+_DIGIT_RUN_RE = re.compile(r"([0-9]+)")
 
-    Each kind tag is followed by a fixed shape, so flat keys of terms
-    compare exactly as their nested term_keys do.  The position of every
-    blank node label in key is appended to slots with the label, in
-    first-appearance order: subject before object, embedded triples
-    descended into.
+
+def _skeleton(x: Term, labels: list[str]):
+    """term_key(x) with every blank node erased.
+
+    The erased labels are appended to labels in first-appearance order:
+    subject before object, embedded triples descended into.
     """
-    if isinstance(x, Iri):
-        key += (0, x.value)
-    elif isinstance(x, BNode):
-        slots.append((len(key) + 1, x.label))
-        key += (1, x.label)
-    elif isinstance(x, Literal):
-        key += (2, x.lexical_form, x.datatype.value, x.language or "")
-    else:
-        key.append(3)
-        _flatten(x.subject, key, slots)
-        _flatten(x.predicate, key, slots)
-        _flatten(x.object, key, slots)
+    if isinstance(x, BNode):
+        labels.append(x.label)
+        return _ERASED
+    if isinstance(x, Triple):
+        return (3, (_skeleton(x.subject, labels), term_key(x.predicate),
+                    _skeleton(x.object, labels)))
+    return term_key(x)
+
+
+def _natural_key(label: str):
+    """Order on labels that compares digit runs as numbers, so b2 < b10;
+    the label itself breaks the remaining ties, such as b2 and b02.  A run
+    compares by its length and its digits once leading zeros are gone,
+    which is numeric order for runs of any length."""
+    parts = _DIGIT_RUN_RE.split(label)
+    return [(len(p.lstrip("0")), p.lstrip("0")) if i % 2 else p
+            for i, p in enumerate(parts)], label
+
+
+class _Partition:
+    """Ordered colour classes, or cells, of the blank nodes of one graph.
+
+    Nodes are ids into the label list.  A host row is a triple that holds
+    a blank node: the rank of its skeleton and the ids of its blank nodes
+    in slot order.  Cell c covers the positions [end[c] - len(members[c]),
+    end[c]) of the node order, and end[c] is the colour of its nodes, so
+    splitting a cell changes no other cell's colour and the colours keep
+    the order of the cells.  Each cell keeps its members in natural label
+    order.
+    """
+
+    def __init__(self, labels: list[str], rows: list[tuple[int, list[int]]]) -> None:
+        self.rows = rows
+        self.occurrences: list[list[tuple[int, int]]] = [[] for _ in labels]
+        for r, (_, nodes) in enumerate(rows):
+            for k, n in enumerate(nodes):
+                self.occurrences[n].append((r, k))
+        by_label = sorted(range(len(labels)), key=lambda n: _natural_key(labels[n]))
+        self.rank = [0] * len(labels)  # position of each node in natural label order
+        for i, n in enumerate(by_label):
+            self.rank[n] = i
+        self.cell = [0] * len(labels)
+        self.members: list[dict[int, None]] = []
+        self.end: list[int] = []
+        self.start: dict[int, int] = {}  # first position of each cell -> the cell
+        # The initial colour of a node: its sorted (host skeleton, slot) contexts.
+        groups: dict[tuple, list[int]] = defaultdict(list)
+        for n in by_label:
+            groups[tuple(sorted((rows[r][0], k) for r, k in self.occurrences[n]))].append(n)
+        position = 0
+        for key in sorted(groups):
+            position = self._add_cell(groups[key], position)
+
+    def _add_cell(self, nodes: list[int], start: int) -> int:
+        c = len(self.members)
+        self.members.append(dict.fromkeys(nodes))
+        self.end.append(start + len(nodes))
+        self.start[start] = c
+        for n in nodes:
+            self.cell[n] = c
+        return start + len(nodes)
+
+    def copy(self) -> "_Partition":
+        p = copy.copy(self)  # shares the rows, the occurrences and the ranks
+        p.cell, p.end, p.start = self.cell[:], self.end[:], dict(self.start)
+        p.members = [dict(m) for m in self.members]
+        return p
+
+    def discrete(self) -> bool:
+        return len(self.members) == len(self.cell)
+
+    def shape(self) -> list[int]:
+        """The ends of the cells in order, which give the cell sizes."""
+        return sorted(self.end)
+
+    def first_tied(self, position: int = 0) -> tuple[int, int]:
+        """The first position, from position on, of a cell with several
+        nodes, and that cell; the partition must not be discrete."""
+        c = self.start[position]
+        while len(self.members[c]) == 1:
+            position = self.end[c]
+            c = self.start[position]
+        return position, c
+
+    def target(self) -> int:
+        """The first position of the smallest cell with several nodes, the
+        first such cell by position; the partition must not be discrete.
+        It depends on the shape alone."""
+        return min((len(m), self.end[c] - len(m)) for c, m in enumerate(self.members) if len(m) > 1)[1]
+
+    def colours(self) -> list[int]:
+        return [self.end[c] for c in self.cell]
+
+    def hosts(self, nodes: Iterable[int]) -> set[int]:
+        """The nodes that share a host row with one of nodes."""
+        return {x for n in nodes for r, _ in self.occurrences[n] for x in self.rows[r][1]}
+
+    def signature(self, n: int, row_keys: dict[int, tuple]) -> tuple:
+        """The sorted (host row, slot) occurrences of n, each host row
+        written as its skeleton rank and its blank nodes' colours."""
+        out = []
+        for r, k in self.occurrences[n]:
+            key = row_keys.get(r)
+            if key is None:
+                skeleton, nodes = self.rows[r]
+                key = row_keys[r] = (skeleton, *[self.end[self.cell[x]] for x in nodes])
+            out.append((key, k))
+        out.sort()
+        return tuple(out)
+
+    def split(self, c: int, groups: dict[tuple, list[int]], keep: tuple) -> list[int]:
+        """Split cell c into one cell per signature, in signature order.
+
+        The nodes of groups[keep], and the untouched members of c, stay in
+        c; the others move to new cells and are returned.
+        """
+        members = self.members[c]
+        moved = [n for s, nodes in groups.items() if s != keep for n in nodes]
+        position = self.end[c] - len(members)
+        for n in moved:
+            del members[n]
+        for s in sorted(groups):
+            if s == keep:
+                self.start[position] = c
+                position += len(members)
+                self.end[c] = position
+            else:
+                position = self._add_cell(sorted(groups[s], key=self.rank.__getitem__), position)
+        return moved
+
+    def individualize(self, n: int) -> None:
+        """Give n a cell of its own, just before the rest of its cell."""
+        c = self.cell[n]
+        start = self.end[c] - len(self.members[c])
+        del self.members[c][n]
+        self._add_cell([n], start)
+        self.start[start + 1] = c
+
+
+def _refine_round(p: _Partition, touched: set[int]) -> list[int]:
+    """One round of colour refinement (1-WL) on the cells that hold a
+    touched node; returns the nodes that moved to a new cell.
+
+    Every touched node gets a signature from its host rows with the
+    current colours put in, and each cell splits by signature.  The
+    members of a cell that were not touched still share one signature,
+    so one of them stands for all.  Signatures are computed before any
+    cell splits, so the round is the same as recolouring every node at
+    once.
+    """
+    row_keys: dict[int, tuple] = {}
+    by_cell: dict[int, list[int]] = defaultdict(list)
+    for n in touched:
+        by_cell[p.cell[n]].append(n)
+    splits = []
+    for c, nodes in by_cell.items():
+        members = p.members[c]
+        if len(members) == 1:
+            continue
+        groups: dict[tuple, list[int]] = defaultdict(list)
+        for n in nodes:
+            groups[p.signature(n, row_keys)].append(n)
+        if len(nodes) < len(members):
+            # The untouched members' group, which may hold no touched node.
+            keep = p.signature(next(n for n in members if n not in touched), row_keys)
+            groups.setdefault(keep, [])
+        else:
+            keep = max(groups, key=lambda s: len(groups[s]))
+        if len(groups) > 1:
+            splits.append((c, groups, keep))
+    moved: list[int] = []
+    for c, groups, keep in splits:
+        moved += p.split(c, groups, keep)
+    return moved
+
+
+def _refine(p: _Partition, touched: set[int]) -> None:
+    """Refine until a round moves no node or every node has its own cell.
+
+    Every round but the last splits a cell, so there are at most as many
+    rounds as nodes.  Only the nodes that share a host row with a moved
+    node are touched in the next round.
+    """
+    while touched and not p.discrete():
+        touched = p.hosts(_refine_round(p, touched))
+
+
+Rows = list[tuple[tuple, list[int]]]  # (skeleton, blank node ids in slot order) per triple
+
+
+def _host_rows(g: RdfStarGraph) -> tuple[list[str], Rows]:
+    """The blank node labels of g, and for each triple of g that holds
+    one, its skeleton and the ids of its blank nodes, in slot order, into
+    the labels."""
+    ids: dict[str, int] = {}
+    rows: Rows = []
+    for t in g.triples:
+        labels: list[str] = []
+        skeleton = _skeleton(t, labels)
+        if labels:
+            rows.append((skeleton, [ids.setdefault(label, len(ids)) for label in labels]))
+    return list(ids), rows
+
+
+def _refined(labels: list[str], rows: Rows) -> _Partition:
+    """The partition of the blank nodes after refinement alone, from the
+    initial colours; skeletons are ranked in sort order."""
+    rank = {s: i for i, s in enumerate(sorted({s for s, _ in rows}))}
+    p = _Partition(labels, [(rank[s], nodes) for s, nodes in rows])
+    _refine(p, set(range(len(labels))))
+    return p
+
+
+def _individualize(p: _Partition, n: int) -> None:
+    p.individualize(n)
+    _refine(p, p.hosts([n]))
+
+
+def _break_ties(p: _Partition) -> None:
+    """Make p discrete: individualize the first member, in natural label
+    order, of the first cell with several nodes, and refine, until every
+    node has its own cell."""
+    position = 0  # cells before it have one node, and never split again
+    while not p.discrete():
+        position, c = p.first_tied(position)
+        _individualize(p, next(iter(p.members[c])))
 
 
 def canonicalize_bnodes(g: RdfStarGraph) -> RdfStarGraph:
-    """Deterministically renumber blank nodes to b1, b2, ...
+    """Deterministically renumber blank nodes to b1, b2, ... by one
+    canonical labelling.
 
-    One pass numbers blank nodes in first-appearance order: triples in
-    term order, each triple subject before object, descending into
-    embedded triples.  Renumbering can shift triple order, which in turn
-    can shift the numbering, so a single pass need not be stable.  The
-    pass is repeated until the graph stops changing; should it ever
-    revisit a state instead, the smallest graph on that cycle (in term
-    order) is the result.  Either way the function is idempotent.
+    Colour refinement (1-WL) over the triples that hold a blank node: each
+    node starts with the sorted contexts of its occurrences, each one the
+    host triple with every blank node erased and the node's position in
+    it.  Each round recolours the nodes from their old colour and their
+    host triples with the neighbours' current colours put in, until no
+    class splits.  A class that still holds several nodes is split by
+    individualizing its member with the smallest label, digit runs
+    compared as numbers (b2 < b10), and refinement resumes.  Nodes are
+    numbered b1, b2, ... in final colour order, which follows the sorted
+    contexts: a node whose host triples sort earlier gets the smaller
+    number, though not always in first-appearance order.
 
-    Passes run on flat sort keys of the b triples that hold a blank node,
-    built once, so a pass costs O(b log b) key comparisons and the whole
-    call O(passes * b log b) plus one relabel_bnodes to build the result.
-    The number of passes is not bounded by this scheme: it depends on the
-    blank-node topology and can reach thousands on a few dozen nodes.
+    The result is deterministic, idempotent and isomorphic to g.  When
+    refinement alone separates every node, the result does not depend on
+    the labels of g either, so isomorphic inputs give equal results.
+
+    Bounds, for n blank nodes: at most n - 1 individualizations and no
+    search tree; refinement alone takes at most n rounds, and all
+    refinements together at most 2n.  A round looks only at the nodes
+    that share a host triple with a node whose class changed in the round
+    before, and sorts the host-triple keys of their occurrences.  The
+    result is built by one relabel_bnodes call.
     """
     if not any(map(_holds_bnode, g.triples)):
         return g
-    ids: dict[str, int] = {}
-    rows: list[tuple[list, list[tuple[int, int]]]] = []  # flat key, (position, node id) per slot
-    for t in g.triples:
-        key: list = []
-        slots: list[tuple[int, str]] = []
-        _flatten(t, key, slots)
-        if slots:
-            rows.append((key, [(p, ids.setdefault(label, len(ids))) for p, label in slots]))
-    # vals[n] is the current label of node id n; the rest holds every key
-    # element, so one itemgetter call per row builds its key tuple.
-    vals: list = list(ids)
-    getters = []
-    nodes: list[list[int]] = []  # node ids of each row in slot order
-    for key, slots in rows:
-        index = list(range(len(vals), len(vals) + len(key)))
-        vals += key
-        for p, n in slots:
-            index[p] = n
-        getters.append(itemgetter(*index))
-        nodes.append([n for _, n in slots])
-    names = [f"b{i}" for i in range(1, len(ids) + 1)]
-    node_ids = range(len(ids))
-    # A state is the sorted tuple of the keys; triples without blank nodes
-    # are the same in every state and never change which state is smaller.
-    visited: dict[tuple, int] = {}
-    states: list[tuple[tuple, list[str]]] = []
-    while True:
-        keys = [get(vals) for get in getters]
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        state = tuple(map(keys.__getitem__, order))
-        if state in visited:
-            break
-        visited[state] = len(states)
-        states.append((state, vals[:len(ids)]))
-        first = dict.fromkeys(chain.from_iterable(map(nodes.__getitem__, order)))
-        vals[:len(ids)] = map(dict(zip(first, names)).__getitem__, node_ids)
-    # An unchanged pass is a cycle of length one.
-    _, labels = min(states[visited[state]:], key=itemgetter(0))
-    return relabel_bnodes(g, dict(zip(ids, labels)))
+    labels, rows = _host_rows(g)
+    p = _refined(labels, rows)
+    _break_ties(p)
+    return relabel_bnodes(g, {label: f"b{c}" for label, c in zip(labels, p.colours())})
 
 
-def _skeleton(x: Term):
-    """Structure key with every blank node erased."""
-    if isinstance(x, Iri):
-        return ("iri", x.value)
-    if isinstance(x, BNode):
-        return ("bnode", "")
-    if isinstance(x, Literal):
-        return ("lit", (x.lexical_form, x.datatype.value, x.language or ""))
-    return ("triple", (_skeleton(x.subject), _skeleton(x.predicate), _skeleton(x.object)))
+def _free_parts(labels: list[str], p: _Partition) -> tuple[frozenset, list]:
+    """Split the problem of p at its fixed nodes, those in cells of their
+    own: the rows whose nodes are all fixed, each node written as its
+    colour; and one subproblem (labels, rows) per set of the other nodes
+    that rows connect.  A subproblem's rows write each fixed node into
+    their skeleton as its slot and colour.  Skeletons are p's ranks."""
+    colour = p.colours()
+    fixed = [len(p.members[c]) == 1 for c in p.cell]
+    root = list(range(len(labels)))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for _, nodes in p.rows:
+        free = [x for x in nodes if not fixed[x]]
+        for x in free[1:]:
+            root[find(x)] = find(free[0])
+    fixed_rows = set()
+    parts: dict[int, tuple[dict[int, int], Rows]] = {}  # root -> (node -> local id, rows)
+    for s, nodes in p.rows:
+        free = [x for x in nodes if not fixed[x]]
+        if not free:
+            fixed_rows.add((s, tuple(colour[x] for x in nodes)))
+            continue
+        local, part_rows = parts.setdefault(find(free[0]), ({}, []))
+        pinned = tuple((k, colour[x]) for k, x in enumerate(nodes) if fixed[x])
+        part_rows.append(((s, pinned), [local.setdefault(x, len(local)) for x in free]))
+    return frozenset(fixed_rows), [([labels[x] for x in local], part_rows)
+                                   for local, part_rows in parts.values()]
 
 
-def _bnode_occurrences(x: Term, path: tuple, skel, occ: dict[str, list]) -> None:
-    if isinstance(x, BNode):
-        occ[x.label].append((path, skel))
-    elif isinstance(x, Triple):
-        _bnode_occurrences(x.subject, path + ("s",), skel, occ)
-        _bnode_occurrences(x.object, path + ("o",), skel, occ)
+def _form(labels: list[str], rows: Rows) -> frozenset:
+    """The rows with every node written as its canonical colour: equal
+    forms mean isomorphic problems."""
+    p = _refined(labels, rows)
+    _break_ties(p)
+    return frozenset((s, tuple(p.end[p.cell[x]] for x in nodes)) for s, nodes in rows)
 
 
-def _bnode_signatures(g: RdfStarGraph) -> dict[str, tuple]:
-    """Label -> sorted occurrence contexts (position path, host skeleton)."""
-    occ: dict[str, list] = defaultdict(list)
-    for t in g.triples:
-        _bnode_occurrences(t, (), _skeleton(t), occ)
-    return {label: tuple(sorted(entries)) for label, entries in occ.items()}
+def _parts_match(parts_a: list, parts_b: list) -> bool:
+    """Whether the subproblems pair off into isomorphic pairs.  Equal
+    forms pair at once; only a subproblem with no equal form left, which
+    needed tie-breaks, is tested against the others."""
+    if len(parts_a) != len(parts_b):
+        return False
+    left: dict[frozenset, list] = defaultdict(list)  # form -> b's unpaired subproblems
+    for part in parts_b:
+        left[_form(*part)].append(part)
+    for part in parts_a:
+        form = _form(*part)
+        if not left[form]:
+            # Subproblems of one form are isomorphic, so one stands for all.
+            form = next((f for f, ps in left.items() if ps and _rows_isomorphic(*part, *ps[-1])),
+                        None)
+            if form is None:
+                return False
+        left[form].pop()
+    return True
+
+
+def _rows_isomorphic(la: list[str], ra: Rows, lb: list[str], rb: Rows) -> bool:
+    """Whether a bijection from the nodes of a to those of b maps the rows
+    of a onto those of b."""
+    if len(la) != len(lb) or Counter(s for s, _ in ra) != Counter(s for s, _ in rb):
+        return False
+    pa, pb = _refined(la, ra), _refined(lb, rb)
+    return pa.shape() == pb.shape() and _split_match(la, pa, lb, pb)
+
+
+def _split_match(la: list[str], pa: _Partition, lb: list[str], pb: _Partition) -> bool:
+    """_rows_isomorphic for refined partitions of equal shape, whose
+    colours must be kept."""
+    fixed_a, parts_a = _free_parts(la, pa)
+    fixed_b, parts_b = _free_parts(lb, pb)
+    if fixed_a != fixed_b:
+        return False
+    if len(parts_a) != 1 or len(parts_a[0][0]) < len(la):
+        return _parts_match(parts_a, parts_b)
+    # Connected, with no node fixed: fix one node of b's smallest tied
+    # cell, and try each node of a's cell at the same position.
+    position = pb.target()
+    qb = pb.copy()
+    _individualize(qb, next(iter(pb.members[pb.start[position]])))
+    for x in list(pa.members[pa.start[position]]):
+        qa = pa.copy()
+        _individualize(qa, x)
+        if qa.shape() == qb.shape() and _split_match(la, qa, lb, qb):
+            return True
+    return False
 
 
 def isomorphic(a: RdfStarGraph, b: RdfStarGraph) -> bool:
     """Graph equality up to a bijective renaming of blank node labels.
 
-    Backtracking search over label assignments, most constrained label
-    first, with candidates restricted to labels of equal occurrence
-    signature.  Each source triple is checked once it is fully assigned,
-    by the assignment that completed it, so a search step costs the degree
-    of the label assigned, not len(a).  The number of steps is not
-    bounded: graphs with many automorphic labels may backtrack a lot.
+    The triples without blank nodes must be equal.  The others become
+    rows, a skeleton with the blank nodes erased and the nodes in slot
+    order, and the skeletons must agree as multisets.  Then both sides
+    are refined as in canonicalize_bnodes and need equal class sizes.
+    When refinement alone separated every node, the answer is whether
+    mapping each node of a to the node of b of the same colour maps every
+    row onto one of b, which is comparing canonical forms.  So the cost is
+    two refinements and linear checks.
+
+    Otherwise each side splits at its fixed nodes, those in classes of
+    their own: the rows of fixed nodes alone must agree by colour, and
+    the other nodes form subproblems, one per set that rows connect, with
+    the fixed nodes written into the skeletons by colour.  These must pair
+    off into isomorphic pairs, by canonical form first and otherwise by
+    the same procedure on the pair.  A connected problem with no fixed
+    node branches: b fixes the first node of its smallest class with
+    several nodes, a tries each node of its class at the same position,
+    and both refine and split again.  Every level fixes a node, so the
+    recursion is at most as deep as there are blank nodes, but the number
+    of branches is not bounded: graphs built to defeat colour refinement
+    can make it exponential.
     """
     if a.triples == b.triples:
         return True
     if len(a) != len(b):
         return False
-    la = sorted(blank_node_labels(a))
-    lb = sorted(blank_node_labels(b))
-    if len(la) != len(lb) or not la:
+    if not all(t in b.triples for t in a.triples if not _holds_bnode(t)):
         return False
-    if Counter(_skeleton(t) for t in a.triples) != Counter(_skeleton(t) for t in b.triples):
-        return False
-    siga = _bnode_signatures(a)
-    sigb = _bnode_signatures(b)
-    if sorted(siga.values()) != sorted(sigb.values()):
-        return False
-
-    by_signature: dict[tuple, list[str]] = defaultdict(list)
-    for y in lb:
-        by_signature[sigb[y]].append(y)
-    candidates = {x: by_signature[siga[x]] for x in la}
-    order = sorted(la, key=lambda x: len(candidates[x]))
-    target = b.triples
-    labels_of: dict[Triple, frozenset[str]] = {}
-    hosts: dict[str, list[Triple]] = defaultdict(list)  # label -> source triples holding it
-    for t in a.triples:
-        labels = frozenset(x.label for x in _triple_terms(t) if isinstance(x, BNode))
-        labels_of[t] = labels
-        for x in labels:
-            hosts[x].append(t)
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-
-    def consistent(x: str) -> bool:
-        # Every source triple that assigning x completed must map into the
-        # target; triples completed earlier were checked then.
-        for t in hosts[x]:
-            if labels_of[t] <= mapping.keys():
-                if _map_triple(t, mapping) not in target:
-                    return False
-        return True
-
-    # Depth-first over order without recursion, which would overflow the
-    # stack beyond about a thousand labels; tried[i] is the index of the
-    # next candidate for order[i].
-    tried = [0] * len(order)
-
-    def assign_next(i: int) -> bool:
-        x = order[i]
-        while tried[i] < len(candidates[x]):
-            y = candidates[x][tried[i]]
-            tried[i] += 1
-            if y in used:
-                continue
-            mapping[x] = y
-            used.add(y)
-            if consistent(x):
-                return True
-            del mapping[x]
-            used.discard(y)
-        tried[i] = 0
-        return False
-
-    i = 0
-    while i >= 0:
-        if i < len(order) and assign_next(i):
-            i += 1
-            continue
-        if i == len(order) and relabel_bnodes(a, mapping).triples == target:
-            return True
-        i -= 1
-        if i >= 0:
-            used.discard(mapping.pop(order[i]))
-    return False
+    return _rows_isomorphic(*_host_rows(a), *_host_rows(b))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Union
 
 from .mappings import (
@@ -25,6 +25,7 @@ from .namespaces import RDF_LANG_STRING
 from .pg import (
     Property,
     PropertyGraph,
+    PropertyValue,
     Text,
     edge_uniqueness_violations,
     property_sort_key,
@@ -122,20 +123,27 @@ def _literal_note(l: Literal) -> str:
     return f'"{l.lexical_form}"^^<{l.datatype.value}>'
 
 
-def _check(g: RdfStarGraph, mode: str, strong: bool) -> ConvertibilityReport:
+Valuer = Callable[[Literal], Union[PropertyValue, None]]
+
+
+def literal_valuer(mode: str) -> Valuer:
+    """value_from_literal in the given mode, run once per distinct literal."""
+    return cache(partial(value_from_literal, mode=mode))
+
+
+def _check(g: RdfStarGraph, strong: bool, value: Valuer) -> ConvertibilityReport:
     """Both convertibility checks in one pass over g in term order.
 
     The pass records, for each embedded triple with a literal object, the
     top-level triples that host it, so the strong condition costs no
-    second pass.  Each distinct literal is valued once.
+    second pass.  Each literal is valued through value, which caches.
     """
     violations: list[Violation] = []
     hosts: dict[Triple, list[Triple]] = defaultdict(list)
-    has_value = cache(lambda l: value_from_literal(l, mode) is not None)
     for t in g:
         if not is_metadata_triple(t):
             # Its only possible literal is its object; it embeds nothing.
-            if isinstance(t.object, Literal) and not has_value(t.object):
+            if isinstance(t.object, Literal) and value(t.object) is None:
                 violations.append(
                     Violation(t, "4", f"literal {_literal_note(t.object)} has no property value")
                 )
@@ -151,7 +159,7 @@ def _check(g: RdfStarGraph, mode: str, strong: bool) -> ConvertibilityReport:
             violations.append(Violation(t, "2", "triple embedded in object position"))
         mentioned = mentioned_terms(t)
         for term in sorted((x for x in mentioned if isinstance(x, Literal)), key=term_key):
-            if not has_value(term):
+            if value(term) is None:
                 violations.append(
                     Violation(t, "4", f"literal {_literal_note(term)} has no property value")
                 )
@@ -165,7 +173,8 @@ def _check(g: RdfStarGraph, mode: str, strong: bool) -> ConvertibilityReport:
     return ConvertibilityReport(tuple(violations))
 
 
-def check_pg_convertible(g: RdfStarGraph, mode: str = "lenient") -> ConvertibilityReport:
+def check_pg_convertible(g: RdfStarGraph, mode: str = "lenient", *,
+                         _valuer: Valuer | None = None) -> ConvertibilityReport:
     """Check the four conditions under which an RDF-star graph maps to a
     property graph: embedded triples only as subjects of metadata triples,
     no nested metadata, metadata objects are literals, and every mentioned
@@ -173,20 +182,25 @@ def check_pg_convertible(g: RdfStarGraph, mode: str = "lenient") -> Convertibili
 
     One pass over g, linear in its size.  Violations come in graph order;
     per triple, conditions 1, 3, 2, then 4 per literal in term order.
+    Each distinct literal is valued once.  The transforms of this module
+    pass their own literal_valuer(mode) as _valuer, so the check and the
+    transform value each literal once between them.
     """
-    return _check(g, mode, strong=False)
+    return _check(g, strong=False, value=_valuer or literal_valuer(mode))
 
 
-def check_strongly_pg_convertible(g: RdfStarGraph, mode: str = "lenient") -> ConvertibilityReport:
+def check_strongly_pg_convertible(g: RdfStarGraph, mode: str = "lenient", *,
+                                  _valuer: Valuer | None = None) -> ConvertibilityReport:
     """As check_pg_convertible, plus: no embedded triple has a literal
     object (metadata may only annotate relationship triples).
 
     The same single pass, n log n overall.  The violations of
     check_pg_convertible come first; then one "strong" violation per
     hosting top-level triple, by term order of the embedded attribute
-    triple and, for each, by host in graph order.
+    triple and, for each, by host in graph order.  _valuer is as for
+    check_pg_convertible.
     """
-    return _check(g, mode, strong=True)
+    return _check(g, strong=True, value=_valuer or literal_valuer(mode))
 
 
 @dataclass(frozen=True)
@@ -206,8 +220,7 @@ class SimplePgResult:
     edge_map: dict[Triple, str]
 
 
-def _literal_vertex_properties(l: Literal, mode: str) -> set[Property]:
-    value = value_from_literal(l, mode)
+def _literal_vertex_properties(l: Literal, value: PropertyValue | None) -> set[Property]:
     if value is None:
         raise AssertionError(f"literal outside value mapping slipped past the check: {l!r}")
     props = {
@@ -221,7 +234,7 @@ def _literal_vertex_properties(l: Literal, mode: str) -> set[Property]:
 
 
 def _assemble(g: RdfStarGraph, edges: list[Triple], vertex_map: dict, edge_map: dict,
-              props: dict[str, set[Property]], mode: str) -> PropertyGraph:
+              props: dict[str, set[Property]], value: Valuer) -> PropertyGraph:
     """The property graph both RDF-to-PG transforms share: one edge per
     triple of edges, and g's metadata triples, in term order, as
     properties of the edge of their embedded subject."""
@@ -231,8 +244,8 @@ def _assemble(g: RdfStarGraph, edges: list[Triple], vertex_map: dict, edge_map: 
     edge_props: dict[str, set[Property]] = defaultdict(set)
     for m in g:
         if is_metadata_triple(m):
-            value = value_from_literal(m.object, mode)  # a literal by condition 3
-            edge_props[edge_map[m.subject]].add(Property(m.predicate.value, value))
+            # m.object is a literal by condition 3.
+            edge_props[edge_map[m.subject]].add(Property(m.predicate.value, value(m.object)))
     props.update(edge_props)
     return PropertyGraph(vertex_map.values(), edge_map.values(), src, tgt, lbl, props)
 
@@ -245,7 +258,8 @@ def to_rdf_like_pg(g: RdfStarGraph, mode: str = "lenient") -> RdfLikePgResult:
     per ordinary triple, labeled with the predicate IRI text; metadata
     triples become properties of the edge for their embedded subject.
     """
-    report = check_pg_convertible(g, mode)
+    value = literal_valuer(mode)  # shared with the check
+    report = check_pg_convertible(g, mode, _valuer=value)
     if not report.convertible:
         raise NotConvertibleError(report)
 
@@ -264,9 +278,9 @@ def to_rdf_like_pg(g: RdfStarGraph, mode: str = "lenient") -> RdfLikePgResult:
         elif isinstance(term, BNode):
             props[vid] = {Property(KIND_KEY, Text(KIND_BLANK_NODE))}
         else:
-            props[vid] = _literal_vertex_properties(term, mode)
+            props[vid] = _literal_vertex_properties(term, value(term))
 
-    graph = _assemble(g, ordinary, vertex_map, edge_map, props, mode)
+    graph = _assemble(g, ordinary, vertex_map, edge_map, props, value)
     return RdfLikePgResult(graph, vertex_map, edge_map)
 
 
@@ -366,7 +380,8 @@ def to_simple_pg(g: RdfStarGraph, mode: str = "lenient") -> SimplePgResult:
     the reserved "IRI" key); relationship triples become edges; metadata
     triples become edge properties.
     """
-    report = check_strongly_pg_convertible(g, mode)
+    value = literal_valuer(mode)  # shared with the check
+    report = check_strongly_pg_convertible(g, mode, _valuer=value)
     if not report.convertible:
         raise NotStronglyConvertibleError(report)
 
@@ -384,10 +399,9 @@ def to_simple_pg(g: RdfStarGraph, mode: str = "lenient") -> SimplePgResult:
             props[vid].add(Property(IRI_KEY, Text(node.value)))
     for a in ordinary:
         if isinstance(a.object, Literal):
-            value = value_from_literal(a.object, mode)
-            props[vertex_map[a.subject]].add(Property(a.predicate.value, value))
+            props[vertex_map[a.subject]].add(Property(a.predicate.value, value(a.object)))
 
-    graph = _assemble(g, relations, vertex_map, edge_map, props, mode)
+    graph = _assemble(g, relations, vertex_map, edge_map, props, value)
     return SimplePgResult(graph, vertex_map, edge_map)
 
 

@@ -10,9 +10,12 @@ else (collections, blank node property lists, triple-quoted strings,
 diagnostic.
 
 Serialization is deterministic: prefixes sorted by label, one triple per
-line in term order, blank nodes renumbered b1, b2, ... in first-appearance
-order, and literals shortened to bare tokens exactly when reparsing gives
-the identical literal back.
+line in term order, blank nodes renumbered b1, b2, ... by the canonical
+labelling of rdf.canonicalize_bnodes, and literals shortened to bare
+tokens exactly when reparsing gives the identical literal back.  The
+numbering is idempotent, and it is independent of the input labels
+whenever colour refinement alone separates every blank node; nodes it
+cannot separate are ordered by their input labels.
 """
 
 from __future__ import annotations

@@ -238,6 +238,29 @@ class TestUnfold:
         assert main(["unfold", path]) == 0
         assert capsys.readouterr().out == ""
 
+    def test_100_level_chain(self, capsys, ttls):
+        # The 100 reification nodes of the embedded triples form a chain.
+        depth = MAX_NESTING_DEPTH
+        path = ttls(f"@prefix ex: <{EX}> .\n" + "<<" * depth + "ex:s ex:p ex:o"
+                    + ">> ex:p ex:o " * depth + ".\n")
+        assert main(["unfold", path]) == 0
+        out, err = capsys.readouterr()
+        graph, _ = parse_turtle_star(out)
+        assert len(graph) == 1 + 4 * depth
+        assert err == ""
+
+    @pytest.mark.parametrize("command", ["unfold", "roundtrip"])
+    def test_labels_with_long_digit_runs(self, capsys, ttls, command):
+        # Two blank nodes on a 2-cycle tie under refinement, so their labels,
+        # digit runs longer than int() converts, decide the numbering.
+        x, y = "b" + "1" * 5000, "b" + "1" * 4999 + "2"
+        path = ttls(f"_:{x} <{EX}p> _:{y} .\n_:{y} <{EX}p> _:{x} .\n")
+        assert main([command, path]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        if command == "unfold":
+            assert out == f"_:b1 <{EX}p> _:b2 .\n_:b2 <{EX}p> _:b1 .\n"
+
 
 class TestRoundtrip:
     def test_alice_bob_round_trips(self, capsys):

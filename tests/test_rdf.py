@@ -7,6 +7,8 @@ import hypothesis.strategies as st
 
 import starpg.rdf
 from starpg import (
+    DEFAULT_PROPERTY_KEY_PREFIX,
+    XSD_DECIMAL,
     XSD_INTEGER,
     XSD_STRING,
     BNode,
@@ -32,9 +34,11 @@ from starpg import (
     pg_to_rdf_star,
     redundant_triples,
     relabel_bnodes,
+    serialize_turtle_star,
     subject_object_nodes,
     subject_object_terms,
     term_key,
+    unfold_to_rdf,
 )
 from conftest import (
     AGE_CERTAINTY,
@@ -339,12 +343,24 @@ def _circulant_pg(n: int) -> PropertyGraph:
     return PropertyGraph(vertices, edges, src, tgt, lbl, props)
 
 
+def _assert_canonical(g: RdfStarGraph, want: RdfStarGraph, rng: random.Random) -> None:
+    """canonicalize_bnodes(g) is isomorphic to want, and a random
+    relabelling of g gives the same result."""
+    got = canonicalize_bnodes(g)
+    assert isomorphic(got, want)
+    assert canonicalize_bnodes(_shuffled_labels(g, rng)) == got
+
+
 class TestCanonicalizationOracle:
+    # The canonical labelling numbers blank nodes differently from the
+    # renumbering fixpoint it replaced, so the oracle's result is compared
+    # up to isomorphism, and the numbering is checked to ignore input labels.
+
     def test_matches_oracle_on_random_corpus(self):
         rng = random.Random(29)
         for _ in range(1000):
             g = randgen.random_rdf_star_graph(rng)
-            assert canonicalize_bnodes(g) == _fixpoint_oracle(g)[0]
+            _assert_canonical(g, _fixpoint_oracle(g)[0], rng)
 
     def test_matches_oracle_on_bnode_dense_graphs(self):
         rng = random.Random(31)
@@ -352,14 +368,14 @@ class TestCanonicalizationOracle:
         for _ in range(400):
             g = _bnode_dense_graph(rng)
             want, cycle = _fixpoint_oracle(g)
-            assert canonicalize_bnodes(g) == want
+            _assert_canonical(g, want, rng)
             cycles += cycle > 1
         # the smallest-state branch must be exercised, not just the fixpoint
         assert cycles >= 100
 
     def test_matches_oracle_on_circulant_pg2rdf_output(self):
         g = pg_to_rdf_star(_circulant_pg(24))
-        assert canonicalize_bnodes(g) == _fixpoint_oracle(g)[0]
+        _assert_canonical(g, _fixpoint_oracle(g)[0], random.Random(33))
 
     def test_one_relabel_call_per_canonicalization(self, monkeypatch):
         calls = []
@@ -375,6 +391,163 @@ class TestCanonicalizationOracle:
             calls.clear()
             canonicalize_bnodes(g)
             assert len(calls) == 1
+
+
+def _cycle(labels: list[str], p: Iri = P) -> list[Triple]:
+    """Blank nodes linked in a directed cycle, the last back to the first."""
+    return [Triple(BNode(x), p, BNode(y)) for x, y in zip(labels, labels[1:] + labels[:1])]
+
+
+def _hexagon_and_triangles(labels: list[str]) -> RdfStarGraph:
+    """A 6-cycle and two 3-cycles over twelve labels.  Every node has one
+    in-edge and one out-edge, so refinement cannot tell the cycles apart."""
+    return RdfStarGraph(_cycle(labels[:6]) + _cycle(labels[6:9]) + _cycle(labels[9:]))
+
+
+def _nameless_circulant() -> RdfStarGraph:
+    """pg2rdf output of _circulant_pg without its name triples."""
+    name = Iri(DEFAULT_PROPERTY_KEY_PREFIX + "name")
+    return RdfStarGraph(t for t in pg_to_rdf_star(_circulant_pg(24)) if t.predicate != name)
+
+
+def _tie_heavy_corpus() -> dict[str, RdfStarGraph]:
+    """Symmetric graphs.  Colour refinement alone separates the blank nodes
+    of none of them but the nameless circulant."""
+    corpus = {f"cycle-{n}": RdfStarGraph(_cycle([f"c{i}" for i in range(n)]))
+              for n in (2, 3, 7, 12)}
+    corpus["self-loops"] = RdfStarGraph(_cycle([f"l{i}"])[0] for i in range(4))
+    corpus["hexagon-and-triangles"] = _hexagon_and_triangles([f"b{i}" for i in range(2, 14)])
+    corpus["two-hexagons"] = RdfStarGraph(
+        _cycle([f"h{i}" for i in range(6)]) + _cycle([f"k{i}" for i in range(6)]))
+    corpus["disjoint-edges"] = RdfStarGraph(
+        Triple(BNode(f"s{i}"), P, BNode(f"o{i}")) for i in range(15))
+    corpus["disjoint-annotated-pairs"] = RdfStarGraph(
+        t for i in range(11)
+        for t in (Triple(Triple(BNode(f"a{i}"), P, BNode(f"b{i}")), Q, Literal("v")),
+                  Triple(BNode(f"b{i}"), R, O)))
+    corpus["disjoint-triangles-with-annotations"] = RdfStarGraph(
+        t for i in range(5) for t in _cycle([f"t{i}x", f"t{i}y", f"t{i}z"])
+        + [Triple(Triple(BNode(f"t{i}x"), Q, BNode(f"t{i}z")), R, Literal("w"))])
+    corpus["circulant-pg2rdf-without-names"] = _nameless_circulant()
+    corpus["bnode-circulant"] = RdfStarGraph(
+        t for i in range(20)
+        for t in (Triple(BNode(f"v{i}"), P, BNode(f"v{(i + 1) % 20}")),
+                  Triple(Triple(BNode(f"v{i}"), Q, BNode(f"v{(i + 2) % 20}")), R, Literal("w"))))
+    return corpus
+
+
+def _nested_chain(depth: int) -> RdfStarGraph:
+    """One triple nesting depth levels of << >> over IRIs only."""
+    t = Triple(S, P, O)
+    for _ in range(depth):
+        t = Triple(t, P, O)
+    return RdfStarGraph([t])
+
+
+def _anon_shaped(persons: int) -> RdfStarGraph:
+    """The unfolded Turtle-star graph of the anon-1k workload, scaled: named
+    persons who know each other and an anonymous person each, a chain of
+    two anonymous nodes per person, and certainty annotations that repeat
+    a few values on half the knows triples."""
+    name, knows = Iri("http://xmlns.com/foaf/0.1/name"), Iri("http://xmlns.com/foaf/0.1/knows")
+    certainty = Iri("http://example.org/certainty")
+    people = [Iri(f"http://example.org/p{i}") for i in range(persons)]
+    triples: list[Triple] = []
+    for i, p in enumerate(people):
+        x, y = BNode(f"x{i}"), BNode(f"y{i}")
+        triples += [Triple(p, name, Literal(f"person {i}")), Triple(p, knows, x),
+                    Triple(x, knows, y), Triple(y, name, Literal("anonymous"))]
+        friend = Triple(p, knows, people[(7 * i + 1) % persons])
+        if i % 2:
+            friend = Triple(friend, certainty, Literal(f"0.{i % 10}", Iri(XSD_DECIMAL)))
+        triples.append(friend)
+    return unfold_to_rdf(RdfStarGraph(triples))
+
+
+def _refined(g: RdfStarGraph):
+    """The blank node labels of g and their partition after refinement."""
+    labels, rows = starpg.rdf._host_rows(g)
+    return labels, starpg.rdf._refined(labels, rows)
+
+
+@pytest.fixture
+def refine_rounds(monkeypatch) -> list[int]:
+    """Records the number of touched nodes of every colour-refinement round."""
+    rounds: list[int] = []
+    refine_round = starpg.rdf._refine_round
+
+    def counting(partition, touched):
+        rounds.append(len(touched))
+        return refine_round(partition, touched)
+
+    monkeypatch.setattr(starpg.rdf, "_refine_round", counting)
+    return rounds
+
+
+@pytest.fixture
+def individualizations(monkeypatch) -> list[int]:
+    """Records every node individualized, by tie-breaks or by a search."""
+    nodes: list[int] = []
+    individualize = starpg.rdf._individualize
+
+    def counting(partition, n):
+        nodes.append(n)
+        return individualize(partition, n)
+
+    monkeypatch.setattr(starpg.rdf, "_individualize", counting)
+    return nodes
+
+
+class TestCanonicalLabelling:
+    def test_few_rounds_on_anon_shaped_graphs_with_2000_blank_nodes(self, refine_rounds):
+        for g in (_anon_shaped(800), pg_to_rdf_star(_circulant_pg(2000))):
+            assert len(blank_node_labels(g)) >= 2000
+            refine_rounds.clear()
+            canon = canonicalize_bnodes(g)
+            assert len(refine_rounds) <= 2
+            n = len(blank_node_labels(g))
+            assert blank_node_labels(canon) == {f"b{i}" for i in range(1, n + 1)}
+
+    def test_rounds_on_a_100_level_reification_chain(self, refine_rounds):
+        g = unfold_to_rdf(_nested_chain(100))
+        n = len(blank_node_labels(g))
+        assert n == 100
+        canon = canonicalize_bnodes(g)
+        assert len(refine_rounds) <= n + 1
+        assert canonicalize_bnodes(canon) == canon
+        assert isomorphic(g, canon)
+
+    @pytest.mark.parametrize("name", sorted(_tie_heavy_corpus()))
+    def test_tie_heavy_corpus(self, name):
+        g = _tie_heavy_corpus()[name]
+        canon = canonicalize_bnodes(g)
+        n = len(blank_node_labels(g))
+        assert blank_node_labels(canon) == {f"b{i}" for i in range(1, n + 1)}
+        assert canonicalize_bnodes(canon) == canon
+        assert serialize_turtle_star(g) == serialize_turtle_star(g)
+        assert isomorphic(g, canon)
+        assert isomorphic(canon, g)
+
+    def test_corpus_needs_tie_breaks(self):
+        # Only the since annotations, which differ per vertex, let refinement
+        # alone separate the nodes of the nameless circulant.
+        for name, g in _tie_heavy_corpus().items():
+            labels, partition = _refined(g)
+            assert partition.discrete() == (name == "circulant-pg2rdf-without-names"), name
+            starpg.rdf._break_ties(partition)
+            assert sorted(partition.colours()) == list(range(1, len(labels) + 1))
+
+    def test_ties_break_on_natural_label_order(self):
+        # b2..b7 form the hexagon and b8..b13 the triangles.  Under natural
+        # order b2 is the smallest label, so a hexagon node is
+        # individualized first and is numbered b1; under string order b10,
+        # a triangle node, would come first.
+        canon = canonicalize_bnodes(_hexagon_and_triangles([f"b{i}" for i in range(2, 14)]))
+        successor = {t.subject.label: t.object.label for t in canon}
+        x, steps = successor["b1"], 1
+        while x != "b1":
+            x, steps = successor[x], steps + 1
+        assert steps == 6
 
 
 class TestIsomorphism:
@@ -430,6 +603,34 @@ class TestIsomorphism:
         assert not isomorphic(a, b)
 
 
+def _oracle_skeleton(x):
+    """Structure key with every blank node erased."""
+    if isinstance(x, Iri):
+        return ("iri", x.value)
+    if isinstance(x, BNode):
+        return ("bnode", "")
+    if isinstance(x, Literal):
+        return ("lit", (x.lexical_form, x.datatype.value, x.language or ""))
+    return ("triple", (_oracle_skeleton(x.subject), _oracle_skeleton(x.predicate),
+                       _oracle_skeleton(x.object)))
+
+
+def _oracle_signatures(g: RdfStarGraph) -> dict[str, tuple]:
+    """Label -> sorted occurrence contexts (position path, host skeleton)."""
+    occ: dict[str, list] = {}
+
+    def walk(x, path: tuple, skel) -> None:
+        if isinstance(x, BNode):
+            occ.setdefault(x.label, []).append((path, skel))
+        elif isinstance(x, Triple):
+            walk(x.subject, path + ("s",), skel)
+            walk(x.object, path + ("o",), skel)
+
+    for t in g.triples:
+        walk(t, (), _oracle_skeleton(t))
+    return {label: tuple(sorted(entries)) for label, entries in occ.items()}
+
+
 def _rescanning_isomorphic(a: RdfStarGraph, b: RdfStarGraph) -> bool:
     """isomorphic as first written: after each assignment it rescans every
     source triple and checks all the fully assigned ones."""
@@ -441,11 +642,10 @@ def _rescanning_isomorphic(a: RdfStarGraph, b: RdfStarGraph) -> bool:
     lb = sorted(blank_node_labels(b))
     if len(la) != len(lb) or not la:
         return False
-    skeleton = starpg.rdf._skeleton
-    if Counter(skeleton(t) for t in a.triples) != Counter(skeleton(t) for t in b.triples):
+    if Counter(map(_oracle_skeleton, a.triples)) != Counter(map(_oracle_skeleton, b.triples)):
         return False
-    siga = starpg.rdf._bnode_signatures(a)
-    sigb = starpg.rdf._bnode_signatures(b)
+    siga = _oracle_signatures(a)
+    sigb = _oracle_signatures(b)
     if sorted(siga.values()) != sorted(sigb.values()):
         return False
     candidates = {x: [y for y in lb if sigb[y] == siga[x]] for x in la}
@@ -521,10 +721,91 @@ class TestIsomorphismOracle:
             outcomes.add(result)
         assert outcomes == {False, True}
 
+    def test_decides_tie_heavy_graphs(self):
+        # The corpus graphs are pairwise not isomorphic, by construction, and
+        # each is isomorphic to its relabelled copy.  The rescanning oracle
+        # takes seconds per pair here, so the construction is the oracle.
+        rng = random.Random(53)
+        corpus = [(name, g) for name, g in _tie_heavy_corpus().items()]
+        corpus += [(name, _shuffled_labels(g, rng)) for name, g in corpus]
+        same_size = 0
+        for name_g, g in corpus:
+            for name_h, h in corpus:
+                assert isomorphic(g, h) == (name_g == name_h)
+                same_size += len(g) == len(h) and name_g != name_h
+        assert same_size >= 20
+
+    @pytest.mark.parametrize("hubs", [0, 2])
+    def test_search_decides_when_tie_breaks_differ(self, hubs):
+        # Refinement cannot tell a 6-cycle from a 3-cycle.  The smallest
+        # label lies on the hexagon in one copy and on a triangle in the
+        # other, so their canonical forms differ and isomorphic must look
+        # past them; two hexagons are not isomorphic to either.  Two tied
+        # blank hubs joined to every cycle node make each graph one
+        # component with no node fixed, so isomorphic must branch on a hub
+        # before the cycles split apart.
+        def hubbed(g: RdfStarGraph) -> RdfStarGraph:
+            return g.union(Triple(BNode(f"hub{h}"), Q, BNode(x))
+                           for h in range(hubs) for x in blank_node_labels(g))
+
+        on_hexagon = hubbed(_hexagon_and_triangles([f"b{i}" for i in range(2, 14)]))
+        on_triangle = hubbed(
+            _hexagon_and_triangles([f"b{i}" for i in (*range(8, 14), *range(2, 8))]))
+        assert canonicalize_bnodes(on_hexagon) != canonicalize_bnodes(on_triangle)
+        assert isomorphic(on_hexagon, on_triangle)
+        assert _rescanning_isomorphic(on_hexagon, on_triangle)
+        two_hexagons = hubbed(_tie_heavy_corpus()["two-hexagons"])
+        assert not isomorphic(on_hexagon, two_hexagons)
+        assert not isomorphic(two_hexagons, on_triangle)
+
+    def test_ground_difference_next_to_symmetric_components(self, individualizations):
+        # Twelve disjoint blank-node edges tie in two classes of twelve.
+        edges = [Triple(BNode(f"s{i}"), P, BNode(f"o{i}")) for i in range(12)]
+        a = RdfStarGraph(edges + [Triple(S, P, O)])
+        b = RdfStarGraph(edges + [Triple(S, P, S)])
+        assert not isomorphic(a, b)
+        assert not isomorphic(b, a)
+        assert individualizations == []
+
+    @pytest.mark.parametrize("hubs", [0, 1, 2])
+    @pytest.mark.parametrize("pairs", [1, 6])
+    @pytest.mark.parametrize("loop", [P, R])
+    def test_self_loops_against_two_cycles_next_to_symmetric_parts(
+            self, individualizations, hubs, pairs, loop):
+        # Refinement cannot tell 2 * pairs self-loops from pairs 2-cycles.
+        # Twelve disjoint edges lie beside them, or hang with them off one or
+        # two blank hubs, so the graphs are a single component.  With loops
+        # on R, the loops' class comes after the edges' classes in colour
+        # order, so a search that took the first tied class would try every
+        # order of the edges first.
+        edges = [Triple(BNode(f"s{i}"), P, BNode(f"o{i}")) for i in range(12)]
+        loops = [f"l{i}" for i in range(2 * pairs)]
+        spokes = [Triple(BNode(f"hub{h}"), Q, BNode(x))
+                  for h in range(hubs) for x in [f"s{i}" for i in range(12)] + loops]
+        a = RdfStarGraph(edges + spokes + [t for x in loops for t in _cycle([x], loop)])
+        b = RdfStarGraph(edges + spokes + [t for x, y in zip(loops[::2], loops[1::2])
+                                           for t in _cycle([x, y], loop)])
+        assert not isomorphic(a, b)
+        assert not isomorphic(b, a)
+        if pairs == 1:
+            assert not _rescanning_isomorphic(a, b)
+        if hubs < 2:
+            # The loops are parts of their own, beside the edges or split off
+            # at the hub, which refinement fixes, so the part counts differ.
+            assert not individualizations
+        else:
+            # Two hubs tie, so nothing is fixed until a branch fixes one hub
+            # in b and tries both in a; that fixes both hubs, and the parts
+            # split off.  Three steps per call.
+            assert len(individualizations) <= 2 * 3
+        rng = random.Random(pairs)
+        assert isomorphic(a, _shuffled_labels(a, rng))
+        assert isomorphic(b, _shuffled_labels(b, rng))
+
     def test_map_triple_calls_bounded_by_degree(self, monkeypatch):
         # 2,000 blank nodes, each with a unique name and one knows edge:
-        # every label has one candidate, and each triple is checked once
-        # when its last label is assigned, plus once in the final relabel.
+        # refinement separates every node, so isomorphic compares the
+        # triples once, by colour, and maps none of them through a relabel.
         n = 2000
         name, knows = Iri("http://example.org/name"), Iri("http://example.org/knows")
         a = RdfStarGraph(
@@ -556,3 +837,7 @@ def test_canonical_form_stable_under_order_preserving_relabeling(seed):
     canon = canonicalize_bnodes(g)
     assert isomorphic(g, canon)
     assert canonicalize_bnodes(relabeled) == canon
+    # When refinement alone separates every node, labels play no part.
+    labels = blank_node_labels(g)
+    if labels and _refined(g)[1].discrete():
+        assert canonicalize_bnodes(_shuffled_labels(g, rng)) == canon

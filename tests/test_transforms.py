@@ -41,6 +41,7 @@ from starpg import (
     isomorphic,
     mentioned_terms,
     minimize,
+    ordinary_triples,
     pg_to_rdf_star,
     relationship_triples,
     term_key,
@@ -564,6 +565,90 @@ class TestLiteralValuing:
             if run is check_pg_convertible:
                 want = tuple(v for v in want if v.condition != "strong")
             assert result.violations == want
+
+
+def _pg_oracle(g, simple, mode="lenient"):
+    """to_rdf_like_pg (simple=False) or to_simple_pg (simple=True) as a
+    per-occurrence construction: every literal is valued where it occurs."""
+    ordinary = sorted(ordinary_triples(g), key=term_key)
+    kinds = (Iri, BNode) if simple else (Iri, BNode, Literal)
+    terms = sorted({x for t in ordinary for x in (t.subject, t.object) if isinstance(x, kinds)},
+                   key=term_key)
+    vid = {x: f"v{i}" for i, x in enumerate(terms, start=1)}
+    edges = [t for t in ordinary if not simple or not isinstance(t.object, Literal)]
+    eid = {t: f"e{i}" for i, t in enumerate(edges, start=1)}
+    props = {v: [] for v in [*vid.values(), *eid.values()]}
+    for x, v in vid.items():
+        if simple:
+            props[v] += [Property("IRI", Text(x.value))] if isinstance(x, Iri) else []
+        elif isinstance(x, Iri):
+            props[v] += [Property("kind", Text("IRI")), Property("IRI", Text(x.value))]
+        elif isinstance(x, BNode):
+            props[v] += [Property("kind", Text("blank node"))]
+        else:
+            props[v] += [Property("kind", Text("literal")),
+                         Property("literal", value_from_literal(x, mode)),
+                         Property("datatype", Text(x.datatype.value))]
+            props[v] += [Property("language", Text(x.language))] if x.language else []
+    for t in ordinary:
+        if simple and isinstance(t.object, Literal):
+            props[vid[t.subject]].append(Property(t.predicate.value,
+                                                  value_from_literal(t.object, mode)))
+    for m in g:
+        if is_metadata_triple(m):
+            props[eid[m.subject]].append(Property(m.predicate.value,
+                                                  value_from_literal(m.object, mode)))
+    return PropertyGraph(vid.values(), eid.values(), {eid[t]: vid[t.subject] for t in edges},
+                         {eid[t]: vid[t.object] for t in edges},
+                         {eid[t]: t.predicate.value for t in edges}, props)
+
+
+class TestTransformValuing:
+    """The check and the transform value each distinct literal once between
+    them: the transform reuses the check's cached values."""
+
+    LITERALS = [Literal("x"), Literal("7", Iri(XSD_INTEGER)), Literal("0.50", Iri(XSD_DOUBLE)),
+                Literal("chat", Iri(XSD_STRING))]
+    M = 40
+
+    @pytest.mark.parametrize("simple", [False, True], ids=["to_rdf_like_pg", "to_simple_pg"])
+    def test_each_distinct_literal_valued_once(self, monkeypatch, simple):
+        # Each of M subjects has every literal and knows the next subject;
+        # ten knows triples are annotated with one more literal.
+        subjects = [Iri(f"{EX}s/{i}") for i in range(self.M)]
+        plain = [Triple(x, P, lit) for x in subjects for lit in self.LITERALS]
+        knows = [Triple(x, Q, y) for x, y in zip(subjects, subjects[1:])]
+        metadata = [Triple(t, R, Literal("registry")) for t in knows[:10]]
+        g = RdfStarGraph(plain + knows + metadata)
+        calls = []
+        original = starpg.transforms.value_from_literal
+
+        def counting(l, mode="lenient"):
+            calls.append(l)
+            return original(l, mode)
+
+        monkeypatch.setattr(starpg.transforms, "value_from_literal", counting)
+        result = (to_simple_pg if simple else to_rdf_like_pg)(g)
+        assert len(calls) == len(set(calls)) == len(self.LITERALS) + 1
+        monkeypatch.undo()
+        assert result.graph == _pg_oracle(g, simple)
+
+    def test_oracle_agrees_on_random_corpora(self):
+        rng = random.Random(61)
+        for i in range(200):
+            g = randgen.random_convertible_graph(rng, strong=bool(i % 2))
+            assert to_rdf_like_pg(g).graph == _pg_oracle(g, simple=False)
+            if i % 2:
+                assert to_simple_pg(g).graph == _pg_oracle(g, simple=True)
+
+    def test_check_fills_the_given_valuer(self):
+        value = starpg.transforms.literal_valuer("strict")
+        g = RdfStarGraph([Triple(S, P, Literal("0.50", Iri(XSD_DOUBLE))),
+                          Triple(S, Q, Literal("5", Iri(XSD_INTEGER)))])
+        assert not check_pg_convertible(g, "strict", _valuer=value).convertible
+        assert value.cache_info().currsize == 2
+        assert value(Literal("5", Iri(XSD_INTEGER))) == Integer(5)
+        assert value.cache_info().misses == 2
 
 
 class TestRoundTripProperty:
