@@ -8,9 +8,12 @@ below report when that happens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import defaultdict
+from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping
+
+from .frozen import Frozen, set_field
 
 
 class PgValidationError(ValueError):
@@ -29,69 +32,90 @@ class IdCollisionError(PgValidationError):
     """A vertex id and an edge id coincide."""
 
 
-class PropertyValue:
-    """Base of the four value kinds; values of different kinds never compare equal."""
+class PropertyValue(Frozen):
+    """Base of the four value kinds; values of different kinds never compare equal.
 
+    A value hashes as its one field, a str, int, float or bool.
+    """
+
+    __slots__ = ("value",)
+    __match_args__ = ("value",)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash(self.value)
+
+
+class Text(PropertyValue):
     __slots__ = ()
 
-
-@dataclass(frozen=True)
-class Text(PropertyValue):
-    value: str
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, str):
-            raise TypeError(f"Text takes a str, got {type(self.value).__name__}")
+    def __init__(self, value: str) -> None:
+        if not isinstance(value, str):
+            raise TypeError(f"Text takes a str, got {type(value).__name__}")
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Integer(PropertyValue):
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, value: int) -> None:
         # bool is an int subtype in Python; the kinds must stay disjoint.
-        if isinstance(self.value, bool) or not isinstance(self.value, int):
-            raise TypeError(f"Integer takes an int, got {type(self.value).__name__}")
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"Integer takes an int, got {type(value).__name__}")
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Double(PropertyValue):
-    value: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if isinstance(self.value, bool) or not isinstance(self.value, (int, float)):
-            raise TypeError(f"Double takes a float, got {type(self.value).__name__}")
-        v = float(self.value)
+    def __init__(self, value: float) -> None:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"Double takes a float, got {type(value).__name__}")
+        v = float(value)
         if math.isnan(v):
             raise ValueError("Double cannot hold NaN")
         if v == 0.0:
             v = 0.0  # fold -0.0 so equal values have one canonical form
-        object.__setattr__(self, "value", v)
+        set_field(self, "value", v)
 
 
-@dataclass(frozen=True)
 class Boolean(PropertyValue):
-    value: bool
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, bool):
-            raise TypeError(f"Boolean takes a bool, got {type(self.value).__name__}")
+    def __init__(self, value: bool) -> None:
+        if not isinstance(value, bool):
+            raise TypeError(f"Boolean takes a bool, got {type(value).__name__}")
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Property:
+class Property(Frozen):
     """One key-value pair attached to a vertex or edge."""
 
-    key: str
-    value: PropertyValue
+    __slots__ = ("key", "value", "_hash")
+    __match_args__ = ("key", "value")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.key, str):
+    def __init__(self, key: str, value: PropertyValue) -> None:
+        if not isinstance(key, str):
             raise TypeError("property key must be str")
-        if not isinstance(self.value, PropertyValue):
+        if not isinstance(value, PropertyValue):
             raise TypeError(
-                f"property value must be a PropertyValue, got {type(self.value).__name__}"
+                f"property value must be a PropertyValue, got {type(value).__name__}"
             )
+        set_field(self, "key", key)
+        set_field(self, "value", value)
+        set_field(self, "_hash", hash((key, value)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and (self.key, self.value) == (other.key, other.value)
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def _property_value_key(v: PropertyValue):
@@ -227,15 +251,20 @@ class PropertyGraph:
     def __repr__(self) -> str:
         return f"PropertyGraph({len(self._vertices)} vertices, {len(self._edges)} edges)"
 
+    def __reduce__(self):
+        return PropertyGraph, (self._vertices, self._edges, self._src, self._tgt, self._lbl,
+                               self._props)
+
 
 def property_uniqueness_violations(g: PropertyGraph) -> list[tuple[str, str]]:
-    """(element id, key) pairs where one element holds several values for a key."""
+    """(element id, key) pairs where one element holds several values for
+    a key, sorted."""
     out: list[tuple[str, str]] = []
-    for x in sorted(g.vertices | g.edges):
-        keys = [p.key for p in g.properties(x)]
-        for key in sorted({k for k in keys if keys.count(k) > 1}):
-            out.append((x, key))
-    return out
+    for x, props in g.props.items():
+        keys = [p.key for p in props]
+        if len(set(keys)) < len(keys):
+            out.extend((x, key) for key in {k for k in keys if keys.count(k) > 1})
+    return sorted(out)
 
 
 def is_property_unique(g: PropertyGraph) -> bool:
@@ -244,16 +273,14 @@ def is_property_unique(g: PropertyGraph) -> bool:
 
 
 def edge_uniqueness_violations(g: PropertyGraph) -> list[tuple[str, str]]:
-    """Pairs of distinct edges agreeing on source, target, and label."""
-    by_shape: dict[tuple[str, str, str], list[str]] = {}
-    for e in sorted(g.edges):
-        by_shape.setdefault((g.source(e), g.target(e), g.label(e)), []).append(e)
+    """Pairs of distinct edges agreeing on source, target, and label,
+    sorted by that shape and then by edge id."""
+    by_shape: dict[tuple[str, str, str], list[str]] = defaultdict(list)
+    for e in g.edges:
+        by_shape[(g.source(e), g.target(e), g.label(e))].append(e)
     out: list[tuple[str, str]] = []
-    for shape in sorted(by_shape):
-        group = by_shape[shape]
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                out.append((group[i], group[j]))
+    for shape in sorted(shape for shape, group in by_shape.items() if len(group) > 1):
+        out.extend(combinations(sorted(by_shape[shape]), 2))
     return out
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 import copy
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
+from .frozen import Frozen, set_field
 from .namespaces import RDF_LANG_STRING, XSD_STRING
 
 # Shallow IRI validation: reject characters RFC 3987 excludes outright,
@@ -23,24 +23,38 @@ _BNODE_LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 _LANG_TAG_RE = re.compile(r"[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*\Z")
 
 
-@dataclass(frozen=True)
-class Iri:
+# The deepest embedding a triple may have (nesting_depth of a triple
+# embedded in a triple is 1).  Every walker over embedded triples
+# recurses once or twice per level, so this keeps them well inside
+# Python's default recursion limit.
+MAX_NESTING_DEPTH = 100
+
+
+class Iri(Frozen):
     """An absolute IRI."""
 
-    value: str
+    __slots__ = ("value",)
+    __match_args__ = ("value",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, str):
-            raise TypeError(f"IRI value must be str, got {type(self.value).__name__}")
-        if not self.value:
+    def __init__(self, value: str) -> None:
+        if not isinstance(value, str):
+            raise TypeError(f"IRI value must be str, got {type(value).__name__}")
+        if not value:
             raise ValueError("IRI must be non-empty")
-        if ":" not in self.value:
-            raise ValueError(f"IRI must contain a scheme separator ':': {self.value!r}")
-        bad = _IRI_BAD_CHAR_RE.search(self.value)
+        if ":" not in value:
+            raise ValueError(f"IRI must contain a scheme separator ':': {value!r}")
+        bad = _IRI_BAD_CHAR_RE.search(value)
         if bad is not None:
-            raise ValueError(
-                f"IRI contains forbidden character {bad.group()!r}: {self.value!r}"
-            )
+            raise ValueError(f"IRI contains forbidden character {bad.group()!r}: {value!r}")
+        set_field(self, "value", value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash(self.value)
 
 
 # The default datatypes of Literal, built once.
@@ -48,21 +62,27 @@ _XSD_STRING_IRI = Iri(XSD_STRING)
 _LANG_STRING_IRI = Iri(RDF_LANG_STRING)
 
 
-@dataclass(frozen=True)
-class BNode:
+class BNode(Frozen):
     """A blank node with a local label."""
 
-    label: str
+    __slots__ = ("label",)
+    __match_args__ = ("label",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.label, str) or not _BNODE_LABEL_RE.fullmatch(self.label):
-            raise ValueError(
-                f"blank node label must match [A-Za-z][A-Za-z0-9]*: {self.label!r}"
-            )
+    def __init__(self, label: str) -> None:
+        if not isinstance(label, str) or not _BNODE_LABEL_RE.fullmatch(label):
+            raise ValueError(f"blank node label must match [A-Za-z][A-Za-z0-9]*: {label!r}")
+        set_field(self, "label", label)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.label == other.label
+
+    def __hash__(self) -> int:
+        return hash(self.label)
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(Frozen):
     """A literal with a lexical form, datatype IRI, and optional language tag.
 
     The datatype defaults to xsd:string, or to rdf:langString when a
@@ -70,47 +90,85 @@ class Literal:
     tag is present iff the datatype is rdf:langString.
     """
 
-    lexical_form: str
-    datatype: Iri | None = None
-    language: str | None = None
+    __slots__ = ("lexical_form", "datatype", "language", "_hash")
+    __match_args__ = ("lexical_form", "datatype", "language")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.lexical_form, str):
+    def __init__(self, lexical_form: str, datatype: Iri | None = None,
+                 language: str | None = None) -> None:
+        if not isinstance(lexical_form, str):
             raise TypeError("literal lexical form must be str")
-        if self.datatype is None:
-            resolved = _LANG_STRING_IRI if self.language is not None else _XSD_STRING_IRI
-            object.__setattr__(self, "datatype", resolved)
-        elif not isinstance(self.datatype, Iri):
-            raise TypeError(f"literal datatype must be Iri, got {type(self.datatype).__name__}")
-        if self.language is not None:
-            if not _LANG_TAG_RE.fullmatch(self.language):
-                raise ValueError(f"malformed language tag: {self.language!r}")
-            if self.datatype.value != RDF_LANG_STRING:
+        if datatype is None:
+            datatype = _LANG_STRING_IRI if language is not None else _XSD_STRING_IRI
+        elif not isinstance(datatype, Iri):
+            raise TypeError(f"literal datatype must be Iri, got {type(datatype).__name__}")
+        if language is not None:
+            if not _LANG_TAG_RE.fullmatch(language):
+                raise ValueError(f"malformed language tag: {language!r}")
+            if datatype.value != RDF_LANG_STRING:
                 raise ValueError("language-tagged literal must have datatype rdf:langString")
-        elif self.datatype.value == RDF_LANG_STRING:
+        elif datatype.value == RDF_LANG_STRING:
             raise ValueError("rdf:langString literal requires a language tag")
+        set_field(self, "lexical_form", lexical_form)
+        set_field(self, "datatype", datatype)
+        set_field(self, "language", language)
+        set_field(self, "_hash", hash((lexical_form, datatype.value, language)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and (
+            (self.lexical_form, self.datatype, self.language)
+            == (other.lexical_form, other.datatype, other.language))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
-@dataclass(frozen=True)
-class Triple:
-    """An RDF-star triple; subject and object may embed other triples."""
+class Triple(Frozen):
+    """An RDF-star triple; subject and object may embed other triples.
 
-    subject: "SubjectTerm"
-    predicate: Iri
-    object: "ObjectTerm"
+    Construction rejects an embedding deeper than MAX_NESTING_DEPTH with
+    ValueError; the depth is stored, as is the hash.
+    """
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.subject, (Iri, BNode, Triple)):
+    __slots__ = ("subject", "predicate", "object", "_hash", "_depth")
+    __match_args__ = ("subject", "predicate", "object")
+
+    def __init__(self, subject: "SubjectTerm", predicate: Iri, object: "ObjectTerm") -> None:
+        if not isinstance(subject, (Iri, BNode, Triple)):
             raise TypeError(
-                f"triple subject must be Iri, BNode, or Triple, got {type(self.subject).__name__}"
+                f"triple subject must be Iri, BNode, or Triple, got {type(subject).__name__}"
             )
-        if not isinstance(self.predicate, Iri):
-            raise TypeError(f"triple predicate must be Iri, got {type(self.predicate).__name__}")
-        if not isinstance(self.object, (Iri, BNode, Literal, Triple)):
+        if not isinstance(predicate, Iri):
+            raise TypeError(f"triple predicate must be Iri, got {type(predicate).__name__}")
+        if not isinstance(object, (Iri, BNode, Literal, Triple)):
             raise TypeError(
                 "triple object must be Iri, BNode, Literal, or Triple, "
-                f"got {type(self.object).__name__}"
+                f"got {type(object).__name__}"
             )
+        depth = 0
+        if subject.__class__ is Triple:
+            depth = subject._depth + 1
+        if object.__class__ is Triple and object._depth >= depth:
+            depth = object._depth + 1
+        if depth > MAX_NESTING_DEPTH:
+            raise ValueError(f"triple nested deeper than {MAX_NESTING_DEPTH} levels")
+        set_field(self, "subject", subject)
+        set_field(self, "predicate", predicate)
+        set_field(self, "object", object)
+        set_field(self, "_hash", hash((subject, predicate, object)))
+        set_field(self, "_depth", depth)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # Tuples compare shared (interned) fields by identity alone.
+        return self._hash == other._hash and (
+            (self.subject, self.predicate, self.object)
+            == (other.subject, other.predicate, other.object))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 SubjectTerm = Union[Iri, BNode, Triple]
@@ -182,6 +240,9 @@ class RdfStarGraph:
     def __repr__(self) -> str:
         return f"RdfStarGraph({len(self._triples)} triples)"
 
+    def __reduce__(self):
+        return RdfStarGraph, (self._triples,)
+
     def union(self, other: "RdfStarGraph" | Iterable[Triple]) -> "RdfStarGraph":
         return RdfStarGraph(self._triples | _as_tripleset(other))
 
@@ -195,12 +256,7 @@ def _as_tripleset(x: RdfStarGraph | Iterable[Triple]) -> frozenset[Triple]:
 
 def nesting_depth(t: Triple) -> int:
     """Depth of triple embedding; 0 for a plain RDF triple."""
-    depth = 0
-    if isinstance(t.subject, Triple):
-        depth = nesting_depth(t.subject) + 1
-    if isinstance(t.object, Triple):
-        depth = max(depth, nesting_depth(t.object) + 1)
-    return depth
+    return t._depth
 
 
 def is_metadata_triple(t: Triple) -> bool:

@@ -21,7 +21,6 @@ from .mappings import (
     value_from_literal,
     value_to_literal,
 )
-from .namespaces import RDF_LANG_STRING
 from .pg import (
     Property,
     PropertyGraph,
@@ -56,6 +55,11 @@ LANGUAGE_KEY = "language"
 KIND_IRI = "IRI"
 KIND_BLANK_NODE = "blank node"
 KIND_LITERAL = "literal"
+
+# The kind tags as properties, one object each for every vertex to share.
+_KIND_IRI = Property(KIND_KEY, Text(KIND_IRI))
+_KIND_BLANK_NODE = Property(KIND_KEY, Text(KIND_BLANK_NODE))
+_KIND_LITERAL = Property(KIND_KEY, Text(KIND_LITERAL))
 
 
 @dataclass(frozen=True)
@@ -220,21 +224,30 @@ class SimplePgResult:
     edge_map: dict[Triple, str]
 
 
-def _literal_vertex_properties(l: Literal, value: PropertyValue | None) -> set[Property]:
+def _text_property(key: str, text: str) -> Property:
+    return Property(key, Text(text))
+
+
+def _literal_vertex_properties(l: Literal, value: PropertyValue | None,
+                               text_property: Callable[[str, str], Property]) -> set[Property]:
     if value is None:
         raise AssertionError(f"literal outside value mapping slipped past the check: {l!r}")
-    props = {
-        Property(KIND_KEY, Text(KIND_LITERAL)),
-        Property(LITERAL_KEY, value),
-        Property(DATATYPE_KEY, Text(l.datatype.value)),
-    }
+    props = {_KIND_LITERAL, Property(LITERAL_KEY, value),
+             text_property(DATATYPE_KEY, l.datatype.value)}
     if l.language is not None:
-        props.add(Property(LANGUAGE_KEY, Text(l.language)))
+        props.add(text_property(LANGUAGE_KEY, l.language))
     return props
 
 
+def _property_table(value: Valuer) -> Callable[[Iri, Literal], Property]:
+    """The property of a predicate and a literal, built once per distinct
+    pair, so equal properties share one object."""
+    return cache(lambda predicate, l: Property(predicate.value, value(l)))
+
+
 def _assemble(g: RdfStarGraph, edges: list[Triple], vertex_map: dict, edge_map: dict,
-              props: dict[str, set[Property]], value: Valuer) -> PropertyGraph:
+              props: dict[str, set[Property]],
+              property_of: Callable[[Iri, Literal], Property]) -> PropertyGraph:
     """The property graph both RDF-to-PG transforms share: one edge per
     triple of edges, and g's metadata triples, in term order, as
     properties of the edge of their embedded subject."""
@@ -245,7 +258,7 @@ def _assemble(g: RdfStarGraph, edges: list[Triple], vertex_map: dict, edge_map: 
     for m in g:
         if is_metadata_triple(m):
             # m.object is a literal by condition 3.
-            edge_props[edge_map[m.subject]].add(Property(m.predicate.value, value(m.object)))
+            edge_props[edge_map[m.subject]].add(property_of(m.predicate, m.object))
     props.update(edge_props)
     return PropertyGraph(vertex_map.values(), edge_map.values(), src, tgt, lbl, props)
 
@@ -268,19 +281,17 @@ def to_rdf_like_pg(g: RdfStarGraph, mode: str = "lenient") -> RdfLikePgResult:
     vertex_map = {term: f"v{i}" for i, term in enumerate(sorted(terms, key=term_key), start=1)}
     edge_map = {t: f"e{i}" for i, t in enumerate(ordinary, start=1)}
 
+    text_property = cache(_text_property)  # datatypes and language tags repeat
     props: dict[str, set[Property]] = {}
     for term, vid in vertex_map.items():
         if isinstance(term, Iri):
-            props[vid] = {
-                Property(KIND_KEY, Text(KIND_IRI)),
-                Property(IRI_KEY, Text(term.value)),
-            }
+            props[vid] = {_KIND_IRI, _text_property(IRI_KEY, term.value)}
         elif isinstance(term, BNode):
-            props[vid] = {Property(KIND_KEY, Text(KIND_BLANK_NODE))}
+            props[vid] = {_KIND_BLANK_NODE}
         else:
-            props[vid] = _literal_vertex_properties(term, value(term))
+            props[vid] = _literal_vertex_properties(term, value(term), text_property)
 
-    graph = _assemble(g, ordinary, vertex_map, edge_map, props, value)
+    graph = _assemble(g, ordinary, vertex_map, edge_map, props, _property_table(value))
     return RdfLikePgResult(graph, vertex_map, edge_map)
 
 
@@ -312,9 +323,10 @@ def from_rdf_like_pg(p: PropertyGraph, minimal: bool = True) -> RdfStarGraph:
     term_map: dict[str, Term] = {}
     counter = 0
     iri_of = cache(string_to_iri)  # labels, keys and datatypes repeat
+    literal_of = cache(value_to_literal)  # and so do edge property values
     for v in sorted(p.vertices):
         by_key: dict[str, list] = defaultdict(list)
-        for prop in sorted(p.properties(v), key=property_sort_key):
+        for prop in p.properties(v):
             by_key[prop.key].append(prop.value)
         kind = _text_value(_single(by_key, KIND_KEY, v), KIND_KEY, v)
         if kind == KIND_IRI:
@@ -366,7 +378,7 @@ def from_rdf_like_pg(p: PropertyGraph, minimal: bool = True) -> RdfStarGraph:
                 raise MalformedRdfLikePgError(
                     f"edge {e!r} property key is not a valid IRI: {prop.key!r}"
                 )
-            triples.add(Triple(t, key_iri, value_to_literal(prop.value)))
+            triples.add(Triple(t, key_iri, literal_of(prop.value)))
 
     result = RdfStarGraph(triples)
     return minimize(result) if minimal else result
@@ -393,15 +405,16 @@ def to_simple_pg(g: RdfStarGraph, mode: str = "lenient") -> SimplePgResult:
     relations = [t for t in ordinary if isinstance(t.object, (Iri, BNode))]
     edge_map = {t: f"e{i}" for i, t in enumerate(relations, start=1)}
 
+    property_of = _property_table(value)
     props: dict[str, set[Property]] = {vid: set() for vid in vertex_map.values()}
     for node, vid in vertex_map.items():
         if isinstance(node, Iri):
-            props[vid].add(Property(IRI_KEY, Text(node.value)))
+            props[vid].add(_text_property(IRI_KEY, node.value))
     for a in ordinary:
         if isinstance(a.object, Literal):
-            props[vertex_map[a.subject]].add(Property(a.predicate.value, value(a.object)))
+            props[vertex_map[a.subject]].add(property_of(a.predicate, a.object))
 
-    graph = _assemble(g, relations, vertex_map, edge_map, props, value)
+    graph = _assemble(g, relations, vertex_map, edge_map, props, property_of)
     return SimplePgResult(graph, vertex_map, edge_map)
 
 
@@ -422,22 +435,20 @@ def pg_to_rdf_star(p: PropertyGraph, config: MappingConfig | None = None) -> Rdf
         raise NotEdgeUniqueError(ev)
 
     node_of = assign_vertex_identities(config.vertex_id_strategy, p)
-    key_map, label_map = config.key_map, config.label_map
+    # The term tables: one IRI per distinct key and label, one literal per
+    # distinct value.  The triples go into a set, so no order is needed.
+    key_iri, label_iri = cache(config.key_map.apply), cache(config.label_map.apply)
+    literal_of = cache(value_to_literal)
     triples: set[Triple] = set()
-    for v in sorted(p.vertices):
-        for prop in sorted(p.properties(v), key=property_sort_key):
-            triples.add(Triple(node_of[v], key_map.apply(prop.key), value_to_literal(prop.value)))
-    for e in sorted(p.edges):
-        edge_triple = Triple(
-            node_of[p.source(e)], label_map.apply(p.label(e)), node_of[p.target(e)]
-        )
-        edge_properties = sorted(p.properties(e), key=property_sort_key)
-        if edge_properties:
-            for prop in edge_properties:
-                triples.add(
-                    Triple(edge_triple, key_map.apply(prop.key), value_to_literal(prop.value))
-                )
-        else:
+    for v in p.vertices:
+        for prop in p.properties(v):
+            triples.add(Triple(node_of[v], key_iri(prop.key), literal_of(prop.value)))
+    for e in p.edges:
+        edge_triple = Triple(node_of[p.source(e)], label_iri(p.label(e)), node_of[p.target(e)])
+        edge_properties = p.properties(e)
+        for prop in edge_properties:
+            triples.add(Triple(edge_triple, key_iri(prop.key), literal_of(prop.value)))
+        if not edge_properties:
             triples.add(edge_triple)
     return RdfStarGraph(triples)
 
@@ -450,15 +461,20 @@ def canonicalize_values(g: RdfStarGraph, mode: str = "lenient") -> RdfStarGraph:
     @cache
     def canonical(l: Literal) -> Literal:
         value = value_from_literal(l, mode)
-        return value_to_literal(value) if value is not None else l
+        if value is None:
+            return l
+        c = value_to_literal(value)
+        return l if c == l else c
 
     return RdfStarGraph(_map_literals(t, canonical) for t in g.triples)
 
 
 def _map_literals(x: Term, f: Callable[[Literal], Literal]) -> Term:
-    """x with every literal l in it, embedded ones included, replaced by f(l)."""
+    """x with every literal l in it, embedded ones included, replaced by
+    f(l); x itself when f changes none of them."""
     if isinstance(x, Literal):
         return f(x)
     if isinstance(x, Triple):
-        return Triple(_map_literals(x.subject, f), x.predicate, _map_literals(x.object, f))
+        s, o = _map_literals(x.subject, f), _map_literals(x.object, f)
+        return x if s is x.subject and o is x.object else Triple(s, x.predicate, o)
     return x

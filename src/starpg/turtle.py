@@ -24,6 +24,7 @@ import re
 from typing import Mapping, NoReturn
 
 from .namespaces import (
+    RDF_LANG_STRING,
     RDF_OBJECT,
     RDF_PREDICATE,
     RDF_STATEMENT,
@@ -36,6 +37,7 @@ from .namespaces import (
     XSD_STRING,
 )
 from .rdf import (
+    MAX_NESTING_DEPTH,
     BNode,
     Iri,
     Literal,
@@ -51,11 +53,9 @@ from .rdf import (
 
 FILE_EXTENSIONS = (".ttls", ".ttl")
 
-# The deepest << >> nesting the parser accepts (a triple embedded in a
-# triple has nesting_depth 1).  Parsing and every later stage recurse
-# once or twice per level, so this keeps them well inside Python's
-# default recursion limit.
-MAX_NESTING_DEPTH = 100
+# MAX_NESTING_DEPTH, the deepest embedding rdf.Triple accepts, is also the
+# deepest << >> nesting the parser accepts; deeper input is a parse error
+# at the first '<<' beyond it.
 
 
 class TurtleParseError(Exception):
@@ -74,6 +74,7 @@ class NotPlainRdfError(ValueError):
 
 _PREFIX_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 _LOCAL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_-]*")
+_PNAME_RE = re.compile(r"(?:[A-Za-z][A-Za-z0-9_-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_-]*)?")
 _BNODE_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 _LANG_RE = re.compile(r"[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*")
 # Double (mandatory exponent) must be tried before decimal and integer.
@@ -99,7 +100,13 @@ class _Parser:
         self.pos = 0
         self.prefixes: dict[str, str] = {}
         self.triples: set[Triple] = set()
-        self.iris: dict[str, Iri] = {}  # equal IRIs share one object
+        # The term tables: equal IRIs share one object, and so do equal
+        # literals, keyed by lexical form, datatype and language tag.  The
+        # prefixed names resolved so far map their text to their IRI until
+        # the next @prefix.
+        self.iris: dict[str, Iri] = {}
+        self.literals: dict[tuple, Literal] = {}
+        self.pnames: dict[str, Iri] = {}
         self.depth = 0  # << >> levels open at pos
 
     # -- scanning primitives -------------------------------------------
@@ -137,6 +144,15 @@ class _Parser:
             iri = self.iris[value] = Iri(value)
         return iri
 
+    def literal(self, lex: str, datatype: Iri, language: str | None = None) -> Literal:
+        """The Literal for its fields; raises ValueError like Literal.
+        A language-tagged literal passes its datatype as rdf:langString."""
+        key = (lex, datatype.value, language)
+        literal = self.literals.get(key)
+        if literal is None:
+            literal = self.literals[key] = Literal(lex, datatype, language)
+        return literal
+
     # -- grammar -------------------------------------------------------
 
     def parse(self) -> tuple[RdfStarGraph, dict[str, str]]:
@@ -166,6 +182,7 @@ class _Parser:
         self.skip_trivia()
         iri = self.iriref()
         self.prefixes[label] = iri.value  # a later declaration wins
+        self.pnames.clear()
         self.expect_dot()
 
     def statement(self) -> None:
@@ -293,7 +310,19 @@ class _Parser:
             self.error("invalid blank node label", at)
         return BNode(label)
 
+    def known_pname(self) -> Iri | None:
+        """The IRI of the prefixed name at pos if it was resolved before,
+        moving past it; None otherwise, without moving."""
+        m = _PNAME_RE.match(self.text, self.pos)
+        iri = self.pnames.get(m.group()) if m is not None else None
+        if iri is not None:
+            self.pos = m.end()
+        return iri
+
     def pname_or_keyword(self, as_subject: bool):
+        iri = self.known_pname()
+        if iri is not None:
+            return iri
         at = self.pos
         prefix = self.match_re(_PREFIX_RE) or ""
         if self.peek() != ":":
@@ -308,11 +337,14 @@ class _Parser:
         return self.resolve_pname(prefix, at)
 
     def pname_or_boolean(self):
+        iri = self.known_pname()
+        if iri is not None:
+            return iri
         at = self.pos
         word = self.match_re(_PREFIX_RE) or ""
         if self.peek() != ":":
             if word in ("true", "false"):
-                return Literal(word, self.iri(XSD_BOOLEAN))
+                return self.literal(word, self.iri(XSD_BOOLEAN))
             if word:
                 self.error(f"expected ':' in prefixed name after {word!r}", at)
             self.error(f"unexpected character {self.peek()!r}", at)
@@ -324,19 +356,21 @@ class _Parser:
             self.error(f"unknown prefix {prefix!r}", at)
         local = self.match_re(_LOCAL_RE) or ""
         try:
-            return self.iri(self.prefixes[prefix] + local)
+            iri = self.iri(self.prefixes[prefix] + local)
         except ValueError as exc:
             self.error(f"invalid IRI from prefixed name: {exc}", at)
+        self.pnames[self.text[at:self.pos]] = iri
+        return iri
 
     def numeric_literal(self) -> Literal:
         lex = self.match_re(_NUMBER_RE)
         if lex is None:
             self.error("malformed number")
         if "e" in lex or "E" in lex:
-            return Literal(lex, self.iri(XSD_DOUBLE))
+            return self.literal(lex, self.iri(XSD_DOUBLE))
         if "." in lex:
-            return Literal(lex, self.iri(XSD_DECIMAL))
-        return Literal(lex, self.iri(XSD_INTEGER))
+            return self.literal(lex, self.iri(XSD_DECIMAL))
+        return self.literal(lex, self.iri(XSD_INTEGER))
 
     def string_literal(self) -> Literal:
         at = self.pos
@@ -365,7 +399,7 @@ class _Parser:
             tag = self.match_re(_LANG_RE)
             if tag is None:
                 self.error("malformed language tag")
-            return Literal(lex, language=tag)
+            return self.literal(lex, self.iri(RDF_LANG_STRING), tag)
         if self.peek() == "^" and self.peek(1) == "^":
             self.pos += 2
             self.skip_trivia()
@@ -376,10 +410,10 @@ class _Parser:
             else:
                 dt = self.pname_or_keyword(as_subject=True)
             try:
-                return Literal(lex, dt)
+                return self.literal(lex, dt)
             except ValueError as exc:
                 self.error(str(exc), at)
-        return Literal(lex)
+        return self.literal(lex, self.iri(XSD_STRING))
 
 
 def parse_turtle_star(text: str) -> tuple[RdfStarGraph, dict[str, str]]:
@@ -492,15 +526,17 @@ def unfold_to_rdf(g: RdfStarGraph) -> RdfStarGraph:
     def node(x):
         return ref[x] if isinstance(x, Triple) else x
 
+    rdf_type, statement, subject, predicate, object_ = map(
+        Iri, (RDF_TYPE, RDF_STATEMENT, RDF_SUBJECT, RDF_PREDICATE, RDF_OBJECT))
     out: set[Triple] = set()
     for t in g.triples:
         out.add(Triple(node(t.subject), t.predicate, node(t.object)))
     for e in embedded:
         r = ref[e]
-        out.add(Triple(r, Iri(RDF_TYPE), Iri(RDF_STATEMENT)))
-        out.add(Triple(r, Iri(RDF_SUBJECT), node(e.subject)))
-        out.add(Triple(r, Iri(RDF_PREDICATE), e.predicate))
-        out.add(Triple(r, Iri(RDF_OBJECT), node(e.object)))
+        out.add(Triple(r, rdf_type, statement))
+        out.add(Triple(r, subject, node(e.subject)))
+        out.add(Triple(r, predicate, e.predicate))
+        out.add(Triple(r, object_, node(e.object)))
     return RdfStarGraph(out)
 
 

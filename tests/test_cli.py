@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from starpg import (
-    isomorphic,
     parse_pg_json,
     parse_turtle_star,
     pg_to_rdf_star,

@@ -40,7 +40,6 @@ from starpg import (
     is_property_unique,
     isomorphic,
     mentioned_terms,
-    minimize,
     ordinary_triples,
     pg_to_rdf_star,
     relationship_triples,
@@ -53,11 +52,9 @@ from starpg import (
 from conftest import (
     AGE_CERTAINTY,
     AGE_TRIPLE,
-    CERTAINTY,
     KNOWS_TRIPLE,
     NAME_ALICE,
     NAME_BOB,
-    build_kubrick_pg,
 )
 import randgen
 

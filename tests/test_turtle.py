@@ -65,6 +65,14 @@ class TestParseBasics:
         assert Triple(Iri("http://two.org/a"), Iri("http://two.org/b"),
                       Iri("http://two.org/c")) in graph
 
+    def test_prefix_redefined_between_uses(self):
+        text = ("@prefix p: <http://one.org/> .\np:a p:b p:c .\n"
+                "@prefix p: <http://two.org/> .\np:a p:b p:c .\n")
+        graph, _ = parse_turtle_star(text)
+        assert graph == RdfStarGraph([
+            Triple(Iri(f"http://{n}.org/a"), Iri(f"http://{n}.org/b"), Iri(f"http://{n}.org/c"))
+            for n in ("one", "two")])
+
     def test_keyword_a_is_rdf_type(self):
         g = parse(f"<{EX}s> a <{EX}Person> .")
         assert g == RdfStarGraph([Triple(S, Iri(RDF + "type"), Iri(EX + "Person"))])
@@ -444,6 +452,19 @@ class TestDeterminismAtScale:
         text = serialize_turtle_star(g, prefixes)
         rebuilt = RdfStarGraph(list(g.triples)[::-1])
         assert serialize_turtle_star(rebuilt, prefixes) == text
+        reparsed = parse(text)
+        assert reparsed == canonicalize_bnodes(g)
+        assert isomorphic(g, reparsed)
+
+    def test_anon_workload_shape_at_ten_times_scale(self):
+        # The benchmark's anon-1k Turtle-star input has 300 persons, 90
+        # anonymous ones and 150 annotations: 1,230 triples.
+        g = _anonymous_social_graph(persons=3000, anonymous=900, annotated=1500)
+        assert len(g) == 12300
+        prefixes = {"ex": EX, "foaf": FOAF}
+        text = serialize_turtle_star(g, prefixes)
+        assert serialize_turtle_star(g, prefixes) == text
+        assert serialize_turtle_star(RdfStarGraph(list(g.triples)[::-1]), prefixes) == text
         reparsed = parse(text)
         assert reparsed == canonicalize_bnodes(g)
         assert isomorphic(g, reparsed)
