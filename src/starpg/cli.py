@@ -144,16 +144,15 @@ def cmd_rdf2pg(args: argparse.Namespace) -> int:
     _check_format(args.input, "turtle-star", args.from_format, "input")
     if args.output is not None:
         _check_format(args.output, "pg-json", args.to_format, "output")
-    graph, _ = parse_turtle_star(_read(args.input))
+    transform = to_rdf_like_pg if args.mode == "rdf-like" else to_simple_pg
     try:
-        if args.mode == "rdf-like":
-            result = to_rdf_like_pg(graph, args.literal_mode)
-        else:
-            result = to_simple_pg(graph, args.literal_mode)
+        # Keep only the property graph: the parsed graph and the witness
+        # maps are freed before the output is built.
+        pg = transform(parse_turtle_star(_read(args.input))[0], args.literal_mode).graph
     except ConvertibilityError as exc:
         _report_violations(_convertibility_entries(exc.report), args.report, sys.stderr)
         return 1
-    _write(serialize_pg_json(result.graph), args.output)
+    _write(serialize_pg_json(pg), args.output)
     return 0
 
 

@@ -203,7 +203,6 @@ class MappingConfig:
     property_key_prefix: str = DEFAULT_PROPERTY_KEY_PREFIX
     edge_label_prefix: str = DEFAULT_EDGE_LABEL_PREFIX
     vertex_id_strategy: VertexIdentityStrategy = field(default_factory=FreshBlankNodes)
-    literal_mode: str = "lenient"
 
     def __post_init__(self) -> None:
         TemplateIriMapping(self.property_key_prefix)
@@ -213,10 +212,6 @@ class MappingConfig:
         if a.startswith(b) or b.startswith(a):
             raise MappingConfigError(
                 f"key and label prefixes must be distinct and prefix-free: {a!r} vs {b!r}"
-            )
-        if self.literal_mode not in LITERAL_MODES:
-            raise MappingConfigError(
-                f"literal mode must be one of {LITERAL_MODES}: {self.literal_mode!r}"
             )
         if not isinstance(self.vertex_id_strategy, (FreshBlankNodes, IriTemplate)):
             raise MappingConfigError(

@@ -243,16 +243,6 @@ class RdfStarGraph:
     def __reduce__(self):
         return RdfStarGraph, (self._triples,)
 
-    def union(self, other: "RdfStarGraph" | Iterable[Triple]) -> "RdfStarGraph":
-        return RdfStarGraph(self._triples | _as_tripleset(other))
-
-    def difference(self, other: "RdfStarGraph" | Iterable[Triple]) -> "RdfStarGraph":
-        return RdfStarGraph(self._triples - _as_tripleset(other))
-
-
-def _as_tripleset(x: RdfStarGraph | Iterable[Triple]) -> frozenset[Triple]:
-    return x.triples if isinstance(x, RdfStarGraph) else frozenset(x)
-
 
 def nesting_depth(t: Triple) -> int:
     """Depth of triple embedding; 0 for a plain RDF triple."""

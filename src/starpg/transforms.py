@@ -40,7 +40,6 @@ from .rdf import (
     is_metadata_triple,
     mentioned_terms,
     minimize,
-    ordinary_triples,
     term_key,
 )
 
@@ -135,23 +134,30 @@ def literal_valuer(mode: str) -> Valuer:
     return cache(partial(value_from_literal, mode=mode))
 
 
-def _check(g: RdfStarGraph, strong: bool, value: Valuer) -> ConvertibilityReport:
-    """Both convertibility checks in one pass over g in term order.
+def _check(g: RdfStarGraph, strong: bool,
+           value: Valuer) -> tuple[ConvertibilityReport, list[Triple], list[Triple]]:
+    """Both convertibility checks in one pass over g in term order, which
+    also classifies g: returns the report, g's embedding-free triples and
+    g's metadata triples, both lists in term order.
 
     The pass records, for each embedded triple with a literal object, the
     top-level triples that host it, so the strong condition costs no
     second pass.  Each literal is valued through value, which caches.
     """
     violations: list[Violation] = []
+    plain: list[Triple] = []
+    metadata: list[Triple] = []
     hosts: dict[Triple, list[Triple]] = defaultdict(list)
     for t in g:
         if not is_metadata_triple(t):
+            plain.append(t)
             # Its only possible literal is its object; it embeds nothing.
             if isinstance(t.object, Literal) and value(t.object) is None:
                 violations.append(
                     Violation(t, "4", f"literal {_literal_note(t.object)} has no property value")
                 )
             continue
+        metadata.append(t)
         if isinstance(t.subject, Triple):
             if is_metadata_triple(t.subject):
                 violations.append(
@@ -174,11 +180,10 @@ def _check(g: RdfStarGraph, strong: bool, value: Valuer) -> ConvertibilityReport
     for e in sorted(hosts, key=term_key):
         reason = f"embeds attribute triple with object {_literal_note(e.object)}"
         violations.extend(Violation(t, "strong", reason) for t in hosts[e])
-    return ConvertibilityReport(tuple(violations))
+    return ConvertibilityReport(tuple(violations)), plain, metadata
 
 
-def check_pg_convertible(g: RdfStarGraph, mode: str = "lenient", *,
-                         _valuer: Valuer | None = None) -> ConvertibilityReport:
+def check_pg_convertible(g: RdfStarGraph, mode: str = "lenient") -> ConvertibilityReport:
     """Check the four conditions under which an RDF-star graph maps to a
     property graph: embedded triples only as subjects of metadata triples,
     no nested metadata, metadata objects are literals, and every mentioned
@@ -186,41 +191,49 @@ def check_pg_convertible(g: RdfStarGraph, mode: str = "lenient", *,
 
     One pass over g, linear in its size.  Violations come in graph order;
     per triple, conditions 1, 3, 2, then 4 per literal in term order.
-    Each distinct literal is valued once.  The transforms of this module
-    pass their own literal_valuer(mode) as _valuer, so the check and the
-    transform value each literal once between them.
+    Each distinct literal is valued once.
     """
-    return _check(g, strong=False, value=_valuer or literal_valuer(mode))
+    return _check(g, False, literal_valuer(mode))[0]
 
 
-def check_strongly_pg_convertible(g: RdfStarGraph, mode: str = "lenient", *,
-                                  _valuer: Valuer | None = None) -> ConvertibilityReport:
+def check_strongly_pg_convertible(g: RdfStarGraph, mode: str = "lenient") -> ConvertibilityReport:
     """As check_pg_convertible, plus: no embedded triple has a literal
     object (metadata may only annotate relationship triples).
 
     The same single pass, n log n overall.  The violations of
     check_pg_convertible come first; then one "strong" violation per
     hosting top-level triple, by term order of the embedded attribute
-    triple and, for each, by host in graph order.  _valuer is as for
-    check_pg_convertible.
+    triple and, for each, by host in graph order.
     """
-    return _check(g, strong=True, value=_valuer or literal_valuer(mode))
+    return _check(g, True, literal_valuer(mode))[0]
+
+
+def _classify(g: RdfStarGraph, mode: str,
+              strong: bool) -> tuple[Valuer, list[Triple], list[Triple]]:
+    """The prologue of both RDF-to-PG transforms: one checked pass over g.
+
+    Returns the valuer the pass filled, g's ordinary triples and g's
+    metadata triples, both in term order, or raises with the report.  By
+    conditions 1-3 every metadata triple is <<plain>> p literal, so the
+    ordinary triples are the embedding-free ones plus the embedded
+    subjects g does not assert; only those need merging in.
+    """
+    value = literal_valuer(mode)
+    report, plain, metadata = _check(g, strong, value)
+    if not report.convertible:
+        raise (NotStronglyConvertibleError if strong else NotConvertibleError)(report)
+    unasserted = {m.subject for m in metadata} - g.triples
+    ordinary = sorted([*plain, *unasserted], key=term_key) if unasserted else plain
+    return value, ordinary, metadata
 
 
 @dataclass(frozen=True)
-class RdfLikePgResult:
+class PgResult:
     """A transformed graph plus the witness maps from source terms/triples
     to the vertex and edge ids chosen for them."""
 
     graph: PropertyGraph
     vertex_map: dict[Term, str]
-    edge_map: dict[Triple, str]
-
-
-@dataclass(frozen=True)
-class SimplePgResult:
-    graph: PropertyGraph
-    vertex_map: dict[Union[Iri, BNode], str]
     edge_map: dict[Triple, str]
 
 
@@ -230,13 +243,11 @@ def _text_property(key: str, text: str) -> Property:
 
 def _literal_vertex_properties(l: Literal, value: PropertyValue | None,
                                text_property: Callable[[str, str], Property]) -> set[Property]:
+    # Condition 4 rejects language-tagged literals, so none reaches here.
     if value is None:
         raise AssertionError(f"literal outside value mapping slipped past the check: {l!r}")
-    props = {_KIND_LITERAL, Property(LITERAL_KEY, value),
-             text_property(DATATYPE_KEY, l.datatype.value)}
-    if l.language is not None:
-        props.add(text_property(LANGUAGE_KEY, l.language))
-    return props
+    return {_KIND_LITERAL, Property(LITERAL_KEY, value),
+            text_property(DATATYPE_KEY, l.datatype.value)}
 
 
 def _property_table(value: Valuer) -> Callable[[Iri, Literal], Property]:
@@ -245,43 +256,38 @@ def _property_table(value: Valuer) -> Callable[[Iri, Literal], Property]:
     return cache(lambda predicate, l: Property(predicate.value, value(l)))
 
 
-def _assemble(g: RdfStarGraph, edges: list[Triple], vertex_map: dict, edge_map: dict,
+def _assemble(metadata: list[Triple], edges: list[Triple], vertex_map: dict, edge_map: dict,
               props: dict[str, set[Property]],
               property_of: Callable[[Iri, Literal], Property]) -> PropertyGraph:
     """The property graph both RDF-to-PG transforms share: one edge per
-    triple of edges, and g's metadata triples, in term order, as
-    properties of the edge of their embedded subject."""
+    triple of edges, and the metadata triples as properties of the edge
+    of their embedded subject."""
     src = {edge_map[t]: vertex_map[t.subject] for t in edges}
     tgt = {edge_map[t]: vertex_map[t.object] for t in edges}
     lbl = {edge_map[t]: t.predicate.value for t in edges}
     edge_props: dict[str, set[Property]] = defaultdict(set)
-    for m in g:
-        if is_metadata_triple(m):
-            # m.object is a literal by condition 3.
-            edge_props[edge_map[m.subject]].add(property_of(m.predicate, m.object))
+    for m in metadata:
+        # m.object is a literal by condition 3.
+        edge_props[edge_map[m.subject]].add(property_of(m.predicate, m.object))
     props.update(edge_props)
     return PropertyGraph(vertex_map.values(), edge_map.values(), src, tgt, lbl, props)
 
 
-def to_rdf_like_pg(g: RdfStarGraph, mode: str = "lenient") -> RdfLikePgResult:
+def to_rdf_like_pg(g: RdfStarGraph, mode: str = "lenient") -> PgResult:
     """Transform a convertible graph into the RDF-like property graph.
 
     One vertex per subject/object term of the ordinary triples, tagged with
-    its kind (and IRI text, or literal value/datatype/language); one edge
-    per ordinary triple, labeled with the predicate IRI text; metadata
-    triples become properties of the edge for their embedded subject.
+    its kind (and IRI text, or literal value/datatype); one edge per
+    ordinary triple, labeled with the predicate IRI text; metadata triples
+    become properties of the edge for their embedded subject.  The check
+    runs in the same pass over g as the classification.
     """
-    value = literal_valuer(mode)  # shared with the check
-    report = check_pg_convertible(g, mode, _valuer=value)
-    if not report.convertible:
-        raise NotConvertibleError(report)
-
-    ordinary = sorted(ordinary_triples(g), key=term_key)
+    value, ordinary, metadata = _classify(g, mode, strong=False)
     terms = {x for t in ordinary for x in (t.subject, t.object) if not isinstance(x, Triple)}
     vertex_map = {term: f"v{i}" for i, term in enumerate(sorted(terms, key=term_key), start=1)}
     edge_map = {t: f"e{i}" for i, t in enumerate(ordinary, start=1)}
 
-    text_property = cache(_text_property)  # datatypes and language tags repeat
+    text_property = cache(_text_property)  # datatypes repeat
     props: dict[str, set[Property]] = {}
     for term, vid in vertex_map.items():
         if isinstance(term, Iri):
@@ -291,8 +297,8 @@ def to_rdf_like_pg(g: RdfStarGraph, mode: str = "lenient") -> RdfLikePgResult:
         else:
             props[vid] = _literal_vertex_properties(term, value(term), text_property)
 
-    graph = _assemble(g, ordinary, vertex_map, edge_map, props, _property_table(value))
-    return RdfLikePgResult(graph, vertex_map, edge_map)
+    graph = _assemble(metadata, ordinary, vertex_map, edge_map, props, _property_table(value))
+    return PgResult(graph, vertex_map, edge_map)
 
 
 def _single(props_by_key: dict[str, list], key: str, vertex: str):
@@ -384,24 +390,18 @@ def from_rdf_like_pg(p: PropertyGraph, minimal: bool = True) -> RdfStarGraph:
     return minimize(result) if minimal else result
 
 
-def to_simple_pg(g: RdfStarGraph, mode: str = "lenient") -> SimplePgResult:
+def to_simple_pg(g: RdfStarGraph, mode: str = "lenient") -> PgResult:
     """Transform a strongly convertible graph into the simple property graph.
 
     Vertices are the IRI/blank subject-object nodes; attribute triples fold
     into vertex properties (IRI vertices also record their IRI text under
     the reserved "IRI" key); relationship triples become edges; metadata
-    triples become edge properties.
+    triples become edge properties.  The strong check runs in the same
+    pass over g as the classification.
     """
-    value = literal_valuer(mode)  # shared with the check
-    report = check_strongly_pg_convertible(g, mode, _valuer=value)
-    if not report.convertible:
-        raise NotStronglyConvertibleError(report)
-
-    ordinary = sorted(ordinary_triples(g), key=term_key)
+    value, ordinary, metadata = _classify(g, mode, strong=True)
     nodes = {x for t in ordinary for x in (t.subject, t.object) if isinstance(x, (Iri, BNode))}
-    vertex_map: dict[Union[Iri, BNode], str] = {
-        n: f"v{i}" for i, n in enumerate(sorted(nodes, key=term_key), start=1)
-    }
+    vertex_map = {n: f"v{i}" for i, n in enumerate(sorted(nodes, key=term_key), start=1)}
     relations = [t for t in ordinary if isinstance(t.object, (Iri, BNode))]
     edge_map = {t: f"e{i}" for i, t in enumerate(relations, start=1)}
 
@@ -414,8 +414,8 @@ def to_simple_pg(g: RdfStarGraph, mode: str = "lenient") -> SimplePgResult:
         if isinstance(a.object, Literal):
             props[vertex_map[a.subject]].add(property_of(a.predicate, a.object))
 
-    graph = _assemble(g, relations, vertex_map, edge_map, props, property_of)
-    return SimplePgResult(graph, vertex_map, edge_map)
+    graph = _assemble(metadata, relations, vertex_map, edge_map, props, property_of)
+    return PgResult(graph, vertex_map, edge_map)
 
 
 def pg_to_rdf_star(p: PropertyGraph, config: MappingConfig | None = None) -> RdfStarGraph:

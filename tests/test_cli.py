@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from starpg import (
+    RdfStarGraph,
     parse_pg_json,
     parse_turtle_star,
     pg_to_rdf_star,
@@ -144,6 +145,24 @@ class TestRdf2Pg:
         assert code == 1
         data = json.loads(capsys.readouterr().err)
         assert data["ok"] is False
+
+    @pytest.mark.parametrize("mode", ["rdf-like", "simple"])
+    def test_parsed_graph_is_freed_before_serializing(self, mode, monkeypatch, ttls, capsys):
+        def graphs():
+            return sum(isinstance(o, RdfStarGraph) for o in gc.get_objects())
+
+        path = ttls(f"@prefix ex: <{EX}> .\n<<ex:alice ex:knows ex:bob>> ex:certainty 0.5 .\n")
+        seen = []
+        serialize = starpg.cli.serialize_pg_json
+
+        def counting(pg):
+            seen.append(graphs())
+            return serialize(pg)
+
+        monkeypatch.setattr(starpg.cli, "serialize_pg_json", counting)
+        gc.collect()
+        assert main(["rdf2pg", path, "--mode", mode]) == 0
+        assert seen == [graphs()]
 
 
 class TestPg2Rdf:

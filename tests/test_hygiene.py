@@ -1,18 +1,26 @@
-"""Source hygiene: every imported name is used in the module that imports it.
+"""Source hygiene, checked with stdlib ast over src/ and tests/.
 
-A stdlib-ast check over src/ and tests/.  A name counts as used when it
-occurs as a name anywhere in the module, quoted annotations included.
-Names a module lists in __all__ are re-exports, and __future__ imports
-are compiler directives, so both are exempt.
+Every imported name is used in the module that imports it.  A name
+counts as used when it occurs as a name anywhere in the module, quoted
+annotations included.  Names a module lists in __all__ are re-exports,
+and __future__ imports are compiler directives, so both are exempt.
+
+Every module-level private name of src/starpg (a function, class or
+assignment whose name starts with one underscore) is referenced
+somewhere in src/ or tests/ besides its definition: as a name, as an
+attribute, or as a string equal to it, as in
+monkeypatch.setattr(module, "_name", ...).
 """
 
 import ast
+from functools import cache
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+MODULES = sorted((ROOT / "src" / "starpg").rglob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -46,12 +54,16 @@ def _annotations(tree: ast.Module):
             yield node.annotation
 
 
-def _used(tree: ast.Module) -> set[str]:
-    trees = [tree]
+def _quoted_annotations(tree: ast.Module):
+    """Each string in an annotation, parsed."""
     for annotation in _annotations(tree):
         for node in ast.walk(annotation) if annotation is not None else ():
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                trees.append(ast.parse(node.value, mode="eval"))
+                yield ast.parse(node.value, mode="eval")
+
+
+def _used(tree: ast.Module) -> set[str]:
+    trees = [tree, *_quoted_annotations(tree)]
     return {node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)}
 
 
@@ -63,9 +75,64 @@ def unused_imports(source: str) -> list[tuple[str, int]]:
                   key=lambda x: x[1])
 
 
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each module-level private name the module defines, with its line."""
+    out: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        out[name.id] = node.lineno
+    return {name: line for name, line in out.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def references(source: str) -> set[str]:
+    """Every name the module loads, every attribute name and every string,
+    plus the names in quoted annotations."""
+    tree = ast.parse(source)
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    for quoted in _quoted_annotations(tree):
+        out |= {node.id for node in ast.walk(quoted) if isinstance(node, ast.Name)}
+    return out
+
+
+def unreferenced_private_names(source: str,
+                               elsewhere: set[str] = frozenset()) -> list[tuple[str, int]]:
+    """(name, line) for every module-level private name of source that
+    neither source references nor is in elsewhere, the references of the
+    other modules."""
+    referenced = references(source) | elsewhere
+    return sorted(((name, line)
+                   for name, line in _private_definitions(ast.parse(source)).items()
+                   if name not in referenced), key=lambda x: x[1])
+
+
+@cache
+def _file_references(path: Path) -> set[str]:
+    return references(path.read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_private_name_is_referenced(path):
+    elsewhere = set().union(*(_file_references(f) for f in FILES if f != path))
+    assert unreferenced_private_names(path.read_text(encoding="utf-8"), elsewhere) == []
 
 
 class TestChecker:
@@ -84,3 +151,40 @@ class TestChecker:
             "    return os.path.sep\n"
         )
         assert unused_imports(source) == []
+
+
+class TestPrivateNameChecker:
+    def test_finds_unreferenced_functions_classes_and_assignments(self):
+        source = (
+            "_A = 1\n"
+            "_b: int = 2\n"
+            "def _f():\n"
+            "    _local = _A\n"
+            "class _C:\n"
+            "    pass\n"
+            "def public():\n"
+            "    return _b\n"
+        )
+        assert unreferenced_private_names(source) == [("_f", 3), ("_C", 5)]
+
+    def test_a_store_is_not_a_reference(self):
+        source = "_x = 1\n_x = 2\n_y, _z = 3, 4\nprint(_z)\n"
+        assert unreferenced_private_names(source) == [("_x", 2), ("_y", 3)]
+
+    def test_dunders_and_public_names_are_exempt(self):
+        source = "__all__ = ['f']\n__version__ = '1'\ndef f():\n    pass\n"
+        assert unreferenced_private_names(source) == []
+
+    def test_names_attributes_strings_and_annotations_elsewhere_count(self):
+        source = "def _a(): pass\ndef _b(): pass\ndef _c(): pass\nclass _D: pass\n"
+        other = (
+            "import mod\n"
+            "mod._a()\n"
+            "monkeypatch.setattr(mod, '_b', None)\n"
+            "from mod import _c\n"
+            "_c()\n"
+            "def f(x: 'list[_D]'): pass\n"
+        )
+        assert unreferenced_private_names(source, references(other)) == []
+        assert unreferenced_private_names(source) == [
+            ("_a", 1), ("_b", 2), ("_c", 3), ("_D", 4)]

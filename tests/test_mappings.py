@@ -236,7 +236,6 @@ class TestMappingConfig:
         cfg = MappingConfig()
         assert cfg.property_key_prefix == "http://example.org/property/"
         assert cfg.edge_label_prefix == "http://example.org/relationship/"
-        assert cfg.literal_mode == "lenient"
 
     def test_key_and_label_maps(self):
         cfg = MappingConfig()
@@ -256,7 +255,3 @@ class TestMappingConfig:
                 property_key_prefix="http://example.org/x/",
                 edge_label_prefix="http://example.org/x/y/",
             )
-
-    def test_bad_literal_mode_rejected(self):
-        with pytest.raises(MappingConfigError):
-            MappingConfig(literal_mode="fuzzy")

@@ -139,6 +139,8 @@ class TestConvertibility:
     def test_language_tagged_literal_violates_condition_4(self):
         g = RdfStarGraph([Triple(S, P, Literal("chat", language="fr"))])
         assert conditions(check_pg_convertible(g)) == ["4"]
+        with pytest.raises(NotConvertibleError):
+            to_rdf_like_pg(g)
 
     def test_strict_mode_narrows_the_literal_domain(self):
         g = RdfStarGraph([Triple(S, P, Literal("0.50", Iri(XSD_DOUBLE)))])
@@ -631,21 +633,15 @@ class TestTransformValuing:
         assert result.graph == _pg_oracle(g, simple)
 
     def test_oracle_agrees_on_random_corpora(self):
+        # Each randgen graph is minimal, so its embedded triples are
+        # ordinary without being asserted; the second input asserts them.
         rng = random.Random(61)
         for i in range(200):
             g = randgen.random_convertible_graph(rng, strong=bool(i % 2))
-            assert to_rdf_like_pg(g).graph == _pg_oracle(g, simple=False)
-            if i % 2:
-                assert to_simple_pg(g).graph == _pg_oracle(g, simple=True)
-
-    def test_check_fills_the_given_valuer(self):
-        value = starpg.transforms.literal_valuer("strict")
-        g = RdfStarGraph([Triple(S, P, Literal("0.50", Iri(XSD_DOUBLE))),
-                          Triple(S, Q, Literal("5", Iri(XSD_INTEGER)))])
-        assert not check_pg_convertible(g, "strict", _valuer=value).convertible
-        assert value.cache_info().currsize == 2
-        assert value(Literal("5", Iri(XSD_INTEGER))) == Integer(5)
-        assert value.cache_info().misses == 2
+            for h in (g, RdfStarGraph(g.triples | embedded_triples(g))):
+                assert to_rdf_like_pg(h).graph == _pg_oracle(h, simple=False)
+                if i % 2:
+                    assert to_simple_pg(h).graph == _pg_oracle(h, simple=True)
 
 
 class TestRoundTripProperty:
