@@ -16,6 +16,7 @@ from typing import TextIO
 from .mappings import (
     DEFAULT_EDGE_LABEL_PREFIX,
     DEFAULT_PROPERTY_KEY_PREFIX,
+    LITERAL_MODES,
     MappingConfig,
     MappingConfigError,
     parse_vertex_id_strategy,
@@ -237,14 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
     io_flags(check, output=False)
     check.add_argument("--level", choices=("convertible", "strong", "minimal"),
                        default="convertible")
-    check.add_argument("--literal-mode", choices=("strict", "lenient"), default="lenient")
+    check.add_argument("--literal-mode", choices=LITERAL_MODES, default="lenient")
     check.add_argument("--report", choices=("text", "json"), default="text")
     check.set_defaults(func=cmd_check)
 
     rdf2pg = sub.add_parser("rdf2pg", help="transform Turtle-star into PG-JSON")
     io_flags(rdf2pg)
     rdf2pg.add_argument("--mode", choices=("rdf-like", "simple"), required=True)
-    rdf2pg.add_argument("--literal-mode", choices=("strict", "lenient"), default="lenient")
+    rdf2pg.add_argument("--literal-mode", choices=LITERAL_MODES, default="lenient")
     rdf2pg.add_argument("--report", choices=("text", "json"), default="text")
     rdf2pg.set_defaults(func=cmd_rdf2pg)
 
@@ -264,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     roundtrip = sub.add_parser("roundtrip",
                                help="canonicalize, minimize, transform there and back, compare")
     io_flags(roundtrip, output=False)
-    roundtrip.add_argument("--literal-mode", choices=("strict", "lenient"), default="lenient")
+    roundtrip.add_argument("--literal-mode", choices=LITERAL_MODES, default="lenient")
     roundtrip.add_argument("--report", choices=("text", "json"), default="text")
     roundtrip.set_defaults(func=cmd_roundtrip)
 

@@ -203,10 +203,12 @@ class MappingConfig:
     property_key_prefix: str = DEFAULT_PROPERTY_KEY_PREFIX
     edge_label_prefix: str = DEFAULT_EDGE_LABEL_PREFIX
     vertex_id_strategy: VertexIdentityStrategy = field(default_factory=FreshBlankNodes)
+    key_map: TemplateIriMapping = field(init=False, repr=False, compare=False)
+    label_map: TemplateIriMapping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        TemplateIriMapping(self.property_key_prefix)
-        TemplateIriMapping(self.edge_label_prefix)
+        object.__setattr__(self, "key_map", TemplateIriMapping(self.property_key_prefix))
+        object.__setattr__(self, "label_map", TemplateIriMapping(self.edge_label_prefix))
         a, b = self.property_key_prefix, self.edge_label_prefix
         # One being a prefix of the other would let key and label IRIs collide.
         if a.startswith(b) or b.startswith(a):
@@ -217,11 +219,3 @@ class MappingConfig:
             raise MappingConfigError(
                 f"not a vertex identity strategy: {self.vertex_id_strategy!r}"
             )
-
-    @property
-    def key_map(self) -> TemplateIriMapping:
-        return TemplateIriMapping(self.property_key_prefix)
-
-    @property
-    def label_map(self) -> TemplateIriMapping:
-        return TemplateIriMapping(self.edge_label_prefix)

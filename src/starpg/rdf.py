@@ -19,8 +19,8 @@ from .namespaces import RDF_LANG_STRING, XSD_STRING
 # not a full grammar check.  On str patterns \s matches exactly the code
 # points for which str.isspace() is true.
 _IRI_BAD_CHAR_RE = re.compile(r'[<>"{}|^`\\\s]')
-_BNODE_LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
-_LANG_TAG_RE = re.compile(r"[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*\Z")
+_BNODE_LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
+_LANG_TAG_RE = re.compile(r"[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*")
 
 
 # The deepest embedding a triple may have (nesting_depth of a triple

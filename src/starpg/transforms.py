@@ -316,15 +316,15 @@ def _text_value(value, key: str, vertex: str) -> str:
     return value.value
 
 
-def from_rdf_like_pg(p: PropertyGraph, minimal: bool = True) -> RdfStarGraph:
+def from_rdf_like_pg(p: PropertyGraph) -> RdfStarGraph:
     """Rebuild the RDF-star graph encoded by an RDF-like property graph.
 
     Blank-node vertices get fresh labels b1, b2, ... in vertex id order.
     Literal vertices rebuild their literal from the recorded value with the
     recorded datatype/language overriding the value's own canonical
-    datatype, so reconstruction is exact for canonical inputs.  With
-    minimal=True (the default) an edge's triple is kept at top level only
-    when no metadata reasserts it embedded.
+    datatype, so reconstruction is exact for canonical inputs.  The result
+    is minimal: an edge's triple is kept at top level only when no
+    metadata reasserts it embedded.
     """
     term_map: dict[str, Term] = {}
     counter = 0
@@ -386,8 +386,7 @@ def from_rdf_like_pg(p: PropertyGraph, minimal: bool = True) -> RdfStarGraph:
                 )
             triples.add(Triple(t, key_iri, literal_of(prop.value)))
 
-    result = RdfStarGraph(triples)
-    return minimize(result) if minimal else result
+    return minimize(RdfStarGraph(triples))
 
 
 def to_simple_pg(g: RdfStarGraph, mode: str = "lenient") -> PgResult:

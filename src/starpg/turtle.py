@@ -38,6 +38,8 @@ from .namespaces import (
 )
 from .rdf import (
     MAX_NESTING_DEPTH,
+    _BNODE_LABEL_RE,
+    _LANG_TAG_RE,
     BNode,
     Iri,
     Literal,
@@ -73,10 +75,8 @@ class NotPlainRdfError(ValueError):
 
 
 _PREFIX_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
-_LOCAL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_-]*")
-_PNAME_RE = re.compile(r"(?:[A-Za-z][A-Za-z0-9_-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_-]*)?")
-_BNODE_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
-_LANG_RE = re.compile(r"[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*")
+_LOCAL_RE = re.compile(r"(?:[A-Za-z0-9_][A-Za-z0-9_-]*)?")
+_PNAME_RE = re.compile(f"(?:{_PREFIX_RE.pattern})?:{_LOCAL_RE.pattern}")
 # Double (mandatory exponent) must be tried before decimal and integer.
 _NUMBER_RE = re.compile(
     r"[+-]?(?:"
@@ -86,9 +86,20 @@ _NUMBER_RE = re.compile(
     r")"
 )
 _ESCAPES = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}
+# Turtle constructs outside the subset, by the character their object starts with.
+_UNSUPPORTED = {"'": "single-quoted strings", "[": "blank node property lists",
+                "(": "collections"}
 _TRIVIA_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
 _IRI_BODY_RE = re.compile(r"[^>\n]*")
 _STRING_RUN_RE = re.compile(r'[^"\\\n\r]*')
+
+
+def _number_datatype(lex: str) -> str:
+    """The datatype of a bare number token: double with an exponent,
+    decimal with a point, integer otherwise."""
+    if "e" in lex or "E" in lex:
+        return XSD_DOUBLE
+    return XSD_DECIMAL if "." in lex else XSD_INTEGER
 
 
 class _Parser:
@@ -186,15 +197,15 @@ class _Parser:
         self.expect_dot()
 
     def statement(self) -> None:
-        subject = self.subject()
+        subject = self.term("subject")
         self.predicate_object_list(subject)
         self.expect_dot()
 
     def predicate_object_list(self, subject) -> None:
         while True:
-            predicate = self.predicate()
+            predicate = self.term("predicate")
             while True:
-                obj = self.object_()
+                obj = self.term("object")
                 self.triples.add(Triple(subject, predicate, obj))
                 self.skip_trivia()
                 if self.peek() == ",":
@@ -216,72 +227,47 @@ class _Parser:
             self.error("expected '.'")
         self.pos += 1
 
-    def subject(self):
+    def term(self, position: str) -> Term:
+        """The term at pos, after trivia, in position "subject", "predicate"
+        or "object".  A subject at depth > 0 is an embedded triple's: there
+        a literal start, the end of input included, is an embedded triple
+        with literal subject."""
         self.skip_trivia()
         c = self.peek()
-        if c == "":
-            self.error("expected subject, found end of input")
+        inner = position == "subject" and self.depth > 0
+        if c == "" and not inner:
+            self.error(f"expected {position}, found end of input")
         if c == "<":
-            if self.peek(1) == "<":
-                return self.embedded()
-            return self.iriref()
-        if c == "_":
-            return self.bnode()
-        if c == '"' or c.isdigit() or c in "+-" or (c == "." and self.peek(1).isdigit()):
-            self.error("literal not allowed as subject")
-        return self.pname_or_keyword(as_subject=True)
-
-    def predicate(self) -> Iri:
-        self.skip_trivia()
-        c = self.peek()
-        if c == "":
-            self.error("expected predicate, found end of input")
-        if c == "<":
-            if self.peek(1) == "<":
+            if self.peek(1) != "<":
+                return self.iriref()
+            if position == "predicate":
                 self.error("embedded triple not allowed as predicate")
-            return self.iriref()
-        if c == '"' or c.isdigit() or c in "+-":
-            self.error("literal not allowed as predicate")
-        term = self.pname_or_keyword(as_subject=False)
-        return term
-
-    def object_(self):
-        self.skip_trivia()
-        c = self.peek()
-        if c == "":
-            self.error("expected object, found end of input")
-        if c == "<":
-            if self.peek(1) == "<":
-                return self.embedded()
-            return self.iriref()
-        if c == "_":
+            return self.embedded()
+        if c == "_" and position != "predicate":
             return self.bnode()
-        if c == '"':
-            return self.string_literal()
-        if c == "'":
-            self.error("single-quoted strings are not supported")
-        if c.isdigit() or (c in "+-" and (self.peek(1).isdigit() or self.peek(1) == ".")) or (
-            c == "." and self.peek(1).isdigit()
-        ):
-            return self.numeric_literal()
-        if c == "[":
-            self.error("blank node property lists are not supported")
-        if c == "(":
-            self.error("collections are not supported")
-        return self.pname_or_boolean()
+        n = self.peek(1) if c in "+-." else ""  # only a sign or a point looks ahead
+        if position == "object":
+            if c == '"':
+                return self.string_literal()
+            if c.isdigit() or c in "+-" and (n.isdigit() or n == ".") or c == "." and n.isdigit():
+                return self.numeric_literal()
+            if c in _UNSUPPORTED:
+                self.error(f"{_UNSUPPORTED[c]} are not supported")
+        elif c == '"' or c.isdigit() or c in "+-" or (
+                c == "." and n.isdigit() and position == "subject"):
+            if inner:
+                self.error("embedded triple with literal subject")
+            self.error(f"literal not allowed as {position}")
+        return self.name(position)
 
     def embedded(self) -> Triple:
         if self.depth == MAX_NESTING_DEPTH:
             self.error(f"embedded triples nested deeper than {MAX_NESTING_DEPTH} levels")
         self.depth += 1
         self.take("<<", "'<<'")
-        self.skip_trivia()
-        c = self.peek()
-        if c == '"' or c.isdigit() or c in "+-" or (c == "." and self.peek(1).isdigit()):
-            self.error("embedded triple with literal subject")
-        subject = self.subject()
-        predicate = self.predicate()
-        obj = self.object_()
+        subject = self.term("subject")
+        predicate = self.term("predicate")
+        obj = self.term("object")
         self.skip_trivia()
         if self.peek() != ">" or self.peek(1) != ">":
             self.error("expected '>>'")
@@ -305,7 +291,7 @@ class _Parser:
     def bnode(self) -> BNode:
         at = self.pos
         self.take("_:", "blank node label")
-        label = self.match_re(_BNODE_RE)
+        label = self.match_re(_BNODE_LABEL_RE)
         if label is None:
             self.error("invalid blank node label", at)
         return BNode(label)
@@ -319,44 +305,31 @@ class _Parser:
             self.pos = m.end()
         return iri
 
-    def pname_or_keyword(self, as_subject: bool):
-        iri = self.known_pname()
-        if iri is not None:
-            return iri
-        at = self.pos
-        prefix = self.match_re(_PREFIX_RE) or ""
-        if self.peek() != ":":
-            if not as_subject and prefix == "a":
-                return self.iri(RDF_TYPE)
-            if prefix in ("true", "false"):
-                self.error("literal not allowed here", at)
-            if prefix:
-                self.error(f"expected ':' in prefixed name after {prefix!r}", at)
-            self.error(f"unexpected character {self.peek()!r}", at)
-        self.pos += 1
-        return self.resolve_pname(prefix, at)
-
-    def pname_or_boolean(self):
+    def name(self, position: str) -> Iri | Literal:
+        """The prefixed name at pos in position "subject", "predicate",
+        "object" or "datatype"; besides, the keyword 'a' as a predicate and
+        a boolean as an object."""
         iri = self.known_pname()
         if iri is not None:
             return iri
         at = self.pos
         word = self.match_re(_PREFIX_RE) or ""
         if self.peek() != ":":
+            if word == "a" and position == "predicate":
+                return self.iri(RDF_TYPE)
             if word in ("true", "false"):
-                return self.literal(word, self.iri(XSD_BOOLEAN))
+                if position == "object":
+                    return self.literal(word, self.iri(XSD_BOOLEAN))
+                self.error("literal not allowed here", at)
             if word:
                 self.error(f"expected ':' in prefixed name after {word!r}", at)
             self.error(f"unexpected character {self.peek()!r}", at)
         self.pos += 1
-        return self.resolve_pname(word, at)
-
-    def resolve_pname(self, prefix: str, at: int) -> Iri:
-        if prefix not in self.prefixes:
-            self.error(f"unknown prefix {prefix!r}", at)
-        local = self.match_re(_LOCAL_RE) or ""
+        if word not in self.prefixes:
+            self.error(f"unknown prefix {word!r}", at)
+        local = self.match_re(_LOCAL_RE)
         try:
-            iri = self.iri(self.prefixes[prefix] + local)
+            iri = self.iri(self.prefixes[word] + local)
         except ValueError as exc:
             self.error(f"invalid IRI from prefixed name: {exc}", at)
         self.pnames[self.text[at:self.pos]] = iri
@@ -366,11 +339,7 @@ class _Parser:
         lex = self.match_re(_NUMBER_RE)
         if lex is None:
             self.error("malformed number")
-        if "e" in lex or "E" in lex:
-            return self.literal(lex, self.iri(XSD_DOUBLE))
-        if "." in lex:
-            return self.literal(lex, self.iri(XSD_DECIMAL))
-        return self.literal(lex, self.iri(XSD_INTEGER))
+        return self.literal(lex, self.iri(_number_datatype(lex)))
 
     def string_literal(self) -> Literal:
         at = self.pos
@@ -396,19 +365,19 @@ class _Parser:
         # Language tag or datatype must be adjacent, per Turtle.
         if self.peek() == "@":
             self.pos += 1
-            tag = self.match_re(_LANG_RE)
+            tag = self.match_re(_LANG_TAG_RE)
             if tag is None:
                 self.error("malformed language tag")
             return self.literal(lex, self.iri(RDF_LANG_STRING), tag)
         if self.peek() == "^" and self.peek(1) == "^":
             self.pos += 2
             self.skip_trivia()
-            if self.peek() == "<":
-                if self.peek(1) == "<":
-                    self.error("expected datatype IRI")
-                dt = self.iriref()
+            if self.peek() != "<":
+                dt = self.name("datatype")
+            elif self.peek(1) == "<":
+                self.error("expected datatype IRI")
             else:
-                dt = self.pname_or_keyword(as_subject=True)
+                dt = self.iriref()
             try:
                 return self.literal(lex, dt)
             except ValueError as exc:
@@ -427,11 +396,7 @@ def parse_turtle_star(text: str) -> tuple[RdfStarGraph, dict[str, str]]:
 
 # -- serialization -----------------------------------------------------
 
-_INTEGER_TOKEN = re.compile(r"[+-]?[0-9]+\Z")
-_DECIMAL_TOKEN = re.compile(r"[+-]?[0-9]*\.[0-9]+\Z")
-_DOUBLE_TOKEN = re.compile(r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)[eE][+-]?[0-9]+\Z")
-_LOCAL_TOKEN = re.compile(r"(?:[A-Za-z0-9_][A-Za-z0-9_-]*)?\Z")
-_STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_STRING_ESCAPES = {c: "\\" + e for e, c in _ESCAPES.items()}
 
 
 def _quote(text: str) -> str:
@@ -442,26 +407,23 @@ def _render_iri(iri: Iri, prefixes: list[tuple[str, str]]) -> str:
     # prefixes come sorted by (-len(ns), label): longest namespace wins,
     # ties break on the label.
     for label, ns in prefixes:
-        if iri.value.startswith(ns) and _LOCAL_TOKEN.fullmatch(iri.value[len(ns):]):
+        if iri.value.startswith(ns) and _LOCAL_RE.fullmatch(iri.value[len(ns):]):
             return f"{label}:{iri.value[len(ns):]}"
     return f"<{iri.value}>"
 
 
 def _render_literal(l: Literal, prefixes: list[tuple[str, str]]) -> str:
+    lex = l.lexical_form
     if l.language is not None:
-        return f"{_quote(l.lexical_form)}@{l.language}"
+        return f"{_quote(lex)}@{l.language}"
     dt = l.datatype.value
     if dt == XSD_STRING:
-        return _quote(l.lexical_form)
-    if dt == XSD_INTEGER and _INTEGER_TOKEN.fullmatch(l.lexical_form):
-        return l.lexical_form
-    if dt == XSD_DECIMAL and _DECIMAL_TOKEN.fullmatch(l.lexical_form):
-        return l.lexical_form
-    if dt == XSD_DOUBLE and _DOUBLE_TOKEN.fullmatch(l.lexical_form):
-        return l.lexical_form
-    if dt == XSD_BOOLEAN and l.lexical_form in ("true", "false"):
-        return l.lexical_form
-    return f"{_quote(l.lexical_form)}^^{_render_iri(l.datatype, prefixes)}"
+        return _quote(lex)
+    # A bare token exactly when the parser reads it back with this datatype.
+    if (dt == XSD_BOOLEAN and lex in ("true", "false")
+            or _NUMBER_RE.fullmatch(lex) and _number_datatype(lex) == dt):
+        return lex
+    return f"{_quote(lex)}^^{_render_iri(l.datatype, prefixes)}"
 
 
 def _render_term(term: Term, prefixes: list[tuple[str, str]]) -> str:

@@ -25,6 +25,7 @@ _TURTLE_TOKENS = [
     '"x"^^<http://www.w3.org/2001/XMLSchema#integer>', '"0.5"^^ex:t', '"', '"""', "'v'",
     '"\\q"', '"\\n"', "1", "-1", "1.5", ".5", "1e3", "+", "true", "false", "^^", "@base",
     "@", "#c\n", "\n", "\r", "\t", "\x00", " ", "é",
+    "+x", "+.", "_", ":x", "..5", "<<<", '"a"^^_:x', '"a"^^true',
 ]
 _PREFIX = f"@prefix ex: <{EX}> .\n"
 _TURTLE_COMMANDS = [

@@ -319,7 +319,7 @@ class TestFromRdfLikePg:
             Triple(S, Iri(EX + "says"), Literal("chat", language="fr"))
         ])
 
-    def test_minimal_flag_controls_redundancy_removal(self):
+    def test_edge_triple_reasserted_embedded_is_removed(self):
         p = PropertyGraph(
             ["v1", "v2"], ["e1", "e2"],
             {"e1": "v1", "e2": "v1"}, {"e1": "v2", "e2": "v2"},
@@ -332,7 +332,6 @@ class TestFromRdfLikePg:
         )
         plain = Triple(S, P, O)
         annotated = Triple(plain, Q, Literal("note"))
-        assert from_rdf_like_pg(p, minimal=False) == RdfStarGraph([plain, annotated])
         assert from_rdf_like_pg(p) == RdfStarGraph([annotated])
 
     @pytest.mark.parametrize(

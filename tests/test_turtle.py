@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import given, settings
+import hypothesis.strategies as st
 import pytest
 
 from starpg import (
@@ -8,6 +10,7 @@ from starpg import (
     XSD_DECIMAL,
     XSD_DOUBLE,
     XSD_INTEGER,
+    XSD_STRING,
     BNode,
     Iri,
     Literal,
@@ -213,6 +216,58 @@ class TestParseEmbedded:
         assert a == b
 
 
+# One document per error the parser can raise, and per position that
+# reads the same start differently, with the exact message and the 1-based
+# position.  The IRIs are short (<e:s>) to keep columns legible.
+PARSE_ERRORS = [
+    ("@base <e:> .", 1, 1, "@base is not supported"),
+    ("@flavor vanilla .", 1, 1, "unknown directive @flavor"),
+    ("@prefix ex <e:> .", 1, 11, "expected ':' after prefix label"),
+    ("@prefix ex: http .", 1, 13, "expected IRI"),
+    ("@prefix ex: <e:> .\nex:s ex:p ex:o", 2, 15, "expected '.'"),
+    ("<e:s>", 1, 6, "expected predicate, found end of input"),
+    ("<e:s> <e:p>", 1, 12, "expected object, found end of input"),
+    ("<e:s> <<<e:a> <e:b> <e:c>>> <e:o> .", 1, 7, "embedded triple not allowed as predicate"),
+    ("<e:s> <e:p> 'v' .", 1, 13, "single-quoted strings are not supported"),
+    ("<e:s> <e:p> [ ] .", 1, 13, "blank node property lists are not supported"),
+    ("<e:s> <e:p> (1) .", 1, 13, "collections are not supported"),
+    ('<<"x" <e:p> <e:o>>> <e:q> 1 .', 1, 3, "embedded triple with literal subject"),
+    ("<<", 1, 3, "embedded triple with literal subject"),
+    ('"x" <e:p> <e:o> .', 1, 1, "literal not allowed as subject"),
+    ("+x <e:p> <e:o> .", 1, 1, "literal not allowed as subject"),
+    ("<e:s> 5 <e:o> .", 1, 7, "literal not allowed as predicate"),
+    ("<e:s> .5 <e:p> .", 1, 7, "unexpected character '.'"),
+    ("<e:s> _:p <e:o> .", 1, 7, "unexpected character '_'"),
+    ("<<" * (MAX_NESTING_DEPTH + 1), 1, 2 * MAX_NESTING_DEPTH + 1,
+     f"embedded triples nested deeper than {MAX_NESTING_DEPTH} levels"),
+    ("<<<e:s> <e:p> <e:o> <e:q> 1 .", 1, 21, "expected '>>'"),
+    ("<e:s> <e:p> <e:never", 1, 13, "unterminated IRI"),
+    ("<e:s> <e:p> <e:a b> .", 1, 13,
+     "invalid IRI: IRI contains forbidden character ' ': 'e:a b'"),
+    ("_x <e:p> <e:o> .", 1, 2, "expected blank node label"),
+    ("_:1 <e:p> <e:o> .", 1, 1, "invalid blank node label"),
+    ("true <e:p> <e:o> .", 1, 1, "literal not allowed here"),
+    ("<e:s> true <e:o> .", 1, 7, "literal not allowed here"),
+    ('<e:s> <e:p> "a"^^true .', 1, 18, "literal not allowed here"),
+    ("<e:s> <e:p> abc .", 1, 13, "expected ':' in prefixed name after 'abc'"),
+    ("a <e:p> <e:o> .", 1, 1, "expected ':' in prefixed name after 'a'"),
+    ("<e:s> <e:p> a .", 1, 13, "expected ':' in prefixed name after 'a'"),
+    ('<e:s> <e:p> "x"^^a .', 1, 18, "expected ':' in prefixed name after 'a'"),
+    ("<e:s> <e:p> +x .", 1, 13, "unexpected character '+'"),
+    ('<e:s> <e:p> "a"^^', 1, 18, "unexpected character ''"),
+    ('<e:s> <e:p> "x"^^_:d .', 1, 18, "unexpected character '_'"),
+    ("ex:s <e:p> <e:o> .", 1, 1, "unknown prefix 'ex'"),
+    ("<e:s> <e:p> +.x .", 1, 13, "malformed number"),
+    ('<e:s> <e:p> """long""" .', 1, 13, "triple-quoted strings are not supported"),
+    ('<e:s> <e:p> "open', 1, 13, "unterminated string literal"),
+    ('<e:s> <e:p> "a\\qb" .', 1, 15, "unsupported escape \\q"),
+    ('<e:s> <e:p> "x"@9 .', 1, 17, "malformed language tag"),
+    ('<e:s> <e:p> "x"^^<<e:d>> .', 1, 18, "expected datatype IRI"),
+    (f'<e:s> <e:p> "x"^^<{RDF}langString> .', 1, 13,
+     "rdf:langString literal requires a language tag"),
+]
+
+
 class TestParseErrors:
     def check(self, text: str, fragment: str, line: int | None = None,
               column: int | None = None):
@@ -224,6 +279,12 @@ class TestParseErrors:
         if column is not None:
             assert exc.value.column == column
         return exc.value
+
+    @pytest.mark.parametrize("text,line,column,message", PARSE_ERRORS)
+    def test_message_and_position(self, text, line, column, message):
+        with pytest.raises(TurtleParseError) as exc:
+            parse_turtle_star(text)
+        assert (exc.value.line, exc.value.column, exc.value.message) == (line, column, message)
 
     def test_unknown_prefix_with_position(self):
         self.check("ex:a ex:b ex:c .", "unknown prefix", line=1, column=1)
@@ -407,6 +468,19 @@ class TestRoundTrip:
             once = serialize_turtle_star(g)
             again = serialize_turtle_star(parse(once))
             assert again == once
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        st.text(alphabet="ab09_-.:/é", max_size=4),
+        st.text(alphabet="0123456789+-.eE a", max_size=8) | st.sampled_from(["true", "false"]),
+        st.sampled_from([XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE, XSD_BOOLEAN, XSD_STRING]),
+    ), max_size=6))
+    def test_bare_tokens_and_prefixed_names_read_back(self, rows):
+        # The serializer writes a bare number, boolean or prefixed name only
+        # where the parser's grammar reads back the same term.
+        g = RdfStarGraph(Triple(Iri(EX + local), Iri(EX + "p" + local), Literal(lex, Iri(dt)))
+                         for local, lex, dt in rows)
+        assert parse(serialize_turtle_star(g, {"ex": EX})) == g
 
     def test_alice_bob_file_reserializes_identically(self, data_dir, alice_bob):
         graph, prefixes = parse_turtle_star(
