@@ -27,7 +27,6 @@ from .pgjson import FILE_EXTENSION as PG_JSON_EXTENSION
 from .pgjson import SchemaError, parse_pg_json, serialize_pg_json
 from .rdf import (
     canonicalize_bnodes,
-    embedded_triples,
     isomorphic,
     minimize,
     redundant_triples,
@@ -49,7 +48,6 @@ from .transforms import (
 )
 from .turtle import FILE_EXTENSIONS as TURTLE_EXTENSIONS
 from .turtle import (
-    NotPlainRdfError,
     TurtleParseError,
     format_term,
     parse_turtle_star,
@@ -66,6 +64,19 @@ class CliUsageError(Exception):
 
 class InputEncodingError(Exception):
     """An input file is not valid UTF-8."""
+
+
+# The stderr prefix and exit code of each failure a command raises, violations aside.
+_FAILURES = {
+    TurtleParseError: ("parse error: ", 2),
+    SchemaError: ("schema error: ", 2),
+    MappingConfigError: ("configuration error: ", 2),
+    CliUsageError: ("", 2),
+    InputEncodingError: ("encoding error: ", 2),
+    OSError: ("i/o error: ", 2),
+    PgValidationError: ("error: ", 1),
+    MalformedRdfLikePgError: ("error: ", 1),
+}
 
 
 def _check_format(path: str, expected: str, override: str | None, role: str) -> None:
@@ -117,6 +128,13 @@ def _convertibility_entries(report: ConvertibilityReport) -> list[dict]:
     ]
 
 
+def _violation_entries(exc: ValueError) -> list[dict]:
+    if isinstance(exc, ConvertibilityError):
+        return _convertibility_entries(exc.report)
+    kind = "property-unique" if isinstance(exc, NotPropertyUniqueError) else "edge-unique"
+    return [{"condition": kind, "reason": str(pair), "triple": ""} for pair in exc.violations]
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     _check_format(args.input, "turtle-star", args.from_format, "input")
     graph, _ = parse_turtle_star(_read(args.input))
@@ -132,12 +150,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     else:
         checker = check_pg_convertible if args.level == "convertible" else check_strongly_pg_convertible
         entries = _convertibility_entries(checker(graph, args.literal_mode))
-    if args.report == "json":
-        _report_violations(entries, "json", sys.stdout)
-    elif entries:
-        _report_violations(entries, "text", sys.stdout)
-    else:
+    if args.report == "text" and not entries:
         print("OK")
+    else:
+        _report_violations(entries, args.report, sys.stdout)
     return 0 if not entries else 1
 
 
@@ -146,13 +162,9 @@ def cmd_rdf2pg(args: argparse.Namespace) -> int:
     if args.output is not None:
         _check_format(args.output, "pg-json", args.to_format, "output")
     transform = to_rdf_like_pg if args.mode == "rdf-like" else to_simple_pg
-    try:
-        # Keep only the property graph: the parsed graph and the witness
-        # maps are freed before the output is built.
-        pg = transform(parse_turtle_star(_read(args.input))[0], args.literal_mode).graph
-    except ConvertibilityError as exc:
-        _report_violations(_convertibility_entries(exc.report), args.report, sys.stderr)
-        return 1
+    # Keep only the property graph: the parsed graph and the witness maps
+    # are freed before the output is built.
+    pg = transform(parse_turtle_star(_read(args.input))[0], args.literal_mode).graph
     _write(serialize_pg_json(pg), args.output)
     return 0
 
@@ -167,15 +179,7 @@ def cmd_pg2rdf(args: argparse.Namespace) -> int:
         edge_label_prefix=args.edge_label_prefix,
         vertex_id_strategy=parse_vertex_id_strategy(args.vertex_ids),
     )
-    try:
-        graph = pg_to_rdf_star(pgraph, config)
-    except (NotPropertyUniqueError, NotEdgeUniqueError) as exc:
-        kind = "property-unique" if isinstance(exc, NotPropertyUniqueError) else "edge-unique"
-        entries = [
-            {"condition": kind, "reason": str(pair), "triple": ""} for pair in exc.violations
-        ]
-        _report_violations(entries, args.report, sys.stderr)
-        return 1
+    graph = pg_to_rdf_star(pgraph, config)
     prefixes = {"p": config.property_key_prefix, "r": config.edge_label_prefix}
     _write(serialize_turtle_star(graph, prefixes), args.output)
     return 0
@@ -187,7 +191,8 @@ def cmd_unfold(args: argparse.Namespace) -> int:
         _check_format(args.output, "turtle-star", args.to_format, "output")
     graph, prefixes = parse_turtle_star(_read(args.input))
     unfolded = unfold_to_rdf(graph)
-    if embedded_triples(graph) and "rdf" not in prefixes:
+    # Unfolding changes the graph exactly when it embeds triples.
+    if unfolded != graph and "rdf" not in prefixes:
         prefixes["rdf"] = RDF
     _write(serialize_turtle_star(unfolded, prefixes), args.output)
     return 0
@@ -197,11 +202,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     _check_format(args.input, "turtle-star", args.from_format, "input")
     graph, _ = parse_turtle_star(_read(args.input))
     prepared = minimize(canonicalize_values(graph, args.literal_mode))
-    try:
-        forward = to_rdf_like_pg(prepared, args.literal_mode)
-    except ConvertibilityError as exc:
-        _report_violations(_convertibility_entries(exc.report), args.report, sys.stderr)
-        return 1
+    forward = to_rdf_like_pg(prepared, args.literal_mode)
     back = from_rdf_like_pg(forward.graph)
     if isomorphic(prepared, back):
         if args.report == "json":
@@ -284,28 +285,14 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except TurtleParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return 2
-    except MappingConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except CliUsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except InputEncodingError as exc:
-        print(f"encoding error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
-    except (PgValidationError, ConvertibilityError, MalformedRdfLikePgError,
-            NotPropertyUniqueError, NotEdgeUniqueError, NotPlainRdfError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConvertibilityError, NotPropertyUniqueError, NotEdgeUniqueError) as exc:
+        # Only the commands with a --report option raise these.
+        _report_violations(_violation_entries(exc), args.report, sys.stderr)
         return 1
+    except tuple(_FAILURES) as exc:
+        prefix, code = next(_FAILURES[c] for c in type(exc).__mro__ if c in _FAILURES)
+        print(f"{prefix}{exc}", file=sys.stderr)
+        return code
     finally:
         if collecting:
             gc.enable()

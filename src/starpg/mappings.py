@@ -73,7 +73,8 @@ def value_from_literal(l: Literal, mode: str = "lenient") -> PropertyValue | Non
     """Map a literal back to a property value, or None when undefined.
 
     Undefined for language-tagged literals, datatypes outside xsd
-    string/integer/double/decimal/boolean, and unparseable lexical forms.
+    string/integer/double/decimal/boolean, unparseable lexical forms, and
+    integers longer than int() converts (sys.get_int_max_str_digits()).
     Lenient mode accepts any valid lexical form (xsd:decimal comes back as
     Double); strict mode accepts only the exact canonical forms that
     value_to_literal produces.
@@ -89,7 +90,10 @@ def value_from_literal(l: Literal, mode: str = "lenient") -> PropertyValue | Non
         v = Text(lex)
     elif dt == XSD_INTEGER:
         if _INTEGER_RE.fullmatch(lex):
-            v = Integer(int(lex))
+            try:
+                v = Integer(int(lex))
+            except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+                pass
     elif dt == XSD_DOUBLE:
         if _DOUBLE_RE.fullmatch(lex) and lex != "NaN":
             v = Double(float(lex))
@@ -160,14 +164,8 @@ class FreshBlankNodes:
     """Vertices become blank nodes _:b1, _:b2, ... in vertex id order."""
 
 
-@dataclass(frozen=True)
-class IriTemplate:
-    """Vertices become IRIs: prefix + percent-encoded vertex id."""
-
-    prefix: str
-
-    def __post_init__(self) -> None:
-        TemplateIriMapping(self.prefix)  # validates the prefix
+# Vertices become IRIs: prefix + percent-encoded vertex id.
+IriTemplate = TemplateIriMapping
 
 
 VertexIdentityStrategy = Union[FreshBlankNodes, IriTemplate]
@@ -182,8 +180,7 @@ def assign_vertex_identities(
     if isinstance(strategy, FreshBlankNodes):
         return {v: BNode(f"b{i}") for i, v in enumerate(ids, start=1)}
     if isinstance(strategy, IriTemplate):
-        template = TemplateIriMapping(strategy.prefix)
-        return {v: template.apply(v) for v in ids}
+        return {v: strategy.apply(v) for v in ids}
     raise TypeError(f"not a vertex identity strategy: {strategy!r}")
 
 

@@ -8,7 +8,7 @@ below report when that happens.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -263,7 +263,7 @@ def property_uniqueness_violations(g: PropertyGraph) -> list[tuple[str, str]]:
     for x, props in g.props.items():
         keys = [p.key for p in props]
         if len(set(keys)) < len(keys):
-            out.extend((x, key) for key in {k for k in keys if keys.count(k) > 1})
+            out.extend((x, key) for key, n in Counter(keys).items() if n > 1)
     return sorted(out)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 
 from .pg import (
     Boolean,
@@ -29,6 +30,10 @@ FILE_EXTENSION = ".pg.json"
 # integers beyond it travel as digit strings.
 _SAFE_INT = 2**53 - 1
 _INT_STRING_RE = re.compile(r"[+-]?[0-9]+\Z")
+# A lone surrogate, and its \u escape: a parsed string can hold one only
+# if the text holds either.
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
+_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 class SchemaError(ValueError):
@@ -52,6 +57,20 @@ def _check_keys(obj: dict, path: str, required: set[str], optional: set[str]) ->
         raise SchemaError(path, f"unknown key {key!r}")
 
 
+def _too_long(path: str) -> SchemaError:
+    return SchemaError(path, f"integer longer than {sys.get_int_max_str_digits()} digits")
+
+
+def _strings(x, path: str):
+    """Every string in x with its path, in document order.  A checked
+    document nests at most six levels deep."""
+    if isinstance(x, str):
+        yield path, x
+    elif isinstance(x, (dict, list)):
+        for key, value in x.items() if isinstance(x, dict) else enumerate(x):
+            yield from _strings(value, f"{path}/{key}")
+
+
 def _parse_value(obj, path: str):
     _require(isinstance(obj, dict), path, "value must be an object")
     _check_keys(obj, path, {"type", "value"}, set())
@@ -63,7 +82,10 @@ def _parse_value(obj, path: str):
     if kind == "integer":
         if isinstance(raw, str):
             _require(bool(_INT_STRING_RE.fullmatch(raw)), path, f"malformed integer {raw!r}")
-            return Integer(int(raw))
+            try:
+                return Integer(int(raw))
+            except ValueError:
+                raise _too_long(path) from None
         _require(isinstance(raw, int) and not isinstance(raw, bool), path,
                  "integer value must be a JSON number or digit string")
         return Integer(raw)
@@ -73,7 +95,11 @@ def _parse_value(obj, path: str):
             return Double(float(raw))
         _require(isinstance(raw, (int, float)) and not isinstance(raw, bool), path,
                  "double value must be a JSON number")
-        return Double(float(raw))
+        _require(raw == raw, path, "double value must not be NaN")  # only NaN differs from itself
+        try:
+            return Double(float(raw))
+        except OverflowError:  # an integer token beyond the double range, read as 1e400 is
+            return Double(math.inf if raw > 0 else -math.inf)
     if kind == "boolean":
         _require(isinstance(raw, bool), path, "boolean value must be true or false")
         return Boolean(raw)
@@ -106,6 +132,8 @@ def parse_pg_json(text: str) -> PropertyGraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("/", f"invalid JSON: {exc}") from exc
+    except ValueError:  # json.loads reads integers with int(), which caps their length
+        raise _too_long("/") from None
     except RecursionError:
         raise SchemaError("/", "invalid JSON: arrays or objects nested too deeply") from None
     _require(isinstance(doc, dict), "/", "document must be an object")
@@ -142,6 +170,11 @@ def parse_pg_json(text: str) -> PropertyGraph:
         lbl[eid] = label
         props[eid] = _parse_properties(entry, path)
 
+    # Only a text with a lone surrogate, escaped or raw, has its strings
+    # searched; ASCII text can hold no raw one, so it costs one fast scan.
+    if _SURROGATE_ESCAPE_RE.search(text) or not text.isascii() and _SURROGATE_RE.search(text):
+        for path, string in _strings(doc, ""):
+            _require(not _SURROGATE_RE.search(string), path, "string holds a lone surrogate")
     return PropertyGraph(vertices, edges, src, tgt, lbl, props)
 
 

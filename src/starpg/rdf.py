@@ -10,7 +10,7 @@ from __future__ import annotations
 import copy
 import re
 from collections import Counter, defaultdict
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .frozen import Frozen, set_field
 from .namespaces import RDF_LANG_STRING, XSD_STRING
@@ -280,8 +280,13 @@ def mentioned_terms(x: Triple | RdfStarGraph) -> frozenset[Term]:
 
 
 def embedded_triples(x: Triple | RdfStarGraph) -> frozenset[Triple]:
-    """The triples occurring in embedded position somewhere in x."""
-    return frozenset(e for e in mentioned_terms(x) if isinstance(e, Triple))
+    """The triples occurring in embedded position somewhere in x.
+
+    Only metadata triples embed anything, so only they are descended into.
+    """
+    triples = x.triples if isinstance(x, RdfStarGraph) else (x,)
+    return frozenset(e for t in triples if is_metadata_triple(t)
+                     for e in _triple_terms(t) if isinstance(e, Triple))
 
 
 def metadata_triples(g: RdfStarGraph) -> frozenset[Triple]:
@@ -290,18 +295,8 @@ def metadata_triples(g: RdfStarGraph) -> frozenset[Triple]:
 
 
 def ordinary_triples(g: RdfStarGraph) -> frozenset[Triple]:
-    """Every triple asserted or embedded in g, minus g's metadata triples.
-
-    One walk over g: only metadata triples embed anything, so only they
-    are descended into.
-    """
-    metadata: set[Triple] = set()
-    embedded: set[Triple] = set()
-    for t in g.triples:
-        if is_metadata_triple(t):
-            metadata.add(t)
-            embedded.update(x for x in _triple_terms(t) if isinstance(x, Triple))
-    return (g.triples | embedded) - metadata
+    """Every triple asserted or embedded in g, minus g's metadata triples."""
+    return (g.triples | embedded_triples(g)) - metadata_triples(g)
 
 
 def redundant_triples(g: RdfStarGraph) -> frozenset[Triple]:
@@ -349,12 +344,7 @@ def relationship_triples(g: RdfStarGraph) -> frozenset[Triple]:
 
 def subject_object_nodes(g: RdfStarGraph) -> frozenset[Iri | BNode]:
     """IRIs and blank nodes in subject or object position of ordinary triples."""
-    out: set[Iri | BNode] = set()
-    for t in ordinary_triples(g):
-        for x in (t.subject, t.object):
-            if isinstance(x, (Iri, BNode)):
-                out.add(x)
-    return frozenset(out)
+    return frozenset(x for x in subject_object_terms(g) if not isinstance(x, Literal))
 
 
 def blank_node_labels(g: RdfStarGraph) -> frozenset[str]:
@@ -369,22 +359,23 @@ def _holds_bnode(x: Term) -> bool:
     return isinstance(x, BNode)
 
 
-def _map_term(x: Term, mapping: dict[str, str]) -> Term:
-    if isinstance(x, BNode):
-        new = mapping.get(x.label)
-        return BNode(new) if new is not None else x
+def _rewrite(x: Term, f: Callable[[Term], Term]) -> Term:
+    """x with every leaf in subject or object position, embedded ones
+    included, replaced by f(leaf); x itself when f changes none of them."""
     if isinstance(x, Triple):
-        return Triple(_map_term(x.subject, mapping), x.predicate, _map_term(x.object, mapping))
-    return x
-
-
-def _map_triple(t: Triple, mapping: dict[str, str]) -> Triple:
-    return Triple(_map_term(t.subject, mapping), t.predicate, _map_term(t.object, mapping))
+        s, o = _rewrite(x.subject, f), _rewrite(x.object, f)
+        return x if s is x.subject and o is x.object else Triple(s, x.predicate, o)
+    return f(x)
 
 
 def relabel_bnodes(g: RdfStarGraph, mapping: dict[str, str]) -> RdfStarGraph:
     """Rename blank node labels simultaneously; unmapped labels stay as-is."""
-    return RdfStarGraph(_map_triple(t, mapping) for t in g.triples)
+
+    def relabel(x: Term) -> Term:
+        new = mapping.get(x.label) if isinstance(x, BNode) else None
+        return x if new is None else BNode(new)
+
+    return RdfStarGraph(_rewrite(t, relabel) for t in g.triples)
 
 
 _ERASED = (1, "")  # term_key of a blank node with its label erased

@@ -37,6 +37,7 @@ from .rdf import (
     RdfStarGraph,
     Term,
     Triple,
+    _rewrite,
     is_metadata_triple,
     mentioned_terms,
     minimize,
@@ -465,15 +466,7 @@ def canonicalize_values(g: RdfStarGraph, mode: str = "lenient") -> RdfStarGraph:
         c = value_to_literal(value)
         return l if c == l else c
 
-    return RdfStarGraph(_map_literals(t, canonical) for t in g.triples)
+    def canonical_leaf(x: Term) -> Term:
+        return canonical(x) if isinstance(x, Literal) else x
 
-
-def _map_literals(x: Term, f: Callable[[Literal], Literal]) -> Term:
-    """x with every literal l in it, embedded ones included, replaced by
-    f(l); x itself when f changes none of them."""
-    if isinstance(x, Literal):
-        return f(x)
-    if isinstance(x, Triple):
-        s, o = _map_literals(x.subject, f), _map_literals(x.object, f)
-        return x if s is x.subject and o is x.object else Triple(s, x.predicate, o)
-    return x
+    return RdfStarGraph(_rewrite(t, canonical_leaf) for t in g.triples)

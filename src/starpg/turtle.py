@@ -230,12 +230,10 @@ class _Parser:
     def term(self, position: str) -> Term:
         """The term at pos, after trivia, in position "subject", "predicate"
         or "object".  A subject at depth > 0 is an embedded triple's: there
-        a literal start, the end of input included, is an embedded triple
-        with literal subject."""
+        a literal start is an embedded triple with literal subject."""
         self.skip_trivia()
         c = self.peek()
-        inner = position == "subject" and self.depth > 0
-        if c == "" and not inner:
+        if c == "":
             self.error(f"expected {position}, found end of input")
         if c == "<":
             if self.peek(1) != "<":
@@ -255,7 +253,7 @@ class _Parser:
                 self.error(f"{_UNSUPPORTED[c]} are not supported")
         elif c == '"' or c.isdigit() or c in "+-" or (
                 c == "." and n.isdigit() and position == "subject"):
-            if inner:
+            if position == "subject" and self.depth > 0:
                 self.error("embedded triple with literal subject")
             self.error(f"literal not allowed as {position}")
         return self.name(position)
@@ -323,15 +321,14 @@ class _Parser:
                 self.error("literal not allowed here", at)
             if word:
                 self.error(f"expected ':' in prefixed name after {word!r}", at)
+            if self.peek() == "":  # only a datatype reaches here at the end of input
+                self.error(f"expected {position}, found end of input")
             self.error(f"unexpected character {self.peek()!r}", at)
         self.pos += 1
         if word not in self.prefixes:
             self.error(f"unknown prefix {word!r}", at)
-        local = self.match_re(_LOCAL_RE)
-        try:
-            iri = self.iri(self.prefixes[word] + local)
-        except ValueError as exc:
-            self.error(f"invalid IRI from prefixed name: {exc}", at)
+        # A declared namespace is a valid IRI, and so is any local name after it.
+        iri = self.iri(self.prefixes[word] + self.match_re(_LOCAL_RE))
         self.pnames[self.text[at:self.pos]] = iri
         return iri
 

@@ -306,6 +306,85 @@ class TestRoundtrip:
         assert main(["roundtrip", path]) == 0
 
 
+class TestExitCodeContract:
+    """Inputs that once escaped the exit-code contract with a traceback."""
+
+    LONG = "1" * (sys.get_int_max_str_digits() + 1)  # more digits than int() converts
+    XSD = "http://www.w3.org/2001/XMLSchema#"
+
+    @staticmethod
+    def pg_json(tmp_path, properties: str = "", vertex: str = '"v1"',
+                label: str = '"knows"') -> str:
+        """A two-vertex document, written as raw text: json.dumps refuses
+        the oversized integers."""
+        path = tmp_path / "input.pg.json"
+        path.write_text(
+            '{"vertices": [{"id": %s, "properties": [%s]}, {"id": "v2"}], '
+            '"edges": [{"id": "e1", "src": %s, "tgt": "v2", "label": %s}]}'
+            % (vertex, properties, vertex, label), encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def typed(kind: str, raw: str, key: str = '"k"') -> str:
+        """One property, its key and value given as JSON text."""
+        return '{"key": %s, "value": {"type": "%s", "value": %s}}' % (key, kind, raw)
+
+    @pytest.mark.parametrize("literal", [LONG, f'"{LONG}"^^<{XSD}integer>'],
+                             ids=["bare", "typed"])
+    @pytest.mark.parametrize("argv", [["check"], ["rdf2pg", "--mode", "rdf-like"], ["roundtrip"]])
+    def test_turtle_integer_beyond_int_limit_is_condition_4(self, ttls, capsys, literal, argv):
+        path = ttls(f"<{EX}s> <{EX}p> {literal} .\n")
+        assert main([argv[0], path, *argv[1:], "--report", "json"]) == 1
+        out, err = capsys.readouterr()
+        violations = json.loads(out or err)["violations"]
+        assert [v["condition"] for v in violations] == ["4"]
+
+    @pytest.mark.parametrize("raw, where", [
+        (LONG, "/"), (f'"{LONG}"', "/vertices/0/properties/0/value"),
+    ], ids=["number", "digit-string"])
+    def test_pg_json_integer_beyond_int_limit_is_schema_error(self, tmp_path, capsys, raw, where):
+        path = self.pg_json(tmp_path, self.typed("integer", raw))
+        assert main(["pg2rdf", path]) == 2
+        limit = sys.get_int_max_str_digits()
+        assert capsys.readouterr().err == (
+            f"schema error: {where}: integer longer than {limit} digits\n")
+
+    def test_pg_json_nan_double_is_schema_error(self, tmp_path, capsys):
+        path = self.pg_json(tmp_path, self.typed("double", "NaN"))
+        assert main(["pg2rdf", path]) == 2
+        assert capsys.readouterr().err == (
+            "schema error: /vertices/0/properties/0/value: double value must not be NaN\n")
+
+    @pytest.mark.parametrize("raw, lexical", [
+        ("1" + "0" * 400, "INF"), ("-1" + "0" * 400, "-INF"), ("Infinity", "INF"),
+        ("1e400", "INF"),
+    ], ids=["integer-token", "negative-integer-token", "Infinity", "1e400"])
+    def test_pg_json_double_beyond_range_reads_as_inf(self, tmp_path, capsys, raw, lexical):
+        path = self.pg_json(tmp_path, self.typed("double", raw))
+        assert main(["pg2rdf", path]) == 0
+        assert f'"{lexical}"^^<{self.XSD}double>' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, where, parts", [
+        ([], "/vertices/0/properties/0/key",
+         {"properties": typed("boolean", "true", key='"\\ud800"')}),
+        ([], "/edges/0/label", {"label": '"a\\udfffb"'}),
+        (["--vertex-ids", f"iri:{EX}v/"], "/vertices/0/id", {"vertex": '"\\ud800"'}),
+        ([], "/vertices/0/properties/0/value/value", {"properties": typed("string", '"\\udc80"')}),
+    ], ids=["key", "label", "iri-vertex-id", "text"])
+    def test_pg_json_lone_surrogate_is_schema_error(self, tmp_path, capsys, argv, where, parts):
+        path = self.pg_json(tmp_path, **parts)
+        out = str(tmp_path / "out.ttls")  # a file encodes its text, unlike a captured stream
+        assert main(["pg2rdf", path, "-o", out, *argv]) == 2
+        assert capsys.readouterr().err == (
+            f"schema error: {where}: string holds a lone surrogate\n")
+
+    def test_pg_json_surrogate_pair_is_one_character(self, tmp_path):
+        path = self.pg_json(tmp_path, self.typed("string", '"\\ud83d\\ude00"'))
+        out = tmp_path / "out.ttls"
+        assert main(["pg2rdf", path, "-o", str(out)]) == 0
+        assert '"\U0001F600"' in out.read_text(encoding="utf-8")
+
+
 class TestCollector:
     """main runs a command with the cyclic collector off and leaves the
     collector as it found it, whatever the outcome."""

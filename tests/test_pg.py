@@ -145,6 +145,13 @@ class TestPropertyUniqueness:
         )
         assert property_uniqueness_violations(g) == [("e", "a")]
 
+    def test_one_repeated_key_among_20001_properties(self):
+        # One duplicate among many distinct keys: the count per key must not
+        # rescan the element's keys for each key (once 20 s for this case).
+        props = [Property(f"k{i}", Integer(i)) for i in range(20_000)]
+        g = PropertyGraph(["v"], props={"v": [*props, Property("k7", Integer(-1))]})
+        assert property_uniqueness_violations(g) == [("v", "k7")]
+
     def test_empty_graph_is_property_unique(self):
         assert is_property_unique(PropertyGraph())
 

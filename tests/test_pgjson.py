@@ -230,6 +230,16 @@ class TestSchemaErrors:
         e = err('{"vertices": [{"id": 5, "properties": []}], "edges": []}')
         assert e.path.startswith("/vertices/0")
 
+    @pytest.mark.parametrize("ensure_ascii", [True, False], ids=["escaped", "raw"])
+    def test_lone_surrogate_in_text_of_a_caller(self, ensure_ascii):
+        # Decoded UTF-8 holds no surrogate, but a caller's str may hold a
+        # raw one as well as its escape; "é" keeps the raw text non-ASCII.
+        e = err(json.dumps({"vertices": [{"id": "é", "properties": [
+            {"key": "k", "value": {"type": "string", "value": "a\udbffb"}}]}], "edges": []},
+            ensure_ascii=ensure_ascii))
+        assert (e.path, e.message) == ("/vertices/0/properties/0/value/value",
+                                       "string holds a lone surrogate")
+
     def test_dangling_edge_is_a_domain_error(self):
         text = json.dumps({
             "vertices": [{"id": "v", "properties": []}],

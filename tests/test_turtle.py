@@ -232,7 +232,7 @@ PARSE_ERRORS = [
     ("<e:s> <e:p> [ ] .", 1, 13, "blank node property lists are not supported"),
     ("<e:s> <e:p> (1) .", 1, 13, "collections are not supported"),
     ('<<"x" <e:p> <e:o>>> <e:q> 1 .', 1, 3, "embedded triple with literal subject"),
-    ("<<", 1, 3, "embedded triple with literal subject"),
+    ("<<", 1, 3, "expected subject, found end of input"),
     ('"x" <e:p> <e:o> .', 1, 1, "literal not allowed as subject"),
     ("+x <e:p> <e:o> .", 1, 1, "literal not allowed as subject"),
     ("<e:s> 5 <e:o> .", 1, 7, "literal not allowed as predicate"),
@@ -254,7 +254,7 @@ PARSE_ERRORS = [
     ("<e:s> <e:p> a .", 1, 13, "expected ':' in prefixed name after 'a'"),
     ('<e:s> <e:p> "x"^^a .', 1, 18, "expected ':' in prefixed name after 'a'"),
     ("<e:s> <e:p> +x .", 1, 13, "unexpected character '+'"),
-    ('<e:s> <e:p> "a"^^', 1, 18, "unexpected character ''"),
+    ('<e:s> <e:p> "a"^^', 1, 18, "expected datatype, found end of input"),
     ('<e:s> <e:p> "x"^^_:d .', 1, 18, "unexpected character '_'"),
     ("ex:s <e:p> <e:o> .", 1, 1, "unknown prefix 'ex'"),
     ("<e:s> <e:p> +.x .", 1, 13, "malformed number"),
