@@ -34,6 +34,11 @@ _INT_STRING_RE = re.compile(r"[+-]?[0-9]+\Z")
 # if the text holds either.
 _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 _SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
+# The key set of each well-formed object, which the fast path compares with.
+_VERTEX_KEYS = {"id", "properties"}
+_EDGE_KEYS = {"id", "src", "tgt", "label", "properties"}
+_PROPERTY_KEYS = {"key", "value"}
+_VALUE_KEYS = {"type", "value"}
 
 
 class SchemaError(ValueError):
@@ -106,6 +111,34 @@ def _parse_value(obj, path: str):
     raise SchemaError(path, f"unknown value type {kind!r}")
 
 
+def _well_formed_properties(entries) -> list[Property] | None:
+    """The properties of a well-formed property array, None when any part
+    of it needs a check: exact key sets and exact types only, so true is
+    not an integer here, nor 1.0."""
+    if entries.__class__ is not list:
+        return None
+    out = []
+    for entry in entries:
+        if entry.__class__ is not dict or entry.keys() != _PROPERTY_KEYS:
+            return None
+        key, value = entry["key"], entry["value"]
+        if key.__class__ is not str or value.__class__ is not dict or value.keys() != _VALUE_KEYS:
+            return None
+        kind, raw = value["type"], value["value"]
+        cls = raw.__class__
+        if cls is str and kind == "string":
+            out.append(Property(key, Text(raw)))
+        elif cls is int and kind == "integer":
+            out.append(Property(key, Integer(raw)))
+        elif cls is float and kind == "double" and raw == raw:  # only NaN differs from itself
+            out.append(Property(key, Double(raw)))
+        elif cls is bool and kind == "boolean":
+            out.append(Property(key, Boolean(raw)))
+        else:
+            return None
+    return out
+
+
 def _parse_properties(obj: dict, path: str) -> list[Property]:
     entries = obj.get("properties", [])
     _require(isinstance(entries, list), f"{path}/properties", "properties must be an array")
@@ -141,9 +174,19 @@ def parse_pg_json(text: str) -> PropertyGraph:
     _require(isinstance(doc["vertices"], list), "/vertices", "vertices must be an array")
     _require(isinstance(doc["edges"], list), "/edges", "edges must be an array")
 
+    # Each element is read by a fast path when it is well formed; otherwise,
+    # or when the fast path cannot tell, the checked path below reads it
+    # again from the start and raises the first error it finds.
     vertices: list[str] = []
     props: dict[str, list[Property]] = {}
     for i, entry in enumerate(doc["vertices"]):
+        if entry.__class__ is dict and entry.keys() == _VERTEX_KEYS:
+            vid = entry["id"]
+            entries = _well_formed_properties(entry["properties"])
+            if vid.__class__ is str and vid and vid not in props and entries is not None:
+                vertices.append(vid)
+                props[vid] = entries
+                continue
         path = f"/vertices/{i}"
         _require(isinstance(entry, dict), path, "vertex must be an object")
         _check_keys(entry, path, {"id"}, {"properties"})
@@ -157,6 +200,15 @@ def parse_pg_json(text: str) -> PropertyGraph:
     tgt: dict[str, str] = {}
     lbl: dict[str, str] = {}
     for i, entry in enumerate(doc["edges"]):
+        if entry.__class__ is dict and entry.keys() == _EDGE_KEYS:
+            eid, source, target, label = entry["id"], entry["src"], entry["tgt"], entry["label"]
+            entries = _well_formed_properties(entry["properties"])
+            if (eid.__class__ is str and source.__class__ is str and target.__class__ is str
+                    and label.__class__ is str and eid and source and target and eid not in props
+                    and entries is not None):
+                edges.append(eid)
+                src[eid], tgt[eid], lbl[eid], props[eid] = source, target, label, entries
+                continue
         path = f"/edges/{i}"
         _require(isinstance(entry, dict), path, "edge must be an object")
         _check_keys(entry, path, {"id", "src", "tgt", "label"}, {"properties"})
@@ -244,8 +296,10 @@ def serialize_pg_json(g: PropertyGraph) -> str:
     """
 
     def properties(x: str) -> str:
-        items = [_property_json(p) for p in sorted(g.properties(x), key=property_sort_key)]
-        return _array(items, "      ")
+        ps = g.properties(x)
+        if len(ps) > 1:
+            ps = sorted(ps, key=property_sort_key)
+        return _array([_property_json(p) for p in ps], "      ")
 
     vertices = [_VERTEX % (_quote(v), properties(v)) for v in sorted(g.vertices)]
     edges = [

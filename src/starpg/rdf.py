@@ -176,20 +176,28 @@ ObjectTerm = Union[Iri, BNode, Literal, Triple]
 Term = Union[Iri, BNode, Literal, Triple]
 
 
-def term_key(term: Term):
+def term_key(term: Term) -> tuple:
     """Total order key over terms: Iri < BNode < Literal < Triple.
 
     Within a kind the order is lexicographic; triples compare position by
     position, recursively.  Used everywhere determinism matters.
+
+    The key is one flat tuple: (0, iri), (1, label), (2, lexical form,
+    datatype, language or ""), and for a triple 3 followed by the keys of
+    its subject, predicate and object, run together.  Each key is
+    self-delimiting, since its tag fixes its length and a triple's key is
+    made of such keys, so two keys compare field by field exactly as
+    nested (tag, fields) tuples would: the order and the equal keys are
+    those of that nested form, which builds several tuples per triple.
     """
+    if isinstance(term, Triple):
+        return (3, *term_key(term.subject), 0, term.predicate.value, *term_key(term.object))
     if isinstance(term, Iri):
         return (0, term.value)
     if isinstance(term, BNode):
         return (1, term.label)
     if isinstance(term, Literal):
-        return (2, (term.lexical_form, term.datatype.value, term.language or ""))
-    if isinstance(term, Triple):
-        return (3, (term_key(term.subject), term_key(term.predicate), term_key(term.object)))
+        return (2, term.lexical_form, term.datatype.value, term.language or "")
     raise TypeError(f"not an RDF-star term: {term!r}")
 
 
@@ -392,8 +400,8 @@ def _skeleton(x: Term, labels: list[str]):
         labels.append(x.label)
         return _ERASED
     if isinstance(x, Triple):
-        return (3, (_skeleton(x.subject, labels), term_key(x.predicate),
-                    _skeleton(x.object, labels)))
+        return (3, *_skeleton(x.subject, labels), 0, x.predicate.value,
+                *_skeleton(x.object, labels))
     return term_key(x)
 
 

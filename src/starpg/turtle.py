@@ -21,7 +21,7 @@ cannot separate are ordered by their input labels.
 from __future__ import annotations
 
 import re
-from typing import Mapping, NoReturn
+from typing import Callable, Mapping, NoReturn
 
 from .namespaces import (
     RDF_LANG_STRING,
@@ -400,16 +400,16 @@ def _quote(text: str) -> str:
     return '"' + "".join(_STRING_ESCAPES.get(c, c) for c in text) + '"'
 
 
-def _render_iri(iri: Iri, prefixes: list[tuple[str, str]]) -> str:
+def _render_iri(value: str, prefixes: list[tuple[str, str]]) -> str:
     # prefixes come sorted by (-len(ns), label): longest namespace wins,
     # ties break on the label.
     for label, ns in prefixes:
-        if iri.value.startswith(ns) and _LOCAL_RE.fullmatch(iri.value[len(ns):]):
-            return f"{label}:{iri.value[len(ns):]}"
-    return f"<{iri.value}>"
+        if value.startswith(ns) and _LOCAL_RE.fullmatch(value[len(ns):]):
+            return f"{label}:{value[len(ns):]}"
+    return f"<{value}>"
 
 
-def _render_literal(l: Literal, prefixes: list[tuple[str, str]]) -> str:
+def _render_literal(l: Literal, render_iri: Callable[[Iri], str]) -> str:
     lex = l.lexical_form
     if l.language is not None:
         return f"{_quote(lex)}@{l.language}"
@@ -420,25 +420,43 @@ def _render_literal(l: Literal, prefixes: list[tuple[str, str]]) -> str:
     if (dt == XSD_BOOLEAN and lex in ("true", "false")
             or _NUMBER_RE.fullmatch(lex) and _number_datatype(lex) == dt):
         return lex
-    return f"{_quote(lex)}^^{_render_iri(l.datatype, prefixes)}"
+    return f"{_quote(lex)}^^{render_iri(l.datatype)}"
 
 
-def _render_term(term: Term, prefixes: list[tuple[str, str]]) -> str:
+def _iri_renderer(prefixes: Mapping[str, str]) -> Callable[[Iri], str]:
+    """A function that renders an IRI with the prefixes; it renders each
+    distinct IRI once and keeps its text."""
+    by_length = sorted(prefixes.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+    iris: dict[str, str] = {}
+
+    def render_iri(iri: Iri) -> str:
+        text = iris.get(iri.value)
+        if text is None:
+            text = iris[iri.value] = _render_iri(iri.value, by_length)
+        return text
+
+    return render_iri
+
+
+def _render_term(term: Term, render_iri: Callable[[Iri], str]) -> str:
+    """term in Turtle-star syntax.  Literals are rendered at every
+    occurrence: keeping their text too costs more memory than it saves
+    time."""
     if isinstance(term, Iri):
-        return _render_iri(term, prefixes)
+        return render_iri(term)
     if isinstance(term, BNode):
         return f"_:{term.label}"
     if isinstance(term, Literal):
-        return _render_literal(term, prefixes)
-    s = _render_term(term.subject, prefixes)
-    p = _render_term(term.predicate, prefixes)
-    o = _render_term(term.object, prefixes)
+        return _render_literal(term, render_iri)
+    s = _render_term(term.subject, render_iri)
+    p = _render_term(term.predicate, render_iri)
+    o = _render_term(term.object, render_iri)
     return f"<<{s} {p} {o}>>"
 
 
 def format_term(term: Term) -> str:
     """Render one term in Turtle-star syntax with full IRIs."""
-    return _render_term(term, [])
+    return _render_term(term, _iri_renderer({}))
 
 
 def serialize_turtle_star(g: RdfStarGraph, prefixes: Mapping[str, str] | None = None) -> str:
@@ -448,11 +466,11 @@ def serialize_turtle_star(g: RdfStarGraph, prefixes: Mapping[str, str] | None = 
         if not _PREFIX_RE.fullmatch(label) and label != "":
             raise ValueError(f"invalid prefix label: {label!r}")
         Iri(ns)  # must be a valid namespace IRI
-    by_length = sorted(table.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+    render_iri = _iri_renderer(table)
     prefix_lines = [f"@prefix {label}: <{ns}> ." for label, ns in sorted(table.items())]
     statements = [
-        f"{_render_term(t.subject, by_length)} {_render_term(t.predicate, by_length)} "
-        f"{_render_term(t.object, by_length)} ."
+        f"{_render_term(t.subject, render_iri)} {render_iri(t.predicate)} "
+        f"{_render_term(t.object, render_iri)} ."
         for t in canonicalize_bnodes(g)
     ]
     if prefix_lines and statements:
@@ -487,9 +505,9 @@ def unfold_to_rdf(g: RdfStarGraph) -> RdfStarGraph:
 
     rdf_type, statement, subject, predicate, object_ = map(
         Iri, (RDF_TYPE, RDF_STATEMENT, RDF_SUBJECT, RDF_PREDICATE, RDF_OBJECT))
-    out: set[Triple] = set()
-    for t in g.triples:
-        out.add(Triple(node(t.subject), t.predicate, node(t.object)))
+    # A triple that embeds nothing is kept as it is.
+    out = {Triple(node(t.subject), t.predicate, node(t.object)) if is_metadata_triple(t) else t
+           for t in g.triples}
     for e in embedded:
         r = ref[e]
         out.add(Triple(r, rdf_type, statement))

@@ -230,6 +230,120 @@ class TestTermOrder:
         assert term_key(a) == term_key(b)
 
 
+def _nested_term_key(term):
+    """term_key as first written: a (tag, fields) tuple per term, a triple's
+    fields being the nested keys of its three terms."""
+    if isinstance(term, Iri):
+        return (0, term.value)
+    if isinstance(term, BNode):
+        return (1, term.label)
+    if isinstance(term, Literal):
+        return (2, (term.lexical_form, term.datatype.value, term.language or ""))
+    return (3, (_nested_term_key(term.subject), _nested_term_key(term.predicate),
+                _nested_term_key(term.object)))
+
+
+def _nested_skeleton(x, labels: list[str]):
+    """rdf._skeleton as first written, on the nested keys."""
+    if isinstance(x, BNode):
+        labels.append(x.label)
+        return (1, "")
+    if isinstance(x, Triple):
+        return (3, (_nested_skeleton(x.subject, labels), _nested_term_key(x.predicate),
+                    _nested_skeleton(x.object, labels)))
+    return _nested_term_key(x)
+
+
+def _assert_same_order(items, key, oracle) -> None:
+    """key orders items as oracle does, and two keys are equal exactly
+    when the oracle's are."""
+    ranked = sorted(((oracle(x), key(x)) for x in items), key=lambda pair: pair[0])
+    for (n1, k1), (n2, k2) in zip(ranked, ranked[1:]):
+        assert k1 <= k2
+        assert (k1 == k2) == (n1 == n2)
+
+
+def _assert_pair_ordered_alike(a, b) -> None:
+    ka, kb, na, nb = term_key(a), term_key(b), _nested_term_key(a), _nested_term_key(b)
+    assert (ka < kb, ka == kb, ka > kb) == (na < nb, na == nb, na > nb)
+
+
+def _chain(depth: int, inner: Triple, side: str = "subject") -> Triple:
+    """inner embedded depth levels deep, in subject or object position."""
+    t = inner
+    for _ in range(depth):
+        t = Triple(t, P, O) if side == "subject" else Triple(S, P, t)
+    return t
+
+
+class TestFlatKeyOracle:
+    """The flat term_key and skeletons against the nested forms they
+    replaced: the same order and the same equal keys."""
+
+    def test_random_terms(self):
+        rng = random.Random(61)
+        terms = []
+        for _ in range(400):
+            terms.extend(mentioned_terms(randgen.random_triple(rng, 2)))
+        for _ in range(100):
+            terms.extend(randgen.random_rdf_star_graph(rng).triples)
+        terms += [randgen.random_literal(rng) for _ in range(200)]
+        _assert_same_order(terms, term_key, _nested_term_key)
+
+    def test_random_skeletons(self):
+        rng = random.Random(67)
+        for i in range(200):
+            g = _bnode_dense_graph(rng) if i % 2 else randgen.random_rdf_star_graph(rng)
+            flat: dict[Triple, list[str]] = {t: [] for t in g.triples}
+            nested: dict[Triple, list[str]] = {t: [] for t in g.triples}
+            _assert_same_order(g.triples, lambda t: starpg.rdf._skeleton(t, flat[t]),
+                               lambda t: _nested_skeleton(t, nested[t]))
+            assert flat == nested
+
+    @pytest.mark.parametrize("a,b", [
+        (O, INNER),
+        (Iri("http://example.org/zzz"), Triple(S, P, O)),
+        (BNode("z"), INNER),
+        (Literal("zz"), INNER),
+        (Literal("a", language="en"), Literal("a")),
+        (Literal("a", language="en"), Literal("a", language="en-GB")),
+        (Literal("a", language="de"), Literal("b")),
+        (Literal("", language="en"), Literal("")),
+        (Literal("1", Iri(XSD_INTEGER)), Literal("1", Iri(XSD_DECIMAL))),
+        (Literal("1", Iri(XSD_INTEGER)), Literal("1")),
+        (META, INNER),
+        (META, Triple(S, Q, INNER)),
+        (Triple(INNER, P, O), Triple(S, P, INNER)),
+        (Triple(INNER, P, O), Triple(Iri("http://example.org/zzz"), P, O)),
+        (Triple(BNode("a"), P, O), Triple(INNER, P, O)),
+        (Triple(S, P, Literal("x")), Triple(S, P, INNER)),
+        (Triple(S, P, Literal("x", language="en")), Triple(S, P, Literal("x"))),
+        (Triple(S, P, O), Triple(S, Q, O)),
+        (DOUBLY, META),
+        (INNER, Triple(S, P, O)),
+    ])
+    def test_cross_kind_pairs(self, a, b):
+        _assert_pair_ordered_alike(a, b)
+        _assert_pair_ordered_alike(b, a)
+
+    def test_chains_nested_to_the_limit(self):
+        depth = starpg.rdf.MAX_NESTING_DEPTH
+        leaves = [INNER, Triple(S, P, Literal("x")), Triple(S, P, Literal("x", language="en")),
+                  Triple(BNode("b"), P, O)]
+        terms = [_chain(d, leaf, side) for leaf in leaves for side in ("subject", "object")
+                 for d in (0, 1, depth - 1, depth)]
+        assert max(map(nesting_depth, terms)) == depth
+        _assert_same_order(terms, term_key, _nested_term_key)
+        for a in terms:
+            for b in terms:
+                _assert_pair_ordered_alike(a, b)
+        labels: list[str] = []
+        deepest = _chain(depth, Triple(BNode("b"), P, O))
+        assert starpg.rdf._skeleton(deepest, labels) == (
+            (3,) * (depth + 1) + (1, "") + (0, P.value, 0, O.value) * (depth + 1))
+        assert labels == ["b"]
+
+
 class TestGraphContainer:
     def test_iteration_is_sorted_and_deterministic(self, alice_bob):
         listed = list(alice_bob)
@@ -820,10 +934,11 @@ class TestIsomorphismOracle:
         assert isomorphic(a, _shuffled_labels(a, rng))
         assert isomorphic(b, _shuffled_labels(b, rng))
 
-    def test_map_triple_calls_bounded_by_degree(self, monkeypatch):
+    def test_one_skeleton_per_triple(self, monkeypatch):
         # 2,000 blank nodes, each with a unique name and one knows edge:
-        # refinement separates every node, so isomorphic compares the
-        # triples once, by colour, and maps none of them through a relabel.
+        # refinement separates every node, so isomorphic builds the rows
+        # of each graph once, one skeleton per triple, and compares them
+        # once by colour.
         n = 2000
         name, knows = Iri("http://example.org/name"), Iri("http://example.org/knows")
         a = RdfStarGraph(
@@ -831,16 +946,17 @@ class TestIsomorphismOracle:
             + [Triple(BNode(f"x{i}"), knows, BNode(f"x{(i * 7 + 1) % n}")) for i in range(n)]
         )
         b = _shuffled_labels(a, random.Random(47))
-        calls = []
-        rewrite = starpg.rdf._rewrite
+        triples = []
+        skeleton = starpg.rdf._skeleton
 
-        def counting(x, f):
-            calls.append(x)
-            return rewrite(x, f)
+        def counting(x, labels):
+            if isinstance(x, Triple):  # embedded triples would count too; there are none
+                triples.append(x)
+            return skeleton(x, labels)
 
-        monkeypatch.setattr(starpg.rdf, "_rewrite", counting)
+        monkeypatch.setattr(starpg.rdf, "_skeleton", counting)
         assert isomorphic(a, b)
-        assert len(calls) <= 3 * len(a)
+        assert len(triples) <= len(a) + len(b)
 
 
 @settings(max_examples=60, deadline=None)

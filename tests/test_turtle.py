@@ -23,6 +23,7 @@ from starpg import (
     embed_plain_rdf,
     embedded_triples,
     format_term,
+    is_metadata_triple,
     isomorphic,
     nesting_depth,
     parse_turtle_star,
@@ -554,6 +555,14 @@ class TestUnfold:
     def test_plain_graph_unchanged(self):
         g = RdfStarGraph([Triple(S, P, O), Triple(S, Q, Literal("x"))])
         assert unfold_to_rdf(g) == g
+
+    def test_unfold_keeps_triples_it_does_not_change(self, alice_bob):
+        # A top-level triple that embeds nothing goes into the result as
+        # the same object; only the metadata triples are built anew.
+        plain = [t for t in alice_bob.triples if not is_metadata_triple(t)]
+        assert plain
+        u = unfold_to_rdf(alice_bob)
+        assert all(any(t is v for v in u.triples) for t in plain)
 
     def test_empty(self):
         assert unfold_to_rdf(RdfStarGraph()) == RdfStarGraph()
