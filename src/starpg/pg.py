@@ -133,12 +133,19 @@ def property_sort_key(p: Property):
     return (p.key, _property_value_key(p.value))
 
 
+# The property set of every element without properties.
+_NO_PROPERTIES: frozenset[Property] = frozenset()
+
+
 class PropertyGraph:
     """A directed multigraph with total endpoint/label maps and property sets.
 
-    All six components are validated together at construction; instances
-    are immutable afterwards.  Vertex and edge ids live in one namespace
-    and must not collide.
+    All six components are validated together at construction, in one
+    unsorted pass; instances are immutable afterwards.  Vertex and edge
+    ids live in one namespace and must not collide.  Where several ids,
+    edges or properties are invalid, the error names the least of them
+    (edges by id, the others by repr), so the message does not depend on
+    hashing.  Elements without properties share one empty frozenset.
     """
 
     __slots__ = ("_vertices", "_edges", "_src", "_tgt", "_lbl", "_props")
@@ -154,8 +161,10 @@ class PropertyGraph:
     ) -> None:
         vset = frozenset(vertices)
         eset = frozenset(edges)
-        for x in vset | eset:
+        ids = vset | eset
+        for x in ids:
             if not isinstance(x, str) or not x:
+                x = min((y for y in ids if not isinstance(y, str) or not y), key=repr)
                 raise PgValidationError(f"element id must be a non-empty string: {x!r}")
         shared = vset & eset
         if shared:
@@ -168,7 +177,10 @@ class PropertyGraph:
             unknown = set(mapping) - eset
             if unknown:
                 raise PgValidationError(f"{name} mentions unknown edge: {sorted(unknown)!r}")
-        for e in sorted(eset):
+        broken = [e for e in eset if src.get(e) not in vset or tgt.get(e) not in vset
+                  or not isinstance(lbl.get(e), str)]
+        if broken:
+            e = min(broken)
             for name, mapping in (("src", src), ("tgt", tgt)):
                 if e not in mapping:
                     raise DanglingEdgeError(f"edge {e!r} has no {name} endpoint")
@@ -178,18 +190,19 @@ class PropertyGraph:
                     )
             if e not in lbl:
                 raise MissingEdgeLabelError(f"edge {e!r} has no label")
-            if not isinstance(lbl[e], str):
-                raise PgValidationError(f"edge {e!r} label must be str")
+            raise PgValidationError(f"edge {e!r} label must be str")
 
-        pmap: dict[str, frozenset[Property]] = {x: frozenset() for x in vset | eset}
+        pmap: dict[str, frozenset[Property]] = dict.fromkeys(ids, _NO_PROPERTIES)
         for x, entries in (props or {}).items():
             if x not in pmap:
                 raise PgValidationError(f"properties attached to unknown element {x!r}")
             entries = frozenset(entries)
             for p in entries:
                 if not isinstance(p, Property):
+                    p = min((q for q in entries if not isinstance(q, Property)), key=repr)
                     raise PgValidationError(f"not a Property on element {x!r}: {p!r}")
-            pmap[x] = entries
+            if entries:
+                pmap[x] = entries
 
         self._vertices = vset
         self._edges = eset

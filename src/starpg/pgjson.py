@@ -4,6 +4,8 @@ The document shape is {"vertices": [...], "edges": [...]}; every element
 carries an id and a property list, edges additionally src/tgt/label.
 Values are tagged objects {"type": "string"|"integer"|"double"|"boolean",
 "value": ...}.  Properties are arrays, so duplicate keys survive the trip.
+The reader has one path: it checks each object as it reads it, and works
+out which key is missing or unknown only when the key set is wrong.
 Serialization sorts everything, making output byte-stable across runs.
 """
 
@@ -34,7 +36,8 @@ _INT_STRING_RE = re.compile(r"[+-]?[0-9]+\Z")
 # if the text holds either.
 _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 _SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F]")
-# The key set of each well-formed object, which the fast path compares with.
+# The key set of each object; an element may leave out "properties".
+_DOCUMENT_KEYS = {"vertices", "edges"}
 _VERTEX_KEYS = {"id", "properties"}
 _EDGE_KEYS = {"id", "src", "tgt", "label", "properties"}
 _PROPERTY_KEYS = {"key", "value"}
@@ -50,20 +53,23 @@ class SchemaError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-def _require(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        raise SchemaError(path, message)
+def _shape_error(obj, keys: set[str], what: str) -> str | None:
+    """What is wrong with obj, which should be an object with these keys,
+    though an element may leave out "properties": that it is no object,
+    else the least missing key, else the least unknown one; None when
+    nothing is.  Callers compare the key set first and call this only
+    when it differs."""
+    if obj.__class__ is not dict:
+        return f"{what} must be an object"
+    for key in sorted(keys - obj.keys() - {"properties"}):
+        return f"missing key {key!r}"
+    for key in sorted(obj.keys() - keys):
+        return f"unknown key {key!r}"
+    return None
 
 
-def _check_keys(obj: dict, path: str, required: set[str], optional: set[str]) -> None:
-    for key in sorted(required - obj.keys()):
-        raise SchemaError(path, f"missing key {key!r}")
-    for key in sorted(obj.keys() - required - optional):
-        raise SchemaError(path, f"unknown key {key!r}")
-
-
-def _too_long(path: str) -> SchemaError:
-    return SchemaError(path, f"integer longer than {sys.get_int_max_str_digits()} digits")
+def _too_long() -> str:
+    return f"integer longer than {sys.get_int_max_str_digits()} digits"
 
 
 def _strings(x, path: str):
@@ -76,158 +82,131 @@ def _strings(x, path: str):
             yield from _strings(value, f"{path}/{key}")
 
 
-def _parse_value(obj, path: str):
-    _require(isinstance(obj, dict), path, "value must be an object")
-    _check_keys(obj, path, {"type", "value"}, set())
-    kind = obj["type"]
-    raw = obj["value"]
-    if kind == "string":
-        _require(isinstance(raw, str), path, "string value must be a JSON string")
-        return Text(raw)
-    if kind == "integer":
-        if isinstance(raw, str):
-            _require(bool(_INT_STRING_RE.fullmatch(raw)), path, f"malformed integer {raw!r}")
-            try:
-                return Integer(int(raw))
-            except ValueError:
-                raise _too_long(path) from None
-        _require(isinstance(raw, int) and not isinstance(raw, bool), path,
-                 "integer value must be a JSON number or digit string")
-        return Integer(raw)
-    if kind == "double":
-        if isinstance(raw, str):
-            _require(raw in ("INF", "-INF"), path, f"malformed double {raw!r}")
-            return Double(float(raw))
-        _require(isinstance(raw, (int, float)) and not isinstance(raw, bool), path,
-                 "double value must be a JSON number")
-        _require(raw == raw, path, "double value must not be NaN")  # only NaN differs from itself
-        try:
-            return Double(float(raw))
-        except OverflowError:  # an integer token beyond the double range, read as 1e400 is
-            return Double(math.inf if raw > 0 else -math.inf)
-    if kind == "boolean":
-        _require(isinstance(raw, bool), path, "boolean value must be true or false")
-        return Boolean(raw)
-    raise SchemaError(path, f"unknown value type {kind!r}")
-
-
-def _well_formed_properties(entries) -> list[Property] | None:
-    """The properties of a well-formed property array, None when any part
-    of it needs a check: exact key sets and exact types only, so true is
-    not an integer here, nor 1.0."""
-    if entries.__class__ is not list:
-        return None
-    out = []
-    for entry in entries:
-        if entry.__class__ is not dict or entry.keys() != _PROPERTY_KEYS:
-            return None
-        key, value = entry["key"], entry["value"]
-        if key.__class__ is not str or value.__class__ is not dict or value.keys() != _VALUE_KEYS:
-            return None
-        kind, raw = value["type"], value["value"]
+def _parse_value(obj, path: str, i: int):
+    """The value object of property i of the element at path.  Classes are
+    tested exactly, as json.loads makes them, so true is not an integer
+    here, nor 1.0."""
+    if obj.__class__ is not dict or obj.keys() != _VALUE_KEYS:
+        message = _shape_error(obj, _VALUE_KEYS, "value")
+    else:
+        kind = obj["type"]
+        raw = obj["value"]
         cls = raw.__class__
-        if cls is str and kind == "string":
-            out.append(Property(key, Text(raw)))
-        elif cls is int and kind == "integer":
-            out.append(Property(key, Integer(raw)))
-        elif cls is float and kind == "double" and raw == raw:  # only NaN differs from itself
-            out.append(Property(key, Double(raw)))
-        elif cls is bool and kind == "boolean":
-            out.append(Property(key, Boolean(raw)))
+        if kind == "string":
+            if cls is str:
+                return Text(raw)
+            message = "string value must be a JSON string"
+        elif kind == "integer":
+            if cls is int:
+                return Integer(raw)
+            if cls is not str:
+                message = "integer value must be a JSON number or digit string"
+            elif not _INT_STRING_RE.fullmatch(raw):
+                message = f"malformed integer {raw!r}"
+            else:
+                try:
+                    return Integer(int(raw))
+                except ValueError:
+                    message = _too_long()
+        elif kind == "double":
+            if cls is str:
+                if raw in ("INF", "-INF"):
+                    return Double(float(raw))
+                message = f"malformed double {raw!r}"
+            elif cls is not float and cls is not int:
+                message = "double value must be a JSON number"
+            elif raw != raw:  # only NaN differs from itself
+                message = "double value must not be NaN"
+            else:
+                try:
+                    return Double(float(raw))
+                except OverflowError:  # an integer token beyond the double range, read as 1e400 is
+                    return Double(math.inf if raw > 0 else -math.inf)
+        elif kind == "boolean":
+            if cls is bool:
+                return Boolean(raw)
+            message = "boolean value must be true or false"
         else:
-            return None
-    return out
+            message = f"unknown value type {kind!r}"
+    raise SchemaError(f"{path}/properties/{i}/value", message)
 
 
 def _parse_properties(obj: dict, path: str) -> list[Property]:
+    """The properties of the element obj at path."""
     entries = obj.get("properties", [])
-    _require(isinstance(entries, list), f"{path}/properties", "properties must be an array")
+    if entries.__class__ is not list:
+        raise SchemaError(f"{path}/properties", "properties must be an array")
     out = []
     for i, entry in enumerate(entries):
-        epath = f"{path}/properties/{i}"
-        _require(isinstance(entry, dict), epath, "property must be an object")
-        _check_keys(entry, epath, {"key", "value"}, set())
-        _require(isinstance(entry["key"], str), f"{epath}/key", "key must be a string")
-        out.append(Property(entry["key"], _parse_value(entry["value"], f"{epath}/value")))
+        if entry.__class__ is not dict or entry.keys() != _PROPERTY_KEYS:
+            raise SchemaError(f"{path}/properties/{i}",
+                              _shape_error(entry, _PROPERTY_KEYS, "property"))
+        key = entry["key"]
+        if key.__class__ is not str:
+            raise SchemaError(f"{path}/properties/{i}/key", "key must be a string")
+        out.append(Property(key, _parse_value(entry["value"], path, i)))
     return out
 
 
 def _parse_id(obj: dict, path: str, field: str) -> str:
     value = obj[field]
-    _require(isinstance(value, str) and value != "", f"{path}/{field}",
-             f"{field} must be a non-empty string")
+    if value.__class__ is not str or not value:
+        raise SchemaError(f"{path}/{field}", f"{field} must be a non-empty string")
     return value
 
 
 def parse_pg_json(text: str) -> PropertyGraph:
-    """Parse a PG-JSON document; SchemaError names the offending path."""
+    """Parse a PG-JSON document; SchemaError names the offending path.
+
+    One pass reads each element and checks it as it goes, in document
+    order, so the error raised is the first one found.  The checks compare
+    exact classes and whole key sets, and build a path only to raise.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("/", f"invalid JSON: {exc}") from exc
     except ValueError:  # json.loads reads integers with int(), which caps their length
-        raise _too_long("/") from None
+        raise SchemaError("/", _too_long()) from None
     except RecursionError:
         raise SchemaError("/", "invalid JSON: arrays or objects nested too deeply") from None
-    _require(isinstance(doc, dict), "/", "document must be an object")
-    _check_keys(doc, "/", {"vertices", "edges"}, set())
-    _require(isinstance(doc["vertices"], list), "/vertices", "vertices must be an array")
-    _require(isinstance(doc["edges"], list), "/edges", "edges must be an array")
+    if doc.__class__ is not dict or doc.keys() != _DOCUMENT_KEYS:
+        raise SchemaError("/", _shape_error(doc, _DOCUMENT_KEYS, "document"))
+    if doc["vertices"].__class__ is not list:
+        raise SchemaError("/vertices", "vertices must be an array")
+    if doc["edges"].__class__ is not list:
+        raise SchemaError("/edges", "edges must be an array")
 
-    # Each element is read by a fast path when it is well formed; otherwise,
-    # or when the fast path cannot tell, the checked path below reads it
-    # again from the start and raises the first error it finds.
-    vertices: list[str] = []
     props: dict[str, list[Property]] = {}
-    for i, entry in enumerate(doc["vertices"]):
-        if entry.__class__ is dict and entry.keys() == _VERTEX_KEYS:
-            vid = entry["id"]
-            entries = _well_formed_properties(entry["properties"])
-            if vid.__class__ is str and vid and vid not in props and entries is not None:
-                vertices.append(vid)
-                props[vid] = entries
-                continue
-        path = f"/vertices/{i}"
-        _require(isinstance(entry, dict), path, "vertex must be an object")
-        _check_keys(entry, path, {"id"}, {"properties"})
-        vid = _parse_id(entry, path, "id")
-        _require(vid not in props, f"{path}/id", f"duplicate id {vid!r}")
-        vertices.append(vid)
-        props[vid] = _parse_properties(entry, path)
-
-    edges: list[str] = []
     src: dict[str, str] = {}
     tgt: dict[str, str] = {}
     lbl: dict[str, str] = {}
-    for i, entry in enumerate(doc["edges"]):
-        if entry.__class__ is dict and entry.keys() == _EDGE_KEYS:
-            eid, source, target, label = entry["id"], entry["src"], entry["tgt"], entry["label"]
-            entries = _well_formed_properties(entry["properties"])
-            if (eid.__class__ is str and source.__class__ is str and target.__class__ is str
-                    and label.__class__ is str and eid and source and target and eid not in props
-                    and entries is not None):
-                edges.append(eid)
-                src[eid], tgt[eid], lbl[eid], props[eid] = source, target, label, entries
-                continue
-        path = f"/edges/{i}"
-        _require(isinstance(entry, dict), path, "edge must be an object")
-        _check_keys(entry, path, {"id", "src", "tgt", "label"}, {"properties"})
-        eid = _parse_id(entry, path, "id")
-        _require(eid not in props, f"{path}/id", f"duplicate id {eid!r}")
-        edges.append(eid)
-        src[eid] = _parse_id(entry, path, "src")
-        tgt[eid] = _parse_id(entry, path, "tgt")
-        label = entry["label"]
-        _require(isinstance(label, str), f"{path}/label", "label must be a string")
-        lbl[eid] = label
-        props[eid] = _parse_properties(entry, path)
+    for array, keys, kind in (("vertices", _VERTEX_KEYS, "vertex"), ("edges", _EDGE_KEYS, "edge")):
+        for i, entry in enumerate(doc[array]):
+            path = f"/{array}/{i}"
+            if entry.__class__ is not dict or entry.keys() != keys:
+                message = _shape_error(entry, keys, kind)
+                if message:
+                    raise SchemaError(path, message)
+            x = _parse_id(entry, path, "id")
+            if x in props:
+                raise SchemaError(f"{path}/id", f"duplicate id {x!r}")
+            if keys is _EDGE_KEYS:
+                src[x] = _parse_id(entry, path, "src")
+                tgt[x] = _parse_id(entry, path, "tgt")
+                label = entry["label"]
+                if label.__class__ is not str:
+                    raise SchemaError(f"{path}/label", "label must be a string")
+                lbl[x] = label
+            props[x] = _parse_properties(entry, path)
 
     # Only a text with a lone surrogate, escaped or raw, has its strings
     # searched; ASCII text can hold no raw one, so it costs one fast scan.
     if _SURROGATE_ESCAPE_RE.search(text) or not text.isascii() and _SURROGATE_RE.search(text):
         for path, string in _strings(doc, ""):
-            _require(not _SURROGATE_RE.search(string), path, "string holds a lone surrogate")
-    return PropertyGraph(vertices, edges, src, tgt, lbl, props)
+            if _SURROGATE_RE.search(string):
+                raise SchemaError(path, "string holds a lone surrogate")
+    return PropertyGraph(props.keys() - src.keys(), src.keys(), src, tgt, lbl, props)
 
 
 # The fixed layout of serialize_pg_json, as json.dumps(..., indent=2) lays

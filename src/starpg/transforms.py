@@ -169,7 +169,10 @@ def _check(g: RdfStarGraph, strong: bool,
         if isinstance(t.object, Triple):
             violations.append(Violation(t, "2", "triple embedded in object position"))
         mentioned = mentioned_terms(t)
-        for term in sorted((x for x in mentioned if isinstance(x, Literal)), key=term_key):
+        literals = [x for x in mentioned if isinstance(x, Literal)]
+        if len(literals) > 1:
+            literals.sort(key=term_key)
+        for term in literals:
             if value(term) is None:
                 violations.append(
                     Violation(t, "4", f"literal {_literal_note(term)} has no property value")

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,99 @@ from starpg import (
     is_property_unique,
     property_uniqueness_violations,
 )
+from starpg.pgjson import parse_pg_json
+from starpg.transforms import to_rdf_like_pg
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _edges(*rows, vertices=("v", "w")):
+    """PropertyGraph arguments for the given vertices and edges, each row
+    (id, src, tgt, label) with None for a missing entry."""
+    def column(k):
+        return {row[0]: row[k] for row in rows if row[k] is not None}
+
+    return (list(vertices), [row[0] for row in rows], column(1), column(2), column(3))
+
+
+# Every error PropertyGraph raises, as (arguments, exception class,
+# message).  Where the arguments break several rules, the row pins which
+# error is reported.
+CONSTRUCTION_ERRORS = {
+    # ids
+    "vertex-id-number": (([1],), PgValidationError,
+                         "element id must be a non-empty string: 1"),
+    "vertex-id-empty": (([""],), PgValidationError, "element id must be a non-empty string: ''"),
+    "edge-id-bytes": ((["v"], [b"e"]), PgValidationError,
+                      "element id must be a non-empty string: b'e'"),
+    "edge-id-empty-before-collision": ((["x"], ["x", ""]), PgValidationError,
+                                       "element id must be a non-empty string: ''"),
+    "collision": ((["x", "y", "z"], ["y", "x"]), IdCollisionError,
+                  "ids used as both vertex and edge: ['x', 'y']"),
+    "collision-before-unknown-edge": ((["x"], ["x"], {"e": "x"}), IdCollisionError,
+                                      "ids used as both vertex and edge: ['x']"),
+    # maps that name edges the graph lacks
+    "src-unknown-edge": ((["v"], [], {"e2": "v", "e1": "v"}), PgValidationError,
+                         "src mentions unknown edge: ['e1', 'e2']"),
+    "tgt-unknown-edge": ((["v"], ["e"], {"e": "v"}, {"e": "v", "f": "v"}), PgValidationError,
+                         "tgt mentions unknown edge: ['f']"),
+    "lbl-unknown-edge": ((["v"], [], None, None, {"f": "l"}), PgValidationError,
+                         "lbl mentions unknown edge: ['f']"),
+    "src-before-tgt-unknown-edge": ((["v"], [], {"a": "v"}, {"b": "v"}), PgValidationError,
+                                    "src mentions unknown edge: ['a']"),
+    "unknown-edge-before-broken-edge": ((["v"], ["e"], {}, {"f": "v"}), PgValidationError,
+                                        "tgt mentions unknown edge: ['f']"),
+    # one broken edge
+    "no-src": (_edges(("e", None, "w", "l")), DanglingEdgeError, "edge 'e' has no src endpoint"),
+    "src-unknown-vertex": (_edges(("e", "x", "w", "l")), DanglingEdgeError,
+                           "edge 'e' src refers to unknown vertex 'x'"),
+    "src-none": ((["v"], ["e"], {"e": None}, {"e": "v"}, {"e": "l"}), DanglingEdgeError,
+                 "edge 'e' src refers to unknown vertex None"),
+    "no-tgt": (_edges(("e", "v", None, "l")), DanglingEdgeError, "edge 'e' has no tgt endpoint"),
+    "tgt-unknown-vertex": (_edges(("e", "v", 7, "l")), DanglingEdgeError,
+                           "edge 'e' tgt refers to unknown vertex 7"),
+    "no-label": (_edges(("e", "v", "w", None)), MissingEdgeLabelError, "edge 'e' has no label"),
+    "label-number": (_edges(("e", "v", "w", 3)), PgValidationError, "edge 'e' label must be str"),
+    "label-none": ((["v"], ["e"], {"e": "v"}, {"e": "v"}, {"e": None}), PgValidationError,
+                   "edge 'e' label must be str"),
+    # the order of the checks inside one edge
+    "no-src-before-unknown-tgt": (_edges(("e", None, "x", None)), DanglingEdgeError,
+                                  "edge 'e' has no src endpoint"),
+    "unknown-src-before-no-tgt": (_edges(("e", "x", None, None)), DanglingEdgeError,
+                                  "edge 'e' src refers to unknown vertex 'x'"),
+    "unknown-tgt-before-no-label": (_edges(("e", "v", "x", None)), DanglingEdgeError,
+                                    "edge 'e' tgt refers to unknown vertex 'x'"),
+    "no-tgt-before-label-number": (_edges(("e", "v", None, 3)), DanglingEdgeError,
+                                   "edge 'e' has no tgt endpoint"),
+    # several broken edges: the least edge id is reported
+    "least-edge-id": (_edges(("b", None, "w", "l"), ("c", "v", "w", None), ("a", "v", "w", "l")),
+                      DanglingEdgeError, "edge 'b' has no src endpoint"),
+    "least-edge-id-over-check-order": (_edges(("b", None, "w", "l"), ("a", "v", "w", 3)),
+                                       PgValidationError, "edge 'a' label must be str"),
+    "least-edge-id-by-code-point": (_edges(("e9", "v", "x", "l"), ("e10", "v", "w", None)),
+                                    MissingEdgeLabelError, "edge 'e10' has no label"),
+    "least-of-many-edge-ids": (_edges(*[(f"e{i:03}", "v", "w", None) for i in range(200, 0, -1)]),
+                               MissingEdgeLabelError, "edge 'e001' has no label"),
+    "broken-edge-before-properties": ((["v"], ["e"], {"e": "v"}, {"e": "v"}, {},
+                                       {"nope": []}), MissingEdgeLabelError,
+                                      "edge 'e' has no label"),
+    # properties
+    "properties-unknown-element": ((["v"], [], None, None, None,
+                                    {"nope": [Property("k", Text("v"))]}), PgValidationError,
+                                   "properties attached to unknown element 'nope'"),
+    "properties-unknown-element-empty": ((["v"], [], None, None, None, {"nope": []}),
+                                         PgValidationError,
+                                         "properties attached to unknown element 'nope'"),
+    "not-a-property": ((["v"], [], None, None, None, {"v": [Property("k", Text("v")), "x"]}),
+                       PgValidationError, "not a Property on element 'v': 'x'"),
+    "not-a-property-on-edge": ((*_edges(("e", "v", "w", "l")), {"e": [("k", "v")]}),
+                               PgValidationError, "not a Property on element 'e': ('k', 'v')"),
+    "properties-in-mapping-order": ((["v"], [], None, None, None, {"v": [1], "nope": []}),
+                                    PgValidationError, "not a Property on element 'v': 1"),
+    "unknown-element-in-mapping-order": ((["v"], [], None, None, None, {"nope": [], "v": [1]}),
+                                         PgValidationError,
+                                         "properties attached to unknown element 'nope'"),
+}
 
 
 class TestValues:
@@ -124,6 +221,68 @@ class TestConstruction:
     def test_mappings_are_read_only(self, kubrick_pg):
         with pytest.raises(TypeError):
             kubrick_pg.src["e9"] = "Kubrick"
+
+
+class _CountingId(str):
+    """An id that counts how often it is ordered against another."""
+
+    comparisons = 0
+
+    def __lt__(self, other):
+        _CountingId.comparisons += 1
+        return str.__lt__(self, other)
+
+
+class TestConstructionErrorTable:
+    @pytest.mark.parametrize("name", CONSTRUCTION_ERRORS)
+    def test_error_class_and_message(self, name):
+        args, cls, message = CONSTRUCTION_ERRORS[name]
+        with pytest.raises(PgValidationError) as info:
+            PropertyGraph(*args)
+        assert info.type is cls
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("args, message", [
+        ("['v', b'x', b'y', 'w']", "element id must be a non-empty string: b'x'"),
+        ("['v', None, 3, '']", "element id must be a non-empty string: ''"),
+        ("['v'], props={'v': ['a', b'b', 'c']}", "not a Property on element 'v': 'a'"),
+        ("['v'], props={'v': [3, 20, Property('k', Text('x'))]}",
+         "not a Property on element 'v': 20"),
+    ])
+    def test_several_offenders_name_the_least_under_any_hash_seed(self, args, message):
+        script = (
+            "from starpg import Property, PropertyGraph, Text\n"
+            "try:\n"
+            f"    PropertyGraph({args})\n"
+            "except ValueError as e:\n"
+            "    print(e)\n"
+        )
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+            out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, check=True).stdout
+            assert out == message + "\n"
+
+    def test_valid_graph_orders_no_edge_ids(self):
+        n = 500
+        vertices = [f"v{i}" for i in range(n)]
+        edges = [_CountingId(f"e{i}") for i in range(n)]
+        src = {e: vertices[i] for i, e in enumerate(edges)}
+        tgt = {e: vertices[(i + 1) % n] for i, e in enumerate(edges)}
+        lbl = {e: "l" for e in edges}
+        _CountingId.comparisons = 0
+        g = PropertyGraph(vertices, edges, src, tgt, lbl, {edges[0]: [Property("k", Text("x"))]})
+        assert _CountingId.comparisons == 0
+        assert len(g.edges) == n
+
+    def test_elements_without_properties_share_one_empty_set(self, data_dir, alice_bob):
+        pg = parse_pg_json((data_dir / "kubrick.pg.json").read_text(encoding="utf-8"))
+        rdf_like = to_rdf_like_pg(alice_bob).graph
+        built = PropertyGraph(["v", "w"], ["e"], {"e": "v"}, {"e": "w"}, {"e": "l"},
+                              {"v": [], "w": ()})
+        empty = [[ps for ps in g.props.values() if not ps] for g in (pg, rdf_like, built)]
+        assert [len(sets) > 0 for sets in empty] == [True, True, True]
+        assert len({id(ps) for sets in empty for ps in sets}) == 1
 
 
 class TestPropertyUniqueness:

@@ -232,6 +232,9 @@ SCHEMA_ERRORS = {
     "edge-unknown-key": (_with_edge(weight=1), "/edges/0", "unknown key 'weight'"),
     "edge-id-number": (_with_edge(id=1), "/edges/0/id", "id must be a non-empty string"),
     "edge-id-of-a-vertex": (_with_edge(id="v"), "/edges/0/id", "duplicate id 'v'"),
+    "edge-id-of-an-edge": (_doc([{"id": "v"}], [{"id": "e", "src": "v", "tgt": "v",
+                                                 "label": "l"}] * 2),
+                           "/edges/1/id", "duplicate id 'e'"),
     "edge-src-empty": (_with_edge(src=""), "/edges/0/src", "src must be a non-empty string"),
     "edge-tgt-number": (_with_edge(tgt=2), "/edges/0/tgt", "tgt must be a non-empty string"),
     "edge-src-before-tgt": (_with_edge(src=1, tgt=2), "/edges/0/src",
