@@ -133,6 +133,11 @@ def property_sort_key(p: Property):
     return (p.key, _property_value_key(p.value))
 
 
+def _is_vertex(x: object, vertices: frozenset[str]) -> bool:
+    """Whether x is one of vertices, which are strs; x may be unhashable."""
+    return isinstance(x, str) and x in vertices
+
+
 # The property set of every element without properties.
 _NO_PROPERTIES: frozenset[Property] = frozenset()
 
@@ -175,16 +180,22 @@ class PropertyGraph:
         lbl = dict(lbl or {})
         for name, mapping in (("src", src), ("tgt", tgt), ("lbl", lbl)):
             unknown = set(mapping) - eset
-            if unknown:
-                raise PgValidationError(f"{name} mentions unknown edge: {sorted(unknown)!r}")
-        broken = [e for e in eset if src.get(e) not in vset or tgt.get(e) not in vset
-                  or not isinstance(lbl.get(e), str)]
+            if unknown:  # str keys in their order, then any others by repr
+                unknown = sorted(unknown, key=lambda k: (0, k) if isinstance(k, str)
+                                 else (1, repr(k)))
+                raise PgValidationError(f"{name} mentions unknown edge: {unknown!r}")
+        try:
+            broken = [e for e in eset if src.get(e) not in vset or tgt.get(e) not in vset
+                      or not isinstance(lbl.get(e), str)]
+        except TypeError:  # an unhashable endpoint, which names no vertex
+            broken = [e for e in eset if not _is_vertex(src.get(e), vset)
+                      or not _is_vertex(tgt.get(e), vset) or not isinstance(lbl.get(e), str)]
         if broken:
             e = min(broken)
             for name, mapping in (("src", src), ("tgt", tgt)):
                 if e not in mapping:
                     raise DanglingEdgeError(f"edge {e!r} has no {name} endpoint")
-                if mapping[e] not in vset:
+                if not _is_vertex(mapping[e], vset):
                     raise DanglingEdgeError(
                         f"edge {e!r} {name} refers to unknown vertex {mapping[e]!r}"
                     )
@@ -196,7 +207,12 @@ class PropertyGraph:
         for x, entries in (props or {}).items():
             if x not in pmap:
                 raise PgValidationError(f"properties attached to unknown element {x!r}")
-            entries = frozenset(entries)
+            try:
+                entries = frozenset(entries)
+            except TypeError:  # an unhashable entry, which is no Property
+                entries = list(entries)
+                if all(isinstance(p, Property) for p in entries):  # a spent iterator's
+                    raise PgValidationError(f"unhashable entry on element {x!r}") from None
             for p in entries:
                 if not isinstance(p, Property):
                     p = min((q for q in entries if not isinstance(q, Property)), key=repr)

@@ -9,6 +9,11 @@ else (collections, blank node property lists, triple-quoted strings,
 @base, deeper nesting) is a parse error with a 1-based line/column
 diagnostic.
 
+The parser is a recursive descent over tokens.  One master regex with a
+named group per token kind finds each token after its whitespace and
+comments; it runs lazily under re.finditer, so the parser holds one
+token at a time and no token list is built.
+
 Serialization is deterministic: prefixes sorted by label, one triple per
 line in term order, blank nodes renumbered b1, b2, ... by the canonical
 labelling of rdf.canonicalize_bnodes, and literals shortened to bare
@@ -76,7 +81,6 @@ class NotPlainRdfError(ValueError):
 
 _PREFIX_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 _LOCAL_RE = re.compile(r"(?:[A-Za-z0-9_][A-Za-z0-9_-]*)?")
-_PNAME_RE = re.compile(f"(?:{_PREFIX_RE.pattern})?:{_LOCAL_RE.pattern}")
 # Double (mandatory exponent) must be tried before decimal and integer.
 _NUMBER_RE = re.compile(
     r"[+-]?(?:"
@@ -86,12 +90,31 @@ _NUMBER_RE = re.compile(
     r")"
 )
 _ESCAPES = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}
+_ESCAPE_RE = re.compile(r"\\(.)")
 # Turtle constructs outside the subset, by the character their object starts with.
 _UNSUPPORTED = {"'": "single-quoted strings", "[": "blank node property lists",
                 "(": "collections"}
-_TRIVIA_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
-_IRI_BODY_RE = re.compile(r"[^>\n]*")
-_STRING_RUN_RE = re.compile(r'[^"\\\n\r]*')
+_IRIREF_RE = re.compile(r"<[^>\n]*>?")  # without its '>', an unterminated IRI
+_STRING_BODY_RE = re.compile(
+    rf'[^"\\\n\r]*(?:\\[{re.escape("".join(_ESCAPES))}][^"\\\n\r]*)*')
+# One match: the trivia before a token, then the token, whose kind is the
+# name of its group.  A string takes an adjacent language tag or '^^'.  A
+# number never starts with '.': after an object '.5' is the statement's '.'
+# and '5', so where an object starts the parser reads '.5' itself.  CHAR
+# is any other character, which the parser reads by itself.
+_TOKEN_RE = re.compile(
+    r"(?:[ \t\r\n]+|#[^\n]*)*(?:"
+    rf"(?P<PNAME>(?:{_PREFIX_RE.pattern})?:{_LOCAL_RE.pattern})"
+    r"|(?P<DOT>\.)|(?P<SEMI>;)|(?P<COMMA>,)"
+    rf'|(?P<STRING>"(?!"")(?P<lex>{_STRING_BODY_RE.pattern})"'
+    rf"(?:@(?P<lang>{_LANG_TAG_RE.pattern})?|(?P<dt>\^\^))?)"
+    rf"|(?P<LTLT><<)|(?P<GTGT>>>)|(?P<IRI>{_IRIREF_RE.pattern})"
+    rf"|(?P<NUMBER>(?!\.){_NUMBER_RE.pattern})"
+    rf"|(?P<BNODE>_:(?P<label>{_BNODE_LABEL_RE.pattern}))"
+    rf"|(?P<WORD>{_PREFIX_RE.pattern})|(?P<AT>@(?:{_PREFIX_RE.pattern})?)"
+    r"|(?P<END>\Z)|(?P<CHAR>.))",
+    re.DOTALL,
+)
 
 
 def _number_datatype(lex: str) -> str:
@@ -103,12 +126,12 @@ def _number_datatype(lex: str) -> str:
 
 
 class _Parser:
-    """Recursive descent over the text; the scanner keeps only pos, and
-    line and column are computed from it when an error is raised."""
+    """Recursive descent over the tokens of _TOKEN_RE: the parser holds
+    the current match and takes the next only when it moves on.  Line and
+    column are computed from a token's start when an error is raised."""
 
     def __init__(self, text: str) -> None:
         self.text = text
-        self.pos = 0
         self.prefixes: dict[str, str] = {}
         self.triples: set[Triple] = set()
         # The term tables: equal IRIs share one object, and so do equal
@@ -118,35 +141,25 @@ class _Parser:
         self.iris: dict[str, Iri] = {}
         self.literals: dict[tuple, Literal] = {}
         self.pnames: dict[str, Iri] = {}
-        self.depth = 0  # << >> levels open at pos
+        self.depth = 0  # << >> levels open at the current token
+        self.scan_from(0)
 
-    # -- scanning primitives -------------------------------------------
+    # -- tokens --------------------------------------------------------
 
-    def peek(self, k: int = 0) -> str:
-        i = self.pos + k
-        return self.text[i] if i < len(self.text) else ""
+    def scan_from(self, pos: int) -> None:
+        """Start the lexer at pos and move to its first token."""
+        self.next_token = _TOKEN_RE.finditer(self.text, pos).__next__
+        self.advance()
+
+    def advance(self) -> None:
+        m = self.m = self.next_token()
+        self.kind = m.lastgroup
 
     def error(self, message: str, at: int | None = None) -> NoReturn:
-        pos = self.pos if at is None else at
+        pos = self.m.start(self.kind) if at is None else at
         line = self.text.count("\n", 0, pos) + 1
         column = pos - self.text.rfind("\n", 0, pos)
         raise TurtleParseError(line, column, message)
-
-    def skip_trivia(self) -> None:
-        self.pos = _TRIVIA_RE.match(self.text, self.pos).end()
-
-    def take(self, expected: str, what: str) -> None:
-        for c in expected:
-            if self.peek() != c:
-                self.error(f"expected {what}")
-            self.pos += 1
-
-    def match_re(self, pattern: re.Pattern) -> str | None:
-        m = pattern.match(self.text, self.pos)
-        if m is None:
-            return None
-        self.pos = m.end()
-        return m.group()
 
     def iri(self, value: str) -> Iri:
         """The Iri for value; raises ValueError like Iri itself."""
@@ -167,30 +180,28 @@ class _Parser:
     # -- grammar -------------------------------------------------------
 
     def parse(self) -> tuple[RdfStarGraph, dict[str, str]]:
-        while True:
-            self.skip_trivia()
-            if self.pos >= len(self.text):
-                break
-            if self.peek() == "@":
+        while self.kind != "END":
+            if self.kind == "AT":
                 self.directive()
             else:
                 self.statement()
         return RdfStarGraph(self.triples), dict(self.prefixes)
 
     def directive(self) -> None:
-        at = self.pos
-        self.pos += 1  # '@'
-        word = self.match_re(_PREFIX_RE) or ""
+        word = self.m["AT"][1:]
         if word == "base":
-            self.error("@base is not supported", at)
+            self.error("@base is not supported")
         if word != "prefix":
-            self.error(f"unknown directive @{word}", at)
-        self.skip_trivia()
-        label = self.match_re(_PREFIX_RE) or ""
-        if self.peek() != ":":
+            self.error(f"unknown directive @{word}")
+        self.advance()
+        if self.kind == "WORD":  # a label without its ':'
+            self.error("expected ':' after prefix label", self.m.end("WORD"))
+        if self.kind != "PNAME":
             self.error("expected ':' after prefix label")
-        self.pos += 1
-        self.skip_trivia()
+        label, _, local = self.m["PNAME"].partition(":")
+        if local:
+            self.error("expected IRI", self.m.start("PNAME") + len(label) + 1)
+        self.advance()
         iri = self.iriref()
         self.prefixes[label] = iri.value  # a later declaration wins
         self.pnames.clear()
@@ -207,48 +218,68 @@ class _Parser:
             while True:
                 obj = self.term("object")
                 self.triples.add(Triple(subject, predicate, obj))
-                self.skip_trivia()
-                if self.peek() == ",":
-                    self.pos += 1
-                    continue
-                break
-            if self.peek() == ";":
-                while self.peek() == ";":
-                    self.pos += 1
-                    self.skip_trivia()
-                if self.peek() == ".":
-                    return
-                continue
-            return
+                if self.kind != "COMMA":
+                    break
+                self.advance()
+            if self.kind != "SEMI":
+                return
+            while self.kind == "SEMI":
+                self.advance()
+            if self.kind == "DOT":
+                return
 
     def expect_dot(self) -> None:
-        self.skip_trivia()
-        if self.peek() != ".":
+        if self.kind != "DOT":
             self.error("expected '.'")
-        self.pos += 1
+        self.advance()
 
     def term(self, position: str) -> Term:
-        """The term at pos, after trivia, in position "subject", "predicate"
+        """The term at the current token in position "subject", "predicate"
         or "object".  A subject at depth > 0 is an embedded triple's: there
         a literal start is an embedded triple with literal subject."""
-        self.skip_trivia()
-        c = self.peek()
-        if c == "":
-            self.error(f"expected {position}, found end of input")
-        if c == "<":
-            if self.peek(1) != "<":
-                return self.iriref()
+        kind = self.kind
+        if kind == "PNAME":  # the commonest term, read here without a call
+            iri = self.pnames.get(self.m["PNAME"])
+            if iri is not None:
+                self.advance()
+                return iri
+        if kind == "PNAME" or kind == "WORD" or kind == "END":
+            return self.name(position)
+        if kind == "IRI":
+            return self.iriref()
+        if kind == "LTLT":
             if position == "predicate":
                 self.error("embedded triple not allowed as predicate")
             return self.embedded()
-        if c == "_" and position != "predicate":
-            return self.bnode()
-        n = self.peek(1) if c in "+-." else ""  # only a sign or a point looks ahead
+        m = self.m
+        if position != "predicate" and kind == "BNODE":
+            self.advance()
+            return BNode(m["label"])
+        if position == "object":
+            if kind == "STRING":
+                return self.string_literal()
+            if kind == "NUMBER":
+                self.advance()
+                lex = m["NUMBER"]
+                return self.literal(lex, self.iri(_number_datatype(lex)))
+        # Any other token is read by its first character.
+        at = m.start(kind)
+        c = self.text[at]
+        n = self.text[at + 1:at + 2] if c in "+-._" else ""  # only these look ahead
+        if c == "_" and position != "predicate":  # not followed by ':' and a label
+            if n != ":":
+                self.error("expected blank node label", at + 1)
+            self.error("invalid blank node label")
         if position == "object":
             if c == '"':
-                return self.string_literal()
+                self.malformed_string(at)
             if c.isdigit() or c in "+-" and (n.isdigit() or n == ".") or c == "." and n.isdigit():
-                return self.numeric_literal()
+                number = _NUMBER_RE.match(self.text, at)
+                if number is None:
+                    self.error("malformed number")
+                self.scan_from(number.end())
+                lex = number.group()
+                return self.literal(lex, self.iri(_number_datatype(lex)))
             if c in _UNSUPPORTED:
                 self.error(f"{_UNSUPPORTED[c]} are not supported")
         elif c == '"' or c.isdigit() or c in "+-" or (
@@ -262,124 +293,91 @@ class _Parser:
         if self.depth == MAX_NESTING_DEPTH:
             self.error(f"embedded triples nested deeper than {MAX_NESTING_DEPTH} levels")
         self.depth += 1
-        self.take("<<", "'<<'")
+        self.advance()
         subject = self.term("subject")
         predicate = self.term("predicate")
         obj = self.term("object")
-        self.skip_trivia()
-        if self.peek() != ">" or self.peek(1) != ">":
+        if self.kind != "GTGT":
             self.error("expected '>>'")
-        self.pos += 2
+        self.advance()
         self.depth -= 1
         return Triple(subject, predicate, obj)
 
     def iriref(self) -> Iri:
-        at = self.pos
-        self.take("<", "IRI")
-        end = _IRI_BODY_RE.match(self.text, self.pos).end()
-        if end == len(self.text) or self.text[end] == "\n":
-            self.error("unterminated IRI", at)
-        value = self.text[self.pos:end]
-        self.pos = end + 1  # past '>'
+        m, kind = self.m, self.kind
+        if kind == "LTLT":  # in a directive: an IRI holding '<', which Iri rejects
+            m, kind = _IRIREF_RE.match(self.text, m.start(kind)), 0
+        elif kind != "IRI":
+            self.error("expected IRI")
+        token = m[kind]
+        if token[-1] != ">":
+            self.error("unterminated IRI")
+        self.advance()
         try:
-            return self.iri(value)
+            return self.iri(token[1:-1])
         except ValueError as exc:
-            self.error(f"invalid IRI: {exc}", at)
-
-    def bnode(self) -> BNode:
-        at = self.pos
-        self.take("_:", "blank node label")
-        label = self.match_re(_BNODE_LABEL_RE)
-        if label is None:
-            self.error("invalid blank node label", at)
-        return BNode(label)
-
-    def known_pname(self) -> Iri | None:
-        """The IRI of the prefixed name at pos if it was resolved before,
-        moving past it; None otherwise, without moving."""
-        m = _PNAME_RE.match(self.text, self.pos)
-        iri = self.pnames.get(m.group()) if m is not None else None
-        if iri is not None:
-            self.pos = m.end()
-        return iri
+            self.error(f"invalid IRI: {exc}", m.start(kind))
 
     def name(self, position: str) -> Iri | Literal:
-        """The prefixed name at pos in position "subject", "predicate",
-        "object" or "datatype"; besides, the keyword 'a' as a predicate and
-        a boolean as an object."""
-        iri = self.known_pname()
-        if iri is not None:
+        """The prefixed name at the current token in position "subject",
+        "predicate", "object" or "datatype"; besides, the keyword 'a' as a
+        predicate and a boolean as an object."""
+        m, kind = self.m, self.kind
+        if kind == "PNAME":
+            token = m[kind]
+            iri = self.pnames.get(token)
+            if iri is None:
+                label, _, local = token.partition(":")
+                if label not in self.prefixes:
+                    self.error(f"unknown prefix {label!r}")
+                # A declared namespace is a valid IRI, and so is any local name after it.
+                iri = self.pnames[token] = self.iri(self.prefixes[label] + local)
+            self.advance()
             return iri
-        at = self.pos
-        word = self.match_re(_PREFIX_RE) or ""
-        if self.peek() != ":":
+        if kind == "WORD":
+            word = m[kind]
             if word == "a" and position == "predicate":
+                self.advance()
                 return self.iri(RDF_TYPE)
             if word in ("true", "false"):
-                if position == "object":
-                    return self.literal(word, self.iri(XSD_BOOLEAN))
-                self.error("literal not allowed here", at)
-            if word:
-                self.error(f"expected ':' in prefixed name after {word!r}", at)
-            if self.peek() == "":  # only a datatype reaches here at the end of input
-                self.error(f"expected {position}, found end of input")
-            self.error(f"unexpected character {self.peek()!r}", at)
-        self.pos += 1
-        if word not in self.prefixes:
-            self.error(f"unknown prefix {word!r}", at)
-        # A declared namespace is a valid IRI, and so is any local name after it.
-        iri = self.iri(self.prefixes[word] + self.match_re(_LOCAL_RE))
-        self.pnames[self.text[at:self.pos]] = iri
-        return iri
+                if position != "object":
+                    self.error("literal not allowed here")
+                self.advance()
+                return self.literal(word, self.iri(XSD_BOOLEAN))
+            self.error(f"expected ':' in prefixed name after {word!r}")
+        if kind == "END":
+            self.error(f"expected {position}, found end of input")
+        self.error(f"unexpected character {self.text[m.start(kind)]!r}")
 
-    def numeric_literal(self) -> Literal:
-        lex = self.match_re(_NUMBER_RE)
-        if lex is None:
-            self.error("malformed number")
-        return self.literal(lex, self.iri(_number_datatype(lex)))
+    def malformed_string(self, at: int) -> NoReturn:
+        """Raise the error of the string at at that no string token matched."""
+        if self.text.startswith('""', at + 1):
+            self.error("triple-quoted strings are not supported")
+        end = _STRING_BODY_RE.match(self.text, at + 1).end()
+        if self.text.startswith("\\", end):
+            self.error(f"unsupported escape \\{self.text[end + 1:end + 2]}", end)
+        self.error("unterminated string literal")
 
     def string_literal(self) -> Literal:
-        at = self.pos
-        self.pos += 1  # opening quote
-        if self.peek() == '"' and self.peek(1) == '"':
-            self.error("triple-quoted strings are not supported", at)
-        chars: list[str] = []
-        while True:
-            chars.append(self.match_re(_STRING_RUN_RE))
-            c = self.peek()
-            if c == "" or c in "\n\r":
-                self.error("unterminated string literal", at)
-            if c == '"':
-                self.pos += 1
-                break
-            # c is a backslash
-            e = self.peek(1)
-            if e not in _ESCAPES:
-                self.error(f"unsupported escape \\{e}", self.pos)
-            chars.append(_ESCAPES[e])
-            self.pos += 2
-        lex = "".join(chars)
-        # Language tag or datatype must be adjacent, per Turtle.
-        if self.peek() == "@":
-            self.pos += 1
-            tag = self.match_re(_LANG_TAG_RE)
-            if tag is None:
-                self.error("malformed language tag")
-            return self.literal(lex, self.iri(RDF_LANG_STRING), tag)
-        if self.peek() == "^" and self.peek(1) == "^":
-            self.pos += 2
-            self.skip_trivia()
-            if self.peek() != "<":
-                dt = self.name("datatype")
-            elif self.peek(1) == "<":
-                self.error("expected datatype IRI")
-            else:
-                dt = self.iriref()
-            try:
-                return self.literal(lex, dt)
-            except ValueError as exc:
-                self.error(str(exc), at)
-        return self.literal(lex, self.iri(XSD_STRING))
+        m = self.m
+        lex = m["lex"]
+        if "\\" in lex:
+            lex = _ESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], lex)
+        language, datatype = m["lang"], m["dt"]
+        self.advance()
+        if language is not None:
+            return self.literal(lex, self.iri(RDF_LANG_STRING), language)
+        if datatype is None:
+            if self.text[m.end() - 1] == "@":
+                self.error("malformed language tag", m.end())
+            return self.literal(lex, self.iri(XSD_STRING))
+        if self.kind == "LTLT":
+            self.error("expected datatype IRI")
+        dt = self.iriref() if self.kind == "IRI" else self.name("datatype")
+        try:
+            return self.literal(lex, dt)
+        except ValueError as exc:
+            self.error(str(exc), m.start("STRING"))
 
 
 def parse_turtle_star(text: str) -> tuple[RdfStarGraph, dict[str, str]]:

@@ -64,6 +64,8 @@ CONSTRUCTION_ERRORS = {
                                     "src mentions unknown edge: ['a']"),
     "unknown-edge-before-broken-edge": ((["v"], ["e"], {}, {"f": "v"}), PgValidationError,
                                         "tgt mentions unknown edge: ['f']"),
+    "unknown-edges-of-mixed-types": ((["v"], [], {1: "v", "a": "v"}), PgValidationError,
+                                     "src mentions unknown edge: ['a', 1]"),
     # one broken edge
     "no-src": (_edges(("e", None, "w", "l")), DanglingEdgeError, "edge 'e' has no src endpoint"),
     "src-unknown-vertex": (_edges(("e", "x", "w", "l")), DanglingEdgeError,
@@ -73,6 +75,8 @@ CONSTRUCTION_ERRORS = {
     "no-tgt": (_edges(("e", "v", None, "l")), DanglingEdgeError, "edge 'e' has no tgt endpoint"),
     "tgt-unknown-vertex": (_edges(("e", "v", 7, "l")), DanglingEdgeError,
                            "edge 'e' tgt refers to unknown vertex 7"),
+    "src-unhashable": (_edges(("e", ["v"], "w", "l")), DanglingEdgeError,
+                       "edge 'e' src refers to unknown vertex ['v']"),
     "no-label": (_edges(("e", "v", "w", None)), MissingEdgeLabelError, "edge 'e' has no label"),
     "label-number": (_edges(("e", "v", "w", 3)), PgValidationError, "edge 'e' label must be str"),
     "label-none": ((["v"], ["e"], {"e": "v"}, {"e": "v"}, {"e": None}), PgValidationError,
@@ -109,6 +113,11 @@ CONSTRUCTION_ERRORS = {
                        PgValidationError, "not a Property on element 'v': 'x'"),
     "not-a-property-on-edge": ((*_edges(("e", "v", "w", "l")), {"e": [("k", "v")]}),
                                PgValidationError, "not a Property on element 'e': ('k', 'v')"),
+    "unhashable-property-entry": ((["v"], [], None, None, None, {"v": [{}]}), PgValidationError,
+                                  "not a Property on element 'v': {}"),
+    "least-of-unhashable-property-entries": ((["v"], [], None, None, None,
+                                              {"v": [Property("k", Text("v")), [], 2]}),
+                                             PgValidationError, "not a Property on element 'v': 2"),
     "properties-in-mapping-order": ((["v"], [], None, None, None, {"v": [1], "nope": []}),
                                     PgValidationError, "not a Property on element 'v': 1"),
     "unknown-element-in-mapping-order": ((["v"], [], None, None, None, {"nope": [], "v": [1]}),
@@ -241,6 +250,11 @@ class TestConstructionErrorTable:
             PropertyGraph(*args)
         assert info.type is cls
         assert str(info.value) == message
+
+    def test_unhashable_entry_of_a_one_shot_iterator(self):
+        # The failed entry is used up, so the message cannot name it.
+        with pytest.raises(PgValidationError, match="^unhashable entry on element 'v'$"):
+            PropertyGraph(["v"], props={"v": iter([Property("k", Text("v")), {}])})
 
     @pytest.mark.parametrize("args, message", [
         ("['v', b'x', b'y', 'w']", "element id must be a non-empty string: b'x'"),

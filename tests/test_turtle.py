@@ -33,6 +33,8 @@ from starpg import (
 from starpg.turtle import MAX_NESTING_DEPTH
 from conftest import AGE, CERTAINTY, EX, FOAF, KNOWS, NAME, build_alice_bob
 import randgen
+from test_fuzz import _PREFIX, _STATEMENT, _TURTLE_TOKENS
+import turtle_oracle
 
 PREFIX_BLOCK = f"@prefix ex: <{EX}> .\n@prefix foaf: <{FOAF}> .\n"
 
@@ -116,6 +118,36 @@ class TestParseBasics:
     def test_crlf_line_endings(self):
         g = parse(f"<{EX}s> <{EX}p> <{EX}o> .\r\n<{EX}s> <{EX}q> 1 .\r\n")
         assert len(g) == 2
+
+    @pytest.mark.parametrize("text", [
+        '<e:s> <e:p> "x"^^ <e:d> .',
+        '<e:s> <e:p> "x"^^#c\n<e:d> .',
+    ])
+    def test_trivia_after_datatype_marker(self, text):
+        assert parse(text) == RdfStarGraph([
+            Triple(Iri("e:s"), Iri("e:p"), Literal("x", Iri("e:d")))])
+
+    def test_integer_before_the_statement_dot(self):
+        g = parse("<e:s> <e:p> 1.")
+        assert next(iter(g)).object == Literal("1", Iri(XSD_INTEGER))
+
+    def test_double_with_point_before_exponent(self):
+        g = parse("<e:s> <e:p> 1.e5 .")
+        assert next(iter(g)).object == Literal("1.e5", Iri(XSD_DOUBLE))
+
+    def test_statement_dot_adjacent_to_prefixed_names(self):
+        g = parse(PREFIX_BLOCK + "ex:s ex:p ex:o.ex:s ex:p ex:o2 .")
+        assert g == RdfStarGraph([Triple(S, P, O), Triple(S, P, Iri(EX + "o2"))])
+
+    @pytest.mark.parametrize("text,triples", [
+        (PREFIX_BLOCK + "ex:s ex:p true.", 1),
+        ("<e:s><e:p><e:o>.", 1),
+        ("<e:s> <e:p> _:b1.", 1),
+        ("@prefix ex:<e:>.", 0),
+        ("<<<e:s><e:p><e:o>>><e:q><e:r>.", 1),
+    ])
+    def test_tokens_adjacent_without_trivia(self, text, triples):
+        assert len(parse(text)) == triples
 
 
 class TestParseLiterals:
@@ -266,6 +298,15 @@ PARSE_ERRORS = [
     ('<e:s> <e:p> "x"^^<<e:d>> .', 1, 18, "expected datatype IRI"),
     (f'<e:s> <e:p> "x"^^<{RDF}langString> .', 1, 13,
      "rdf:langString literal requires a language tag"),
+    # Where one token ends and the next begins.
+    ('<e:s> <e:p> "x" @en .', 1, 17, "expected '.'"),
+    ('<e:s> <e:p> "x" ^^<e:d> .', 1, 17, "expected '.'"),
+    ("<e:s> <e:p> <e:o>.5 .", 1, 19, "literal not allowed as subject"),
+    ("<e:s> <e:p> _:b-1 .", 1, 16, "expected '.'"),
+    ("@ prefix ex: <e:> .", 1, 1, "unknown directive @"),
+    ("@prefix ex: <e:> .\nex:s ex:p ex:a.b .", 2, 16, "expected ':' in prefixed name after 'b'"),
+    ("@prefix <e:> .", 1, 9, "expected ':' after prefix label"),
+    ("@prefix ex:abc <e:> .", 1, 12, "expected IRI"),
 ]
 
 
@@ -383,6 +424,44 @@ class TestParseErrors:
 
     def test_position_of_iri_unterminated_at_newline(self):
         self.check(f"<{EX}s> <{EX}p>\n  <{EX}ne\nver> .", "unterminated IRI", line=2, column=3)
+
+
+def _outcome(parse_fn, text: str):
+    """The graph and prefixes parse_fn reads from text, or the line,
+    column and message of its parse error."""
+    try:
+        return parse_fn(text)
+    except TurtleParseError as exc:
+        return exc.line, exc.column, exc.message
+
+
+class TestParserOracle:
+    """parse_turtle_star against the character-level parser it replaced
+    (tests/turtle_oracle.py): the same graph and prefixes, or the same
+    error at the same position.  Tokens are joined with nothing, a space
+    or a newline, so that adjacent tokens come up."""
+
+    def check(self, text: str) -> None:
+        assert _outcome(parse_turtle_star, text) == _outcome(turtle_oracle.parse, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.booleans(), st.lists(st.sampled_from(_TURTLE_TOKENS), max_size=30),
+           st.sampled_from(["", " ", "\n"]))
+    def test_token_soup(self, prefixed, tokens, separator):
+        self.check((_PREFIX if prefixed else "") + separator.join(tokens))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_STATEMENT, max_size=12), st.sampled_from(["", " ", "\n"]))
+    def test_statements(self, statements, separator):
+        self.check(_PREFIX + separator.join(statements))
+
+    @pytest.mark.parametrize("text", [row[0] for row in PARSE_ERRORS])
+    def test_error_rows(self, text):
+        self.check(text)
+
+    def test_data_files(self, data_dir):
+        for path in sorted(data_dir.glob("*.ttls")):
+            self.check(path.read_text(encoding="utf-8"))
 
 
 class TestSerialize:
