@@ -79,13 +79,14 @@ _FAILURES = {
 }
 
 
-def _check_format(path: str, expected: str, override: str | None, role: str) -> None:
+def _check_format(path: str | None, expected: str, override: str | None, role: str) -> None:
+    """Reject an override, or else a path's extension, that names another format."""
     if override is not None:
         if override != expected:
             raise CliUsageError(f"the {role} format of this command is {expected}, not {override}")
         return
     for fmt, extensions in _EXTENSIONS.items():
-        if fmt != expected and any(path.endswith(ext) for ext in extensions):
+        if fmt != expected and path is not None and path.endswith(extensions):
             raise CliUsageError(
                 f"{path!r} has a {fmt} extension but this command expects {expected}"
             )
@@ -159,8 +160,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_rdf2pg(args: argparse.Namespace) -> int:
     _check_format(args.input, "turtle-star", args.from_format, "input")
-    if args.output is not None:
-        _check_format(args.output, "pg-json", args.to_format, "output")
+    _check_format(args.output, "pg-json", args.to_format, "output")
     transform = to_rdf_like_pg if args.mode == "rdf-like" else to_simple_pg
     # Keep only the property graph: the parsed graph and the witness maps
     # are freed before the output is built.
@@ -171,8 +171,7 @@ def cmd_rdf2pg(args: argparse.Namespace) -> int:
 
 def cmd_pg2rdf(args: argparse.Namespace) -> int:
     _check_format(args.input, "pg-json", args.from_format, "input")
-    if args.output is not None:
-        _check_format(args.output, "turtle-star", args.to_format, "output")
+    _check_format(args.output, "turtle-star", args.to_format, "output")
     pgraph = parse_pg_json(_read(args.input))
     config = MappingConfig(
         property_key_prefix=args.property_key_prefix,
@@ -187,8 +186,7 @@ def cmd_pg2rdf(args: argparse.Namespace) -> int:
 
 def cmd_unfold(args: argparse.Namespace) -> int:
     _check_format(args.input, "turtle-star", args.from_format, "input")
-    if args.output is not None:
-        _check_format(args.output, "turtle-star", args.to_format, "output")
+    _check_format(args.output, "turtle-star", args.to_format, "output")
     graph, prefixes = parse_turtle_star(_read(args.input))
     unfolded = unfold_to_rdf(graph)
     # Unfolding changes the graph exactly when it embeds triples.

@@ -287,14 +287,17 @@ def mentioned_terms(x: Triple | RdfStarGraph) -> frozenset[Term]:
     return frozenset(_triple_terms(x))
 
 
+def _embedded_in(metadata: Iterable[Triple]) -> frozenset[Triple]:
+    return frozenset(e for t in metadata for e in _triple_terms(t) if isinstance(e, Triple))
+
+
 def embedded_triples(x: Triple | RdfStarGraph) -> frozenset[Triple]:
     """The triples occurring in embedded position somewhere in x.
 
     Only metadata triples embed anything, so only they are descended into.
     """
     triples = x.triples if isinstance(x, RdfStarGraph) else (x,)
-    return frozenset(e for t in triples if is_metadata_triple(t)
-                     for e in _triple_terms(t) if isinstance(e, Triple))
+    return _embedded_in(t for t in triples if is_metadata_triple(t))
 
 
 def metadata_triples(g: RdfStarGraph) -> frozenset[Triple]:
@@ -304,7 +307,8 @@ def metadata_triples(g: RdfStarGraph) -> frozenset[Triple]:
 
 def ordinary_triples(g: RdfStarGraph) -> frozenset[Triple]:
     """Every triple asserted or embedded in g, minus g's metadata triples."""
-    return (g.triples | embedded_triples(g)) - metadata_triples(g)
+    metadata = metadata_triples(g)
+    return (g.triples | _embedded_in(metadata)) - metadata
 
 
 def redundant_triples(g: RdfStarGraph) -> frozenset[Triple]:
@@ -332,12 +336,8 @@ def minimize(g: RdfStarGraph) -> RdfStarGraph:
 
 def subject_object_terms(g: RdfStarGraph) -> frozenset[Term]:
     """Non-triple terms in subject or object position of ordinary triples."""
-    out: set[Term] = set()
-    for t in ordinary_triples(g):
-        for x in (t.subject, t.object):
-            if not isinstance(x, Triple):
-                out.add(x)
-    return frozenset(out)
+    return frozenset(x for t in ordinary_triples(g) for x in (t.subject, t.object)
+                     if not isinstance(x, Triple))
 
 
 def attribute_triples(g: RdfStarGraph) -> frozenset[Triple]:

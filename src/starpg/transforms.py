@@ -50,7 +50,6 @@ KIND_KEY = "kind"
 IRI_KEY = "IRI"
 LITERAL_KEY = "literal"
 DATATYPE_KEY = "datatype"
-LANGUAGE_KEY = "language"
 
 KIND_IRI = "IRI"
 KIND_BLANK_NODE = "blank node"
@@ -60,6 +59,13 @@ KIND_LITERAL = "literal"
 _KIND_IRI = Property(KIND_KEY, Text(KIND_IRI))
 _KIND_BLANK_NODE = Property(KIND_KEY, Text(KIND_BLANK_NODE))
 _KIND_LITERAL = Property(KIND_KEY, Text(KIND_LITERAL))
+
+# The property keys a vertex of each kind may carry.
+_VERTEX_KEYS = {
+    KIND_IRI: {KIND_KEY, IRI_KEY},
+    KIND_BLANK_NODE: {KIND_KEY},
+    KIND_LITERAL: {KIND_KEY, LITERAL_KEY, DATATYPE_KEY},
+}
 
 
 @dataclass(frozen=True)
@@ -245,15 +251,6 @@ def _text_property(key: str, text: str) -> Property:
     return Property(key, Text(text))
 
 
-def _literal_vertex_properties(l: Literal, value: PropertyValue | None,
-                               text_property: Callable[[str, str], Property]) -> set[Property]:
-    # Condition 4 rejects language-tagged literals, so none reaches here.
-    if value is None:
-        raise AssertionError(f"literal outside value mapping slipped past the check: {l!r}")
-    return {_KIND_LITERAL, Property(LITERAL_KEY, value),
-            text_property(DATATYPE_KEY, l.datatype.value)}
-
-
 def _property_table(value: Valuer) -> Callable[[Iri, Literal], Property]:
     """The property of a predicate and a literal, built once per distinct
     pair, so equal properties share one object."""
@@ -298,8 +295,9 @@ def to_rdf_like_pg(g: RdfStarGraph, mode: str = "lenient") -> PgResult:
             props[vid] = {_KIND_IRI, _text_property(IRI_KEY, term.value)}
         elif isinstance(term, BNode):
             props[vid] = {_KIND_BLANK_NODE}
-        else:
-            props[vid] = _literal_vertex_properties(term, value(term), text_property)
+        else:  # condition 4 gave the literal a value, so it has no language tag
+            props[vid] = {_KIND_LITERAL, Property(LITERAL_KEY, value(term)),
+                          text_property(DATATYPE_KEY, term.datatype.value)}
 
     graph = _assemble(metadata, ordinary, vertex_map, edge_map, props, _property_table(value))
     return PgResult(graph, vertex_map, edge_map)
@@ -325,10 +323,11 @@ def from_rdf_like_pg(p: PropertyGraph) -> RdfStarGraph:
 
     Blank-node vertices get fresh labels b1, b2, ... in vertex id order.
     Literal vertices rebuild their literal from the recorded value with the
-    recorded datatype/language overriding the value's own canonical
-    datatype, so reconstruction is exact for canonical inputs.  The result
-    is minimal: an edge's triple is kept at top level only when no
-    metadata reasserts it embedded.
+    recorded datatype overriding the value's own canonical datatype, so
+    reconstruction is exact for canonical inputs.  A vertex may carry only
+    the keys that to_rdf_like_pg writes for its kind, so a "language"
+    property is rejected.  The result is minimal: an edge's triple is kept
+    at top level only when no metadata reasserts it embedded.
     """
     term_map: dict[str, Term] = {}
     counter = 0
@@ -339,22 +338,21 @@ def from_rdf_like_pg(p: PropertyGraph) -> RdfStarGraph:
         for prop in p.properties(v):
             by_key[prop.key].append(prop.value)
         kind = _text_value(_single(by_key, KIND_KEY, v), KIND_KEY, v)
+        keys = _VERTEX_KEYS.get(kind)
+        if keys is None:
+            raise MalformedRdfLikePgError(f"vertex {v!r} has unknown kind {kind!r}")
+        if not by_key.keys() <= keys:
+            raise MalformedRdfLikePgError(f"{kind} vertex {v!r} has unexpected properties")
         if kind == KIND_IRI:
-            if set(by_key) != {KIND_KEY, IRI_KEY}:
-                raise MalformedRdfLikePgError(f"IRI vertex {v!r} has unexpected properties")
             text = _text_value(_single(by_key, IRI_KEY, v), IRI_KEY, v)
             iri = string_to_iri(text)
             if iri is None:
                 raise MalformedRdfLikePgError(f"vertex {v!r} IRI is not a valid IRI: {text!r}")
             term_map[v] = iri
         elif kind == KIND_BLANK_NODE:
-            if set(by_key) != {KIND_KEY}:
-                raise MalformedRdfLikePgError(f"blank node vertex {v!r} has unexpected properties")
             counter += 1
             term_map[v] = BNode(f"b{counter}")
-        elif kind == KIND_LITERAL:
-            if not set(by_key) <= {KIND_KEY, LITERAL_KEY, DATATYPE_KEY, LANGUAGE_KEY}:
-                raise MalformedRdfLikePgError(f"literal vertex {v!r} has unexpected properties")
+        else:
             value = _single(by_key, LITERAL_KEY, v)
             datatype = _text_value(_single(by_key, DATATYPE_KEY, v), DATATYPE_KEY, v)
             dt_iri = iri_of(datatype)
@@ -362,15 +360,10 @@ def from_rdf_like_pg(p: PropertyGraph) -> RdfStarGraph:
                 raise MalformedRdfLikePgError(
                     f"vertex {v!r} datatype is not a valid IRI: {datatype!r}"
                 )
-            language = None
-            if LANGUAGE_KEY in by_key:
-                language = _text_value(_single(by_key, LANGUAGE_KEY, v), LANGUAGE_KEY, v)
             try:
-                term_map[v] = Literal(value_to_literal(value).lexical_form, dt_iri, language)
+                term_map[v] = Literal(value_to_literal(value).lexical_form, dt_iri)
             except ValueError as exc:
                 raise MalformedRdfLikePgError(f"vertex {v!r}: {exc}") from exc
-        else:
-            raise MalformedRdfLikePgError(f"vertex {v!r} has unknown kind {kind!r}")
 
     triples: set[Triple] = set()
     for e in sorted(p.edges):

@@ -378,6 +378,17 @@ class TestExitCodeContract:
         assert capsys.readouterr().err == (
             f"schema error: {where}: string holds a lone surrogate\n")
 
+    @pytest.mark.parametrize("argv, expected, wrong", [
+        (["rdf2pg", ALICE_BOB, "--mode", "simple"], "pg-json", "turtle-star"),
+        (["pg2rdf", KUBRICK], "turtle-star", "pg-json"),
+        (["unfold", ALICE_BOB], "turtle-star", "pg-json"),
+    ], ids=["rdf2pg", "pg2rdf", "unfold"])
+    def test_wrong_output_format_without_output_path_is_usage_error(self, capsys, argv,
+                                                                     expected, wrong):
+        assert main([*argv, "--to", wrong]) == 2
+        assert capsys.readouterr() == (
+            "", f"the output format of this command is {expected}, not {wrong}\n")
+
     def test_pg_json_surrogate_pair_is_one_character(self, tmp_path):
         path = self.pg_json(tmp_path, self.typed("string", '"\\ud83d\\ude00"'))
         out = tmp_path / "out.ttls"

@@ -5,16 +5,18 @@ counts as used when it occurs as a name anywhere in the module, quoted
 annotations included.  Names a module lists in __all__ are re-exports,
 and __future__ imports are compiler directives, so both are exempt.
 
-Every module-level private name of src/starpg (a function, class or
-assignment whose name starts with one underscore) is referenced
-somewhere in src/ or tests/ besides its definition: as a name, as an
-attribute, or as a string equal to it, as in
-monkeypatch.setattr(module, "_name", ...).
+Every module-level name of src/starpg (a function, class or
+assignment) is referenced somewhere in src/ or tests/ besides its
+definition: as a name, as an attribute, as the name a from-import takes
+(also under another name), or as a string equal to it, as in
+monkeypatch.setattr(module, "_name", ...).  Dunders are exempt, and so
+are the public names of the package, those in starpg.__all__.
 """
 
 import ast
 from functools import cache
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -75,8 +77,8 @@ def unused_imports(source: str) -> list[tuple[str, int]]:
                   key=lambda x: x[1])
 
 
-def _private_definitions(tree: ast.Module) -> dict[str, int]:
-    """Each module-level private name the module defines, with its line."""
+def _definitions(tree: ast.Module) -> dict[str, int]:
+    """Each module-level name the module defines, dunders aside, with its line."""
     out: dict[str, int] = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -87,13 +89,13 @@ def _private_definitions(tree: ast.Module) -> dict[str, int]:
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name):
                         out[name.id] = node.lineno
-    return {name: line for name, line in out.items()
-            if name.startswith("_") and not name.startswith("__")}
+    return {name: line for name, line in out.items() if not name.startswith("__")}
 
 
 def references(source: str) -> set[str]:
-    """Every name the module loads, every attribute name and every string,
-    plus the names in quoted annotations."""
+    """Every name the module loads, every attribute name, every name it
+    imports from a module and every string, plus the names in quoted
+    annotations."""
     tree = ast.parse(source)
     out: set[str] = set()
     for node in ast.walk(tree):
@@ -101,6 +103,8 @@ def references(source: str) -> set[str]:
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out |= {alias.name for alias in node.names}
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             out.add(node.value)
     for quoted in _quoted_annotations(tree):
@@ -108,15 +112,26 @@ def references(source: str) -> set[str]:
     return out
 
 
+def _unreferenced(source: str, elsewhere: set[str],
+                  checked: Callable[[str], bool]) -> list[tuple[str, int]]:
+    referenced = references(source) | elsewhere
+    return sorted(((name, line) for name, line in _definitions(ast.parse(source)).items()
+                   if checked(name) and name not in referenced), key=lambda x: x[1])
+
+
 def unreferenced_private_names(source: str,
                                elsewhere: set[str] = frozenset()) -> list[tuple[str, int]]:
     """(name, line) for every module-level private name of source that
     neither source references nor is in elsewhere, the references of the
     other modules."""
-    referenced = references(source) | elsewhere
-    return sorted(((name, line)
-                   for name, line in _private_definitions(ast.parse(source)).items()
-                   if name not in referenced), key=lambda x: x[1])
+    return _unreferenced(source, elsewhere, lambda name: name.startswith("_"))
+
+
+def unreferenced_public_names(source: str, exported: set[str],
+                              elsewhere: set[str] = frozenset()) -> list[tuple[str, int]]:
+    """The same for every module-level public name of source outside exported."""
+    return _unreferenced(source, elsewhere,
+                         lambda name: not name.startswith("_") and name not in exported)
 
 
 @cache
@@ -129,10 +144,21 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _elsewhere(path: Path) -> set[str]:
+    return set().union(*(_file_references(f) for f in FILES if f != path))
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_private_name_is_referenced(path):
-    elsewhere = set().union(*(_file_references(f) for f in FILES if f != path))
-    assert unreferenced_private_names(path.read_text(encoding="utf-8"), elsewhere) == []
+    assert unreferenced_private_names(path.read_text(encoding="utf-8"), _elsewhere(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_public_name_is_exported_or_referenced(path):
+    package = ROOT / "src" / "starpg" / "__init__.py"
+    exported = _exported(ast.parse(package.read_text(encoding="utf-8")))
+    source = path.read_text(encoding="utf-8")
+    assert unreferenced_public_names(source, exported, _elsewhere(path)) == []
 
 
 class TestChecker:
@@ -188,3 +214,15 @@ class TestPrivateNameChecker:
         assert unreferenced_private_names(source, references(other)) == []
         assert unreferenced_private_names(source) == [
             ("_a", 1), ("_b", 2), ("_c", 3), ("_D", 4)]
+
+
+class TestPublicNameChecker:
+    SOURCE = "KEY = 'k'\nSPARE = 'k'\ndef api(): pass\ndef helper(): return KEY\nclass Shown: pass\n"
+
+    def test_finds_unreferenced_public_names_outside_exported(self):
+        assert unreferenced_public_names(self.SOURCE, {"api"}) == [
+            ("SPARE", 2), ("helper", 4), ("Shown", 5)]
+
+    def test_references_elsewhere_count_and_private_names_are_left_out(self):
+        other = references("from mod import helper, Shown as S\nhelper()\nmod.SPARE\n")
+        assert unreferenced_public_names(self.SOURCE + "_x = 1\n", {"api"}, other) == []

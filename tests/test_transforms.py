@@ -287,7 +287,94 @@ class TestToRdfLikePg:
         }
 
 
+def _rdf_like(vertices, edges=()):
+    """A property graph from {vertex id: properties} and (id, src, tgt,
+    label, properties) edges."""
+    return PropertyGraph(
+        vertices, [e[0] for e in edges], {e[0]: e[1] for e in edges},
+        {e[0]: e[2] for e in edges}, {e[0]: e[3] for e in edges},
+        props={**vertices, **{e[0]: e[4] for e in edges}},
+    )
+
+
+def _kind(kind):
+    return Property("kind", Text(kind))
+
+
+_IRI_S = [_kind("IRI"), Property("IRI", Text(EX + "s"))]
+_LITERAL_X = [_kind("literal"), Property("literal", Text("x")),
+              Property("datatype", Text(XSD_STRING))]
+
+# One row per raise of from_rdf_like_pg and its helpers: the graph and the
+# exact message of its MalformedRdfLikePgError.
+MALFORMED_RDF_LIKE = [
+    pytest.param(_rdf_like({"v1": []}),
+                 "vertex 'v1' needs exactly one 'kind' property, has 0", id="kind-missing"),
+    pytest.param(_rdf_like({"v1": [_kind("IRI"), _kind("literal")]}),
+                 "vertex 'v1' needs exactly one 'kind' property, has 2", id="kind-twice"),
+    pytest.param(_rdf_like({"v1": [Property("kind", Integer(1))]}),
+                 "vertex 'v1' property 'kind' must be Text", id="kind-not-text"),
+    pytest.param(_rdf_like({"v1": [_kind("unicorn")]}),
+                 "vertex 'v1' has unknown kind 'unicorn'", id="kind-unknown"),
+    pytest.param(_rdf_like({f"v{i}": [_kind(f"kind{i}")] for i in range(2, 201)}),
+                 "vertex 'v10' has unknown kind 'kind10'", id="first-vertex-by-id"),
+    pytest.param(_rdf_like({"v1": [_kind("IRI")]}),
+                 "vertex 'v1' needs exactly one 'IRI' property, has 0", id="iri-missing"),
+    pytest.param(_rdf_like({"v1": [*_IRI_S, Property("note", Text("x"))]}),
+                 "IRI vertex 'v1' has unexpected properties", id="iri-extra-key"),
+    pytest.param(_rdf_like({"v1": [*_IRI_S, Property("IRI", Text(EX + "y"))]}),
+                 "vertex 'v1' needs exactly one 'IRI' property, has 2", id="iri-twice"),
+    pytest.param(_rdf_like({"v1": [_kind("IRI"), Property("IRI", Integer(5))]}),
+                 "vertex 'v1' property 'IRI' must be Text", id="iri-not-text"),
+    pytest.param(_rdf_like({"v1": [_kind("IRI"), Property("IRI", Text("not an iri"))]}),
+                 "vertex 'v1' IRI is not a valid IRI: 'not an iri'", id="iri-invalid"),
+    pytest.param(_rdf_like({"v1": [_kind("blank node"), Property("IRI", Text(EX + "x"))]}),
+                 "blank node vertex 'v1' has unexpected properties", id="bnode-extra-key"),
+    pytest.param(_rdf_like({"v1": _LITERAL_X[:2]}),
+                 "vertex 'v1' needs exactly one 'datatype' property, has 0",
+                 id="literal-datatype-missing"),
+    pytest.param(_rdf_like({"v1": [_kind("literal"), _LITERAL_X[2]]}),
+                 "vertex 'v1' needs exactly one 'literal' property, has 0",
+                 id="literal-value-missing"),
+    pytest.param(_rdf_like({"v1": [*_LITERAL_X, Property("note", Text("x"))]}),
+                 "literal vertex 'v1' has unexpected properties", id="literal-extra-key"),
+    pytest.param(_rdf_like({"v1": [*_LITERAL_X[:2], Property("datatype", Integer(1))]}),
+                 "vertex 'v1' property 'datatype' must be Text", id="datatype-not-text"),
+    pytest.param(_rdf_like({"v1": [*_LITERAL_X[:2], Property("datatype", Text("no iri"))]}),
+                 "vertex 'v1' datatype is not a valid IRI: 'no iri'", id="datatype-invalid"),
+    pytest.param(_rdf_like({"v1": [*_LITERAL_X[:2], Property("datatype", Text(RDF_LANG_STRING))]}),
+                 "vertex 'v1': rdf:langString literal requires a language tag",
+                 id="literal-unbuildable"),
+    # The encoding has no language key: to_rdf_like_pg never writes one,
+    # because condition 4 rejects every language-tagged literal.
+    pytest.param(_rdf_like({"v1": [_kind("literal"), Property("literal", Text("chat")),
+                                   Property("datatype", Text(RDF_LANG_STRING)),
+                                   Property("language", Text("fr"))]}),
+                 "literal vertex 'v1' has unexpected properties", id="language"),
+    pytest.param(_rdf_like({"v1": [*_LITERAL_X, Property("language", Text("fr"))]}),
+                 "literal vertex 'v1' has unexpected properties", id="language-on-string"),
+    pytest.param(_rdf_like({"v1": [*_LITERAL_X, Property("language", Integer(1))]}),
+                 "literal vertex 'v1' has unexpected properties", id="language-not-text"),
+    pytest.param(_rdf_like({"v1": _LITERAL_X, "v2": _IRI_S}, [("e1", "v1", "v2", EX + "p", [])]),
+                 "edge 'e1' starts at a literal vertex", id="edge-from-literal"),
+    pytest.param(_rdf_like({"v1": _IRI_S}, [("e1", "v1", "v1", "knows", [])]),
+                 "edge 'e1' label is not a valid IRI: 'knows'", id="label-invalid"),
+    pytest.param(_rdf_like({"v1": _IRI_S},
+                           [("e1", "v1", "v1", EX + "p", [Property("note", Text("x"))])]),
+                 "edge 'e1' property key is not a valid IRI: 'note'", id="edge-key-invalid"),
+    pytest.param(_rdf_like({"v1": _IRI_S}, [(f"e{i}", "v1", "v1", f"bad{i}", [])
+                                           for i in range(2, 201)]),
+                 "edge 'e10' label is not a valid IRI: 'bad10'", id="first-edge-by-id"),
+]
+
+
 class TestFromRdfLikePg:
+    @pytest.mark.parametrize("graph, message", MALFORMED_RDF_LIKE)
+    def test_malformed_rdf_like_message(self, graph, message):
+        with pytest.raises(MalformedRdfLikePgError) as exc:
+            from_rdf_like_pg(graph)
+        assert str(exc.value) == message
+
     def test_inverts_forward_transform(self, alice_bob):
         back = from_rdf_like_pg(to_rdf_like_pg(alice_bob).graph)
         assert back == canonicalize_values(alice_bob)
@@ -300,24 +387,6 @@ class TestFromRdfLikePg:
         g = RdfStarGraph([Triple(BNode("weird"), P, BNode("other"))])
         back = from_rdf_like_pg(to_rdf_like_pg(g).graph)
         assert isomorphic(back, g)
-
-    def test_language_tagged_vertex_reconstructs(self):
-        p = PropertyGraph(
-            ["v1", "v2"], ["e1"], {"e1": "v1"}, {"e1": "v2"}, {"e1": EX + "says"},
-            props={
-                "v1": [Property("kind", Text("IRI")), Property("IRI", Text(EX + "s"))],
-                "v2": [
-                    Property("kind", Text("literal")),
-                    Property("literal", Text("chat")),
-                    Property("datatype", Text(RDF_LANG_STRING)),
-                    Property("language", Text("fr")),
-                ],
-            },
-        )
-        back = from_rdf_like_pg(p)
-        assert back == RdfStarGraph([
-            Triple(S, Iri(EX + "says"), Literal("chat", language="fr"))
-        ])
 
     def test_edge_triple_reasserted_embedded_is_removed(self):
         p = PropertyGraph(
@@ -335,24 +404,32 @@ class TestFromRdfLikePg:
         assert from_rdf_like_pg(p) == RdfStarGraph([annotated])
 
     @pytest.mark.parametrize(
-        "props",
+        "props, message",
         [
-            [],  # kind missing
-            [Property("kind", Text("unicorn"))],
-            [Property("kind", Text("IRI"))],  # IRI text missing
-            [Property("kind", Text("IRI")), Property("IRI", Text("not an iri"))],
-            [Property("kind", Text("literal")), Property("literal", Text("x"))],
-            [Property("kind", Text("blank node")), Property("IRI", Text(EX + "x"))],
-            [
-                Property("kind", Text("IRI")),
-                Property("IRI", Text(EX + "x")),
-                Property("IRI", Text(EX + "y")),
-            ],
+            ([], "vertex 'v1' needs exactly one 'kind' property, has 0"),  # kind missing
+            ([Property("kind", Text("unicorn"))], "vertex 'v1' has unknown kind 'unicorn'"),
+            ([Property("kind", Text("IRI"))],  # IRI text missing
+             "vertex 'v1' needs exactly one 'IRI' property, has 0"),
+            ([Property("kind", Text("IRI")), Property("IRI", Text("not an iri"))],
+             "vertex 'v1' IRI is not a valid IRI: 'not an iri'"),
+            ([Property("kind", Text("literal")), Property("literal", Text("x"))],
+             "vertex 'v1' needs exactly one 'datatype' property, has 0"),
+            ([Property("kind", Text("blank node")), Property("IRI", Text(EX + "x"))],
+             "blank node vertex 'v1' has unexpected properties"),
+            (
+                [
+                    Property("kind", Text("IRI")),
+                    Property("IRI", Text(EX + "x")),
+                    Property("IRI", Text(EX + "y")),
+                ],
+                "vertex 'v1' needs exactly one 'IRI' property, has 2",
+            ),
         ],
     )
-    def test_malformed_vertex_shapes_rejected(self, props):
-        with pytest.raises(MalformedRdfLikePgError):
+    def test_malformed_vertex_shapes_rejected(self, props, message):
+        with pytest.raises(MalformedRdfLikePgError) as exc:
             from_rdf_like_pg(PropertyGraph(["v1"], props={"v1": props}))
+        assert str(exc.value) == message
 
     def test_literal_source_rejected(self):
         p = PropertyGraph(
