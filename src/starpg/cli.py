@@ -2,7 +2,8 @@
 
 Subcommands: check, rdf2pg, pg2rdf, unfold, roundtrip.  Exit codes:
 0 success, 1 domain/validation failure, 2 parse/format/usage error.
-Data goes to -o or standard output; diagnostics go to standard error.
+Data goes to -o or standard output as it is made, in pieces of about
+64 KiB; diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ import argparse
 import gc
 import json
 import sys
-from typing import TextIO
+from contextlib import nullcontext
+from itertools import chain
+from typing import Iterable, Iterator, TextIO
 
 from .mappings import (
     DEFAULT_EDGE_LABEL_PREFIX,
@@ -24,7 +27,7 @@ from .mappings import (
 from .namespaces import RDF
 from .pg import PgValidationError
 from .pgjson import FILE_EXTENSION as PG_JSON_EXTENSION
-from .pgjson import SchemaError, parse_pg_json, serialize_pg_json
+from .pgjson import SchemaError, iter_pg_json, parse_pg_json
 from .rdf import (
     canonicalize_bnodes,
     isomorphic,
@@ -50,8 +53,8 @@ from .turtle import FILE_EXTENSIONS as TURTLE_EXTENSIONS
 from .turtle import (
     TurtleParseError,
     format_term,
+    iter_turtle_star,
     parse_turtle_star,
-    serialize_turtle_star,
     unfold_to_rdf,
 )
 
@@ -105,21 +108,53 @@ def _read(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _write(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+# The characters of each write: the chunks of an output are joined into
+# pieces of about this size.  Under unbuffered standard output
+# (PYTHONUNBUFFERED, python -u) every write is a system call, so a write
+# per chunk would cost one per element of the graph.
+_PIECE_SIZE = 64 * 1024
 
 
-def _report_violations(entries: list[dict], report: str, stream: TextIO) -> None:
+def _pieces(chunks: Iterable[str]) -> Iterator[str]:
+    """The chunks joined into pieces of at least _PIECE_SIZE characters,
+    but the last, which may be empty."""
+    batch: list[str] = []
+    size = 0
+    for chunk in chunks:
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= _PIECE_SIZE:
+            yield "".join(batch)
+            batch.clear()
+            size = 0
+    yield "".join(batch)
+
+
+def _write(chunks: Iterable[str], path: str | None = None, stream: TextIO | None = None) -> None:
+    """Write the chunks to the file at path, else to stream, standard
+    output by default, a piece at a time.  The file is opened, and
+    emptied, only once the first piece is made."""
+    pieces = _pieces(chunks)
+    first = [next(pieces)]
+    with (nullcontext(stream or sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8")) as out:
+        for piece in chain(first, pieces):
+            if piece:
+                out.write(piece)
+
+
+def _violation_report(entries: list[dict], report: str) -> Iterator[str]:
+    """The chunks of a violation report: a JSON object laid out as
+    json.dump(..., indent=2) lays it out, or one line per violation, which
+    names its triple when it has one."""
     if report == "json":
-        json.dump({"ok": not entries, "violations": entries}, stream, indent=2)
-        stream.write("\n")
+        document = {"ok": not entries, "violations": entries}
+        yield from json.JSONEncoder(indent=2).iterencode(document)
+        yield "\n"
     else:
         for entry in entries:
-            stream.write(f"[{entry['condition']}] {entry['reason']}: {entry['triple']}\n")
+            line = f"[{entry['condition']}] {entry['reason']}"
+            yield f"{line}: {entry['triple']}\n" if entry["triple"] else line + "\n"
 
 
 def _convertibility_entries(report: ConvertibilityReport) -> list[dict]:
@@ -151,10 +186,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     else:
         checker = check_pg_convertible if args.level == "convertible" else check_strongly_pg_convertible
         entries = _convertibility_entries(checker(graph, args.literal_mode))
-    if args.report == "text" and not entries:
-        print("OK")
-    else:
-        _report_violations(entries, args.report, sys.stdout)
+    _write(["OK\n"] if args.report == "text" and not entries
+           else _violation_report(entries, args.report))
     return 0 if not entries else 1
 
 
@@ -165,7 +198,7 @@ def cmd_rdf2pg(args: argparse.Namespace) -> int:
     # Keep only the property graph: the parsed graph and the witness maps
     # are freed before the output is built.
     pg = transform(parse_turtle_star(_read(args.input))[0], args.literal_mode).graph
-    _write(serialize_pg_json(pg), args.output)
+    _write(iter_pg_json(pg), args.output)
     return 0
 
 
@@ -180,7 +213,7 @@ def cmd_pg2rdf(args: argparse.Namespace) -> int:
     )
     graph = pg_to_rdf_star(pgraph, config)
     prefixes = {"p": config.property_key_prefix, "r": config.edge_label_prefix}
-    _write(serialize_turtle_star(graph, prefixes), args.output)
+    _write(iter_turtle_star(graph, prefixes), args.output)
     return 0
 
 
@@ -192,7 +225,7 @@ def cmd_unfold(args: argparse.Namespace) -> int:
     # Unfolding changes the graph exactly when it embeds triples.
     if unfolded != graph and "rdf" not in prefixes:
         prefixes["rdf"] = RDF
-    _write(serialize_turtle_star(unfolded, prefixes), args.output)
+    _write(iter_turtle_star(unfolded, prefixes), args.output)
     return 0
 
 
@@ -203,17 +236,16 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     forward = to_rdf_like_pg(prepared, args.literal_mode)
     back = from_rdf_like_pg(forward.graph)
     if isomorphic(prepared, back):
-        if args.report == "json":
-            json.dump({"ok": True, "triples": len(prepared)}, sys.stdout)
-            sys.stdout.write("\n")
-        else:
-            print(f"round-trip OK: {len(prepared)} triples")
+        n = len(prepared)
+        _write([json.dumps({"ok": True, "triples": n}) + "\n" if args.report == "json"
+                else f"round-trip OK: {n} triples\n"])
         return 0
     want = canonicalize_bnodes(prepared).triples
     got = canonicalize_bnodes(back).triples
     difference = sorted(want ^ got, key=term_key)
     side = "missing" if difference[0] in want else "unexpected"
-    print(f"round-trip mismatch, {side} triple: {format_term(difference[0])}", file=sys.stderr)
+    _write([f"round-trip mismatch, {side} triple: {format_term(difference[0])}\n"],
+           stream=sys.stderr)
     return 1
 
 
@@ -285,11 +317,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ConvertibilityError, NotPropertyUniqueError, NotEdgeUniqueError) as exc:
         # Only the commands with a --report option raise these.
-        _report_violations(_violation_entries(exc), args.report, sys.stderr)
+        _write(_violation_report(_violation_entries(exc), args.report), stream=sys.stderr)
         return 1
     except tuple(_FAILURES) as exc:
         prefix, code = next(_FAILURES[c] for c in type(exc).__mro__ if c in _FAILURES)
-        print(f"{prefix}{exc}", file=sys.stderr)
+        _write([f"{prefix}{exc}\n"], stream=sys.stderr)
         return code
     finally:
         if collecting:

@@ -6,7 +6,8 @@ Values are tagged objects {"type": "string"|"integer"|"double"|"boolean",
 "value": ...}.  Properties are arrays, so duplicate keys survive the trip.
 The reader has one path: it checks each object as it reads it, and works
 out which key is missing or unknown only when the key set is wrong.
-Serialization sorts everything, making output byte-stable across runs.
+Serialization sorts everything, making output byte-stable across runs,
+and iter_pg_json gives the text a vertex or an edge at a time.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import math
 import re
 import sys
+from typing import Iterator
 
 from .pg import (
     Boolean,
@@ -209,21 +211,16 @@ def parse_pg_json(text: str) -> PropertyGraph:
     return PropertyGraph(props.keys() - src.keys(), src.keys(), src, tgt, lbl, props)
 
 
-# The fixed layout of serialize_pg_json, as json.dumps(..., indent=2) lays
-# out the document; each %s is already JSON text.
-_DOCUMENT = """\
-{
-  "vertices": %s,
-  "edges": %s
-}
-"""
+# The fixed layout of iter_pg_json, as json.dumps(..., indent=2) lays out
+# the document; each %s is already JSON text.  An element starts with the
+# text that comes before it: "[\n" for the first of its array, else ",\n".
 _VERTEX = """\
-    {
+%s    {
       "id": %s,
       "properties": %s
     }"""
 _EDGE = """\
-    {
+%s    {
       "id": %s,
       "src": %s,
       "tgt": %s,
@@ -241,11 +238,6 @@ _PROPERTY = """\
 
 # The C routine that json.dumps(..., ensure_ascii=False) quotes strings with.
 _quote = json.encoder.encode_basestring
-
-
-def _array(items: list[str], indent: str) -> str:
-    """A JSON array of rendered items, closed at indent; [] when empty."""
-    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
 
 
 def _property_json(p: Property) -> str:
@@ -266,24 +258,43 @@ def _property_json(p: Property) -> str:
     return _PROPERTY % (_quote(p.key), kind, raw)
 
 
+def iter_pg_json(g: PropertyGraph) -> Iterator[str]:
+    """The text of serialize_pg_json(g) in chunks: the document's opening,
+    then one chunk per vertex and per edge, each array's closing and the
+    document's closing.  A graph is checked when it is built, so nothing
+    here raises; the CLI writes the chunks as they come, and never holds
+    the whole document."""
+
+    def properties(x: str) -> str:
+        ps = g.properties(x)
+        if not ps:
+            return "[]"
+        if len(ps) > 1:
+            ps = sorted(ps, key=property_sort_key)
+        return "[\n" + ",\n".join(map(_property_json, ps)) + "\n      ]"
+
+    sep = "[\n"
+    yield '{\n  "vertices": '
+    for v in sorted(g.vertices):
+        yield _VERTEX % (sep, _quote(v), properties(v))
+        sep = ",\n"
+    yield "[]" if sep == "[\n" else "\n  ]"
+    sep = "[\n"
+    yield ',\n  "edges": '
+    for e in sorted(g.edges):
+        yield _EDGE % (sep, _quote(e), _quote(g.source(e)), _quote(g.target(e)),
+                       _quote(g.label(e)), properties(e))
+        sep = ",\n"
+    yield "[]" if sep == "[\n" else "\n  ]"
+    yield "\n}\n"
+
+
 def serialize_pg_json(g: PropertyGraph) -> str:
     """Serialize with vertices, edges, and properties in sorted order.
 
     The layout is fixed: the text equals json.dumps of the same document
     with indent=2, ensure_ascii=False and allow_nan=False, plus a final
     newline, but it is written directly rather than through a dict tree.
+    It is the join of iter_pg_json(g).
     """
-
-    def properties(x: str) -> str:
-        ps = g.properties(x)
-        if len(ps) > 1:
-            ps = sorted(ps, key=property_sort_key)
-        return _array([_property_json(p) for p in ps], "      ")
-
-    vertices = [_VERTEX % (_quote(v), properties(v)) for v in sorted(g.vertices)]
-    edges = [
-        _EDGE % (_quote(e), _quote(g.source(e)), _quote(g.target(e)), _quote(g.label(e)),
-                 properties(e))
-        for e in sorted(g.edges)
-    ]
-    return _DOCUMENT % (_array(vertices, "  "), _array(edges, "  "))
+    return "".join(iter_pg_json(g))

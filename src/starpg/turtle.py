@@ -20,13 +20,14 @@ labelling of rdf.canonicalize_bnodes, and literals shortened to bare
 tokens exactly when reparsing gives the identical literal back.  The
 numbering is idempotent, and it is independent of the input labels
 whenever colour refinement alone separates every blank node; nodes it
-cannot separate are ordered by their input labels.
+cannot separate are ordered by their input labels.  iter_turtle_star
+gives the text a line at a time.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Mapping, NoReturn
+from typing import Callable, Iterator, Mapping, NoReturn
 
 from .namespaces import (
     RDF_LANG_STRING,
@@ -457,24 +458,43 @@ def format_term(term: Term) -> str:
     return _render_term(term, _iri_renderer({}))
 
 
-def serialize_turtle_star(g: RdfStarGraph, prefixes: Mapping[str, str] | None = None) -> str:
-    """Serialize deterministically; see the module docstring for the shape."""
+def iter_turtle_star(g: RdfStarGraph, prefixes: Mapping[str, str] | None = None) -> Iterator[str]:
+    """The text of serialize_turtle_star(g, prefixes) in chunks: one line
+    per prefix, then a blank line when there are both prefixes and
+    triples, then one line per triple.
+
+    Everything that can fail runs before the iterator is returned: an
+    invalid prefix label or namespace IRI raises ValueError here, and the
+    blank nodes are renumbered here.  So the CLI writes nothing for a
+    command that fails, and writes the chunks as they come, never holding
+    the whole document.
+    """
     table = dict(prefixes or {})
     for label, ns in table.items():
         if not _PREFIX_RE.fullmatch(label) and label != "":
             raise ValueError(f"invalid prefix label: {label!r}")
         Iri(ns)  # must be a valid namespace IRI
-    render_iri = _iri_renderer(table)
-    prefix_lines = [f"@prefix {label}: <{ns}> ." for label, ns in sorted(table.items())]
-    statements = [
-        f"{_render_term(t.subject, render_iri)} {render_iri(t.predicate)} "
-        f"{_render_term(t.object, render_iri)} ."
-        for t in canonicalize_bnodes(g)
-    ]
-    if prefix_lines and statements:
-        return "\n".join(prefix_lines) + "\n\n" + "\n".join(statements) + "\n"
-    lines = prefix_lines or statements
-    return "\n".join(lines) + "\n" if lines else ""
+    return _lines(canonicalize_bnodes(g), table)
+
+
+def _lines(g: RdfStarGraph, prefixes: dict[str, str]) -> Iterator[str]:
+    """The lines of iter_turtle_star for a renumbered graph and checked
+    prefixes."""
+    for label, ns in sorted(prefixes.items()):
+        yield f"@prefix {label}: <{ns}> .\n"
+    if prefixes and g:
+        yield "\n"
+    render_iri = _iri_renderer(prefixes)
+    for t in g:
+        yield (f"{_render_term(t.subject, render_iri)} {render_iri(t.predicate)} "
+               f"{_render_term(t.object, render_iri)} .\n")
+
+
+def serialize_turtle_star(g: RdfStarGraph, prefixes: Mapping[str, str] | None = None) -> str:
+    """Serialize deterministically; see the module docstring for the shape.
+    It is the join of iter_turtle_star(g, prefixes), and raises what that
+    raises."""
+    return "".join(iter_turtle_star(g, prefixes))
 
 
 # -- plain RDF bridge --------------------------------------------------

@@ -1,5 +1,8 @@
 import gc
+import io
 import json
+import math
+import random
 import shutil
 import subprocess
 import sys
@@ -8,15 +11,26 @@ from pathlib import Path
 import pytest
 
 from starpg import (
+    RDF,
+    DEFAULT_EDGE_LABEL_PREFIX,
+    DEFAULT_PROPERTY_KEY_PREFIX,
+    Integer,
+    Property,
+    PropertyGraph,
     RdfStarGraph,
     parse_pg_json,
     parse_turtle_star,
     pg_to_rdf_star,
+    serialize_pg_json,
+    serialize_turtle_star,
+    to_rdf_like_pg,
+    unfold_to_rdf,
 )
 import starpg.cli
 from starpg.cli import main
 from starpg.turtle import MAX_NESTING_DEPTH
 from conftest import DATA_DIR, EX, build_kubrick_pg
+from randgen import random_convertible_graph, random_property_graph
 
 ALICE_BOB = str(DATA_DIR / "alice_bob.ttls")
 KUBRICK = str(DATA_DIR / "kubrick.pg.json")
@@ -153,13 +167,13 @@ class TestRdf2Pg:
 
         path = ttls(f"@prefix ex: <{EX}> .\n<<ex:alice ex:knows ex:bob>> ex:certainty 0.5 .\n")
         seen = []
-        serialize = starpg.cli.serialize_pg_json
+        serialize = starpg.cli.iter_pg_json
 
         def counting(pg):
             seen.append(graphs())
             return serialize(pg)
 
-        monkeypatch.setattr(starpg.cli, "serialize_pg_json", counting)
+        monkeypatch.setattr(starpg.cli, "iter_pg_json", counting)
         gc.collect()
         assert main(["rdf2pg", path, "--mode", mode]) == 0
         assert seen == [graphs()]
@@ -396,6 +410,220 @@ class TestExitCodeContract:
         assert '"\U0001F600"' in out.read_text(encoding="utf-8")
 
 
+class CountingStream(io.StringIO):
+    """A text stream that keeps each write it is given."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return super().write(text)
+
+
+class FailingStream(io.StringIO):
+    def write(self, text: str) -> int:
+        raise OSError(28, "No space left on device")
+
+
+# A vertex with two names, and two parallel edges.
+NOT_PROPERTY_UNIQUE = json.dumps({"vertices": [{"id": "Kubrick", "properties": [
+    {"key": "name", "value": {"type": "string", "value": "Stanley"}},
+    {"key": "name", "value": {"type": "string", "value": "Stan"}},
+]}], "edges": []})
+NOT_EDGE_UNIQUE = json.dumps({
+    "vertices": [{"id": "v1", "properties": []}, {"id": "v2", "properties": []}],
+    "edges": [
+        {"id": "e1", "src": "v1", "tgt": "v2", "label": "knows", "properties": []},
+        {"id": "e2", "src": "v1", "tgt": "v2", "label": "knows", "properties": []},
+    ],
+})
+
+
+def _wide_pg(n: int) -> PropertyGraph:
+    """n vertices in a path, each with one property, and n - 1 edges."""
+    vertices = [f"v{i:05d}" for i in range(n)]
+    edges = [f"e{i:05d}" for i in range(n - 1)]
+    return PropertyGraph(
+        vertices, edges,
+        src={e: vertices[i] for i, e in enumerate(edges)},
+        tgt={e: vertices[i + 1] for i, e in enumerate(edges)},
+        lbl=dict.fromkeys(edges, "next"),
+        props={v: [Property("rank", Integer(i))] for i, v in enumerate(vertices)},
+    )
+
+
+class TestViolationReports:
+    """The exact text of the violation reports, and how they are written."""
+
+    @pytest.mark.parametrize("document, line", [
+        (NOT_PROPERTY_UNIQUE, "[property-unique] ('Kubrick', 'name')\n"),
+        (NOT_EDGE_UNIQUE, "[edge-unique] ('e1', 'e2')\n"),
+    ], ids=["property-unique", "edge-unique"])
+    def test_uniqueness_line_has_no_triple(self, ttls, capsys, document, line):
+        assert main(["pg2rdf", ttls(document, "input.pg.json")]) == 1
+        assert capsys.readouterr() == ("", line)
+
+    def test_convertibility_line_names_its_triple(self, capsys):
+        assert main(["rdf2pg", ALICE_BOB, "--mode", "simple"]) == 1
+        age = f"<<{EX}bob> <http://xmlns.com/foaf/0.1/age> 23>"
+        assert capsys.readouterr() == ("", (
+            '[strong] embeds attribute triple with object '
+            '"23"^^<http://www.w3.org/2001/XMLSchema#integer>: '
+            f"<<<{age}> <{EX}certainty> 0.9>>\n"))
+
+    def test_json_report_keeps_json_dump_layout(self, ttls, capsys):
+        assert main(["pg2rdf", ttls(NOT_EDGE_UNIQUE, "input.pg.json"), "--report", "json"]) == 1
+        expected = {"ok": False, "violations": [
+            {"condition": "edge-unique", "reason": "('e1', 'e2')", "triple": ""}]}
+        assert capsys.readouterr() == ("", json.dumps(expected, indent=2) + "\n")
+
+    @staticmethod
+    def many_violations(ttls) -> str:
+        """A graph with 200 condition-4 violations: language-tagged values."""
+        return ttls("".join(f'<{EX}s{i}> <{EX}p> "x"@en .\n' for i in range(200)))
+
+    @pytest.mark.parametrize("report", ["json", "text"])
+    def test_check_report_is_one_write(self, ttls, monkeypatch, report):
+        stream = CountingStream()
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(["check", self.many_violations(ttls), "--report", report]) == 1
+        text = stream.getvalue()
+        assert text.count("[4]" if report == "text" else '"condition": "4"') == 200
+        assert len(text) < starpg.cli._PIECE_SIZE
+        assert stream.writes == [text]
+
+    def test_json_report_on_stderr_is_one_write(self, ttls, monkeypatch, capsys):
+        stream = CountingStream()
+        monkeypatch.setattr(sys, "stderr", stream)
+        argv = ["rdf2pg", self.many_violations(ttls), "--mode", "rdf-like", "--report", "json"]
+        assert main(argv) == 1
+        assert capsys.readouterr().out == ""
+        assert len(json.loads(stream.getvalue())["violations"]) == 200
+        assert len(stream.writes) == 1
+
+
+class TestFailureContract:
+    """A command that fails writes nothing to standard output and leaves
+    an existing -o file as it was."""
+
+    EARLIER = "earlier bytes\n"
+
+    @pytest.mark.parametrize("argv, text, name, code", [
+        (["rdf2pg", "--mode", "rdf-like"], f'<{EX}s> <{EX}p> "x"@en .\n', "in.ttls", 1),
+        (["rdf2pg", "--mode", "simple"], (DATA_DIR / "alice_bob.ttls").read_text(), "in.ttls", 1),
+        (["pg2rdf"], NOT_PROPERTY_UNIQUE, "in.pg.json", 1),
+        (["pg2rdf"], NOT_EDGE_UNIQUE, "in.pg.json", 1),
+        (["pg2rdf"], '{"vertices": [', "in.pg.json", 2),
+        (["unfold"], f"<{EX}s> <{EX}p> .\n", "in.ttls", 2),
+    ], ids=["not-convertible", "not-strongly-convertible", "not-property-unique",
+            "not-edge-unique", "pg-json-parse-error", "turtle-parse-error"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output-file"])
+    def test_failed_command_writes_no_output(self, ttls, tmp_path, capsys, argv, text, name,
+                                             code, to_file):
+        argv = [argv[0], ttls(text, name), *argv[1:]]
+        target = tmp_path / "existing.out"
+        target.write_text(self.EARLIER, encoding="utf-8")
+        assert main([*argv, "-o", str(target)] if to_file else argv) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err != ""
+        assert target.read_text(encoding="utf-8") == self.EARLIER
+
+    def test_output_file_is_opened_once_the_first_piece_is_made(self, tmp_path):
+        def chunks():
+            yield "a chunk\n"
+            raise ValueError("the output fails before its first piece is made")
+
+        target = tmp_path / "existing.out"
+        target.write_text(self.EARLIER, encoding="utf-8")
+        with pytest.raises(ValueError):
+            starpg.cli._write(chunks(), str(target))
+        assert target.read_text(encoding="utf-8") == self.EARLIER
+
+
+class TestStreamedOutput:
+    """The CLI writes the serializers' bytes, in pieces of about
+    _PIECE_SIZE characters."""
+
+    @staticmethod
+    def run(argv, tmp_path, capsys) -> str:
+        """The command's output, which must be the same on standard output
+        and in an -o file that held other bytes before."""
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        target = tmp_path / "out"
+        target.write_text("earlier bytes\n", encoding="utf-8")
+        assert main([*argv, "-o", str(target)]) == 0
+        assert target.read_bytes() == out.encode("utf-8")
+        return out
+
+    def check_turtle_file(self, path: str, tmp_path, capsys) -> None:
+        graph, prefixes = parse_turtle_star(Path(path).read_text(encoding="utf-8"))
+        unfolded = unfold_to_rdf(graph)
+        if unfolded != graph:
+            prefixes.setdefault("rdf", RDF)
+        assert self.run(["unfold", path], tmp_path, capsys) == serialize_turtle_star(
+            unfolded, prefixes)
+        assert self.run(["rdf2pg", path, "--mode", "rdf-like"], tmp_path, capsys) == (
+            serialize_pg_json(to_rdf_like_pg(graph).graph))
+
+    def check_pg_json_file(self, path: str, tmp_path, capsys) -> None:
+        pg = parse_pg_json(Path(path).read_text(encoding="utf-8"))
+        prefixes = {"p": DEFAULT_PROPERTY_KEY_PREFIX, "r": DEFAULT_EDGE_LABEL_PREFIX}
+        assert self.run(["pg2rdf", path], tmp_path, capsys) == serialize_turtle_star(
+            pg_to_rdf_star(pg), prefixes)
+
+    @pytest.mark.parametrize("name", ["alice_bob.ttls", "alice_bob_reduced.ttls",
+                                      "kubrick.ttls", "kubrick.pg.json"])
+    def test_goldens(self, tmp_path, capsys, name):
+        path = str(DATA_DIR / name)
+        if name.endswith(".ttls"):
+            self.check_turtle_file(path, tmp_path, capsys)
+        else:
+            self.check_pg_json_file(path, tmp_path, capsys)
+
+    def test_empty_graphs(self, ttls, tmp_path, capsys):
+        path = ttls("")
+        assert self.run(["unfold", path], tmp_path, capsys) == ""
+        assert self.run(["rdf2pg", path, "--mode", "rdf-like"], tmp_path, capsys) == (
+            '{\n  "vertices": [],\n  "edges": []\n}\n')
+        empty = ttls('{"vertices": [], "edges": []}', "empty.pg.json")
+        assert self.run(["pg2rdf", empty], tmp_path, capsys) == (
+            f"@prefix p: <{DEFAULT_PROPERTY_KEY_PREFIX}> .\n"
+            f"@prefix r: <{DEFAULT_EDGE_LABEL_PREFIX}> .\n")
+
+    def test_prefixes_only(self, ttls, tmp_path, capsys):
+        path = ttls(f"@prefix ex: <{EX}> .\n@prefix a: <{EX}a/> .\n")
+        assert self.run(["unfold", path], tmp_path, capsys) == (
+            f"@prefix a: <{EX}a/> .\n@prefix ex: <{EX}> .\n")
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_graphs(self, ttls, tmp_path, capsys, seed):
+        rng = random.Random(f"streamed/{seed}")
+        graph = random_convertible_graph(rng, max_triples=40)
+        self.check_turtle_file(ttls(serialize_turtle_star(graph, {"ex": EX})), tmp_path, capsys)
+        pg = random_property_graph(rng, 12, 20)
+        self.check_pg_json_file(ttls(serialize_pg_json(pg), "random.pg.json"), tmp_path, capsys)
+
+    @pytest.mark.parametrize("command", ["rdf2pg", "pg2rdf"])
+    def test_write_count_is_bounded_by_size(self, ttls, monkeypatch, command):
+        pg = _wide_pg(3000)
+        if command == "rdf2pg":
+            path = ttls(serialize_turtle_star(pg_to_rdf_star(pg)))
+            argv = ["rdf2pg", path, "--mode", "rdf-like"]
+        else:
+            argv = ["pg2rdf", ttls(serialize_pg_json(pg), "wide.pg.json")]
+        stream = CountingStream()
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(argv) == 0
+        size = len(stream.getvalue().encode("utf-8"))
+        assert size > 2 * starpg.cli._PIECE_SIZE
+        assert len(stream.writes) <= math.ceil(size / starpg.cli._PIECE_SIZE) + 1
+        assert all(len(w) >= starpg.cli._PIECE_SIZE for w in stream.writes[:-1])
+
+
 class TestCollector:
     """main runs a command with the cyclic collector off and leaves the
     collector as it found it, whatever the outcome."""
@@ -435,17 +663,27 @@ class TestCollector:
         assert seen == [False]
         assert gc.isenabled() == collector
 
-    def test_commands_leave_no_cycles_of_starpg_objects(self, ttls, capsys):
+    def test_commands_leave_no_cycles_of_starpg_objects(self, ttls, tmp_path, monkeypatch,
+                                                        capsys):
         # The collector is off while a command runs, so anything of starpg's
         # caught in a reference cycle would stay until the process exits.
         blank = ttls("_:x <http://example.org/p> _:y .\n"
                      "<< _:x <http://example.org/p> _:y >> <http://example.org/q> 1 .\n")
+        wide = ttls(serialize_pg_json(_wide_pg(3000)), "wide.pg.json")
+        out = str(tmp_path / "out")
+        writers = (["unfold", blank], ["pg2rdf", KUBRICK], ["rdf2pg", blank, "--mode", "rdf-like"])
         gc.collect()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
-            for argv in (["roundtrip", blank], ["unfold", blank], ["pg2rdf", KUBRICK],
-                         ["rdf2pg", blank, "--mode", "rdf-like"], ["check", ALICE_BOB]):
+            for argv in (["roundtrip", blank], ["check", ALICE_BOB], *writers,
+                         *([*argv, "-o", out] for argv in writers)):
                 assert main(argv) == 0
+            # The first piece of the output fails to write, and the rest of
+            # the document is never made.
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", FailingStream())
+                assert main(["pg2rdf", wide]) == 2
+            assert capsys.readouterr().err == "i/o error: [Errno 28] No space left on device\n"
             gc.collect()
             ours = [o for o in gc.garbage
                     if str(getattr(o, "__module__", "")).startswith("starpg")]
