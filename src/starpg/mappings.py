@@ -1,9 +1,9 @@
 """Mappings between property graph values/names and RDF terms.
 
 Covers the literal-value mapping in both directions, plain IRI/string
-conversion, prefix-plus-percent-encoding templates for keys and labels,
-and the vertex identity strategies used when turning a property graph
-into RDF-star.
+conversion, and the prefix-plus-percent-encoding templates that name
+keys, labels and (unless they become blank nodes) vertices when a
+property graph is turned into RDF-star.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import math
 import re
 import urllib.parse
 from dataclasses import dataclass, field
-from typing import Union
 
 from .namespaces import XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING
 from .pg import Boolean, Double, Integer, PropertyGraph, PropertyValue, Text
@@ -159,37 +158,26 @@ class TemplateIriMapping:
         return percent_decode(iri.value[len(self.prefix):])
 
 
-@dataclass(frozen=True)
-class FreshBlankNodes:
-    """Vertices become blank nodes _:b1, _:b2, ... in vertex id order."""
-
-
-# Vertices become IRIs: prefix + percent-encoded vertex id.
-IriTemplate = TemplateIriMapping
-
-
-VertexIdentityStrategy = Union[FreshBlankNodes, IriTemplate]
-
-
 def assign_vertex_identities(
-    strategy: VertexIdentityStrategy, g: PropertyGraph
-) -> dict[str, Union[Iri, BNode]]:
+    template: TemplateIriMapping | None, g: PropertyGraph
+) -> dict[str, Iri | BNode]:
     """Injective map from vertex ids to RDF node terms, deterministic in
-    the lexicographic order of vertex ids."""
+    the lexicographic order of vertex ids: blank nodes _:b1, _:b2, ...
+    when template is None, else the template's IRI of each id."""
     ids = sorted(g.vertices)
-    if isinstance(strategy, FreshBlankNodes):
+    if template is None:
         return {v: BNode(f"b{i}") for i, v in enumerate(ids, start=1)}
-    if isinstance(strategy, IriTemplate):
-        return {v: strategy.apply(v) for v in ids}
-    raise TypeError(f"not a vertex identity strategy: {strategy!r}")
+    if isinstance(template, TemplateIriMapping):
+        return {v: template.apply(v) for v in ids}
+    raise TypeError(f"not a vertex identity strategy: {template!r}")
 
 
-def parse_vertex_id_strategy(text: str) -> VertexIdentityStrategy:
-    """Parse the configuration syntax: "bnode" or "iri:<prefix>"."""
+def parse_vertex_id_strategy(text: str) -> TemplateIriMapping | None:
+    """Parse the configuration syntax: "bnode" (None) or "iri:<prefix>"."""
     if text == "bnode":
-        return FreshBlankNodes()
+        return None
     if text.startswith("iri:"):
-        return IriTemplate(text[len("iri:"):])
+        return TemplateIriMapping(text[len("iri:"):])
     raise MappingConfigError(f'vertex id strategy must be "bnode" or "iri:<prefix>": {text!r}')
 
 
@@ -199,7 +187,8 @@ class MappingConfig:
 
     property_key_prefix: str = DEFAULT_PROPERTY_KEY_PREFIX
     edge_label_prefix: str = DEFAULT_EDGE_LABEL_PREFIX
-    vertex_id_strategy: VertexIdentityStrategy = field(default_factory=FreshBlankNodes)
+    # None: vertices become fresh blank nodes; else IRIs minted by the template.
+    vertex_id_strategy: TemplateIriMapping | None = None
     key_map: TemplateIriMapping = field(init=False, repr=False, compare=False)
     label_map: TemplateIriMapping = field(init=False, repr=False, compare=False)
 
@@ -212,7 +201,7 @@ class MappingConfig:
             raise MappingConfigError(
                 f"key and label prefixes must be distinct and prefix-free: {a!r} vs {b!r}"
             )
-        if not isinstance(self.vertex_id_strategy, (FreshBlankNodes, IriTemplate)):
+        if not isinstance(self.vertex_id_strategy, (TemplateIriMapping, type(None))):
             raise MappingConfigError(
                 f"not a vertex identity strategy: {self.vertex_id_strategy!r}"
             )

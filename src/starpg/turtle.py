@@ -392,11 +392,11 @@ def parse_turtle_star(text: str) -> tuple[RdfStarGraph, dict[str, str]]:
 
 # -- serialization -----------------------------------------------------
 
-_STRING_ESCAPES = {c: "\\" + e for e, c in _ESCAPES.items()}
+_STRING_ESCAPES = str.maketrans({c: "\\" + e for e, c in _ESCAPES.items()})
 
 
 def _quote(text: str) -> str:
-    return '"' + "".join(_STRING_ESCAPES.get(c, c) for c in text) + '"'
+    return '"' + text.translate(_STRING_ESCAPES) + '"'
 
 
 def _render_iri(value: str, prefixes: list[tuple[str, str]]) -> str:

@@ -23,6 +23,7 @@ from starpg import (
     pg_to_rdf_star,
     serialize_pg_json,
     serialize_turtle_star,
+    term_key,
     to_rdf_like_pg,
     unfold_to_rdf,
 )
@@ -318,6 +319,20 @@ class TestRoundtrip:
         # annotation comes back as the equivalent double
         path = ttls(f"<<<{EX}s> <{EX}p> <{EX}o>>> <{EX}q> 0.50 .")
         assert main(["roundtrip", path]) == 0
+
+    def test_mismatch_names_the_first_differing_triple(self, monkeypatch, capsys):
+        real = starpg.cli.from_rdf_like_pg
+
+        def drop_least(graph):
+            back = real(graph)
+            return RdfStarGraph(sorted(back.triples, key=term_key)[1:])
+
+        monkeypatch.setattr(starpg.cli, "from_rdf_like_pg", drop_least)
+        assert main(["roundtrip", ALICE_BOB]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("round-trip mismatch, missing triple: <<<http://example.org/alice> "
+                       '<http://xmlns.com/foaf/0.1/name> "Alice">>\n')
 
 
 class TestExitCodeContract:

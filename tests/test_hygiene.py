@@ -11,6 +11,9 @@ definition: as a name, as an attribute, as the name a from-import takes
 (also under another name), or as a string equal to it, as in
 monkeypatch.setattr(module, "_name", ...).  Dunders are exempt, and so
 are the public names of the package, those in starpg.__all__.
+
+starpg.__all__ is sorted without repeats, and a star import of the
+package binds exactly its names.
 """
 
 import ast
@@ -19,6 +22,8 @@ from pathlib import Path
 from typing import Callable
 
 import pytest
+
+import starpg
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
@@ -159,6 +164,13 @@ def test_every_public_name_is_exported_or_referenced(path):
     exported = _exported(ast.parse(package.read_text(encoding="utf-8")))
     source = path.read_text(encoding="utf-8")
     assert unreferenced_public_names(source, exported, _elsewhere(path)) == []
+
+
+def test_package_exports_are_sorted_and_all_bound():
+    assert starpg.__all__ == sorted(set(starpg.__all__))
+    namespace: dict = {}
+    exec("from starpg import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(starpg.__all__)
 
 
 class TestChecker:

@@ -12,10 +12,8 @@ from starpg import (
     XSD_STRING,
     Boolean,
     Double,
-    FreshBlankNodes,
     Integer,
     Iri,
-    IriTemplate,
     Literal,
     MappingConfig,
     MappingConfigError,
@@ -205,28 +203,28 @@ class TestTemplateMapping:
 
 class TestVertexIdentities:
     def test_fresh_blank_nodes_in_sorted_vertex_order(self, kubrick_pg):
-        assignment = assign_vertex_identities(FreshBlankNodes(), kubrick_pg)
+        assignment = assign_vertex_identities(None, kubrick_pg)
         assert assignment == {"Kubrick": BNode("b1"), "Welles": BNode("b2")}
 
     def test_empty_graph_empty_assignment(self):
-        assert assign_vertex_identities(FreshBlankNodes(), PropertyGraph()) == {}
+        assert assign_vertex_identities(None, PropertyGraph()) == {}
 
     def test_iri_template_strategy(self):
         g = PropertyGraph(["n 1", "n2"])
-        assignment = assign_vertex_identities(IriTemplate("http://example.org/v/"), g)
+        assignment = assign_vertex_identities(TemplateIriMapping("http://example.org/v/"), g)
         assert assignment == {
             "n 1": Iri("http://example.org/v/n%201"),
             "n2": Iri("http://example.org/v/n2"),
         }
 
     def test_assignment_is_injective(self, kubrick_pg):
-        assignment = assign_vertex_identities(FreshBlankNodes(), kubrick_pg)
+        assignment = assign_vertex_identities(None, kubrick_pg)
         assert len(set(assignment.values())) == len(assignment)
 
     def test_parse_strategy_forms(self):
-        assert isinstance(parse_vertex_id_strategy("bnode"), FreshBlankNodes)
+        assert parse_vertex_id_strategy("bnode") is None
         strat = parse_vertex_id_strategy("iri:http://example.org/v/")
-        assert isinstance(strat, IriTemplate)
+        assert isinstance(strat, TemplateIriMapping)
         with pytest.raises(MappingConfigError):
             parse_vertex_id_strategy("nonsense")
 

@@ -867,18 +867,26 @@ class TestIsomorphismOracle:
                 same_size += len(g) == len(h) and name_g != name_h
         assert same_size >= 20
 
-    @pytest.mark.parametrize("hubs", [0, 2])
-    def test_search_decides_when_tie_breaks_differ(self, hubs):
+    @pytest.mark.parametrize("hubs, extra", [
+        pytest.param(0, (), id="0"),
+        pytest.param(2, (), id="2"),
+        pytest.param(2, (Triple(BNode("z"), P, O),), id="2-fixed-node"),
+    ])
+    def test_search_decides_when_tie_breaks_differ(self, hubs, extra):
         # Refinement cannot tell a 6-cycle from a 3-cycle.  The smallest
         # label lies on the hexagon in one copy and on a triangle in the
         # other, so their canonical forms differ and isomorphic must look
         # past them; two hexagons are not isomorphic to either.  Two tied
         # blank hubs joined to every cycle node make each graph one
         # component with no node fixed, so isomorphic must branch on a hub
-        # before the cycles split apart.
+        # before the cycles split apart.  A blank node of its own class
+        # beside them is fixed, so the hubbed component becomes a
+        # subproblem whose canonical forms differ between the copies, and
+        # the subproblems must be paired by search.
         def hubbed(g: RdfStarGraph) -> RdfStarGraph:
             return RdfStarGraph(g.triples | {Triple(BNode(f"hub{h}"), Q, BNode(x))
-                                             for h in range(hubs) for x in blank_node_labels(g)})
+                                             for h in range(hubs) for x in blank_node_labels(g)}
+                                | set(extra))
 
         on_hexagon = hubbed(_hexagon_and_triangles([f"b{i}" for i in range(2, 14)]))
         on_triangle = hubbed(

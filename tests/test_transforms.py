@@ -15,7 +15,6 @@ from starpg import (
     Double,
     Integer,
     Iri,
-    IriTemplate,
     Literal,
     MalformedRdfLikePgError,
     MappingConfig,
@@ -26,6 +25,7 @@ from starpg import (
     Property,
     PropertyGraph,
     RdfStarGraph,
+    TemplateIriMapping,
     Text,
     Triple,
     attribute_triples,
@@ -524,7 +524,7 @@ class TestPgToRdfStar:
         assert pg_to_rdf_star(PropertyGraph()) == RdfStarGraph()
 
     def test_iri_vertex_strategy(self, kubrick_pg):
-        cfg = MappingConfig(vertex_id_strategy=IriTemplate("http://example.org/v/"))
+        cfg = MappingConfig(vertex_id_strategy=TemplateIriMapping("http://example.org/v/"))
         g = pg_to_rdf_star(kubrick_pg, cfg)
         kub = Iri("http://example.org/v/Kubrick")
         assert Triple(kub, Iri("http://example.org/property/birthyear"),

@@ -159,6 +159,7 @@ class TestParseLiterals:
             ("+14", "+14", XSD_INTEGER),
             ("0.5", "0.5", XSD_DECIMAL),
             ("-0.25", "-0.25", XSD_DECIMAL),
+            (".5", ".5", XSD_DECIMAL),
             ("0.8E0", "0.8E0", XSD_DOUBLE),
             ("1e3", "1e3", XSD_DOUBLE),
             ("-2.5E-2", "-2.5E-2", XSD_DOUBLE),
@@ -307,6 +308,7 @@ PARSE_ERRORS = [
     ("@prefix ex: <e:> .\nex:s ex:p ex:a.b .", 2, 16, "expected ':' in prefixed name after 'b'"),
     ("@prefix <e:> .", 1, 9, "expected ':' after prefix label"),
     ("@prefix ex:abc <e:> .", 1, 12, "expected IRI"),
+    ("@prefix ex: <<e:> .", 1, 13, "invalid IRI: IRI contains forbidden character '<': '<e:'"),
 ]
 
 
@@ -479,6 +481,11 @@ class TestSerialize:
 
     def test_empty_graph_empty_text(self):
         assert serialize_turtle_star(RdfStarGraph()) == ""
+
+    def test_invalid_prefix_label_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            serialize_turtle_star(RdfStarGraph([Triple(S, P, O)]), {"1x": "e:"})
+        assert str(exc.value) == "invalid prefix label: '1x'"
 
     def test_empty_graph_with_prefixes(self):
         text = serialize_turtle_star(RdfStarGraph(), {"ex": EX})
