@@ -69,16 +69,19 @@ class InputEncodingError(Exception):
     """An input file is not valid UTF-8."""
 
 
-# The stderr prefix and exit code of each failure a command raises, violations aside.
+# The stderr line and exit code of each failure a command raises,
+# violations aside; {} stands for the exception's text.  Running out of
+# memory prints a constant, so that its handler allocates little.
 _FAILURES = {
-    TurtleParseError: ("parse error: ", 2),
-    SchemaError: ("schema error: ", 2),
-    MappingConfigError: ("configuration error: ", 2),
-    CliUsageError: ("", 2),
-    InputEncodingError: ("encoding error: ", 2),
-    OSError: ("i/o error: ", 2),
-    PgValidationError: ("error: ", 1),
-    MalformedRdfLikePgError: ("error: ", 1),
+    TurtleParseError: ("parse error: {}", 2),
+    SchemaError: ("schema error: {}", 2),
+    MappingConfigError: ("configuration error: {}", 2),
+    CliUsageError: ("{}", 2),
+    InputEncodingError: ("encoding error: {}", 2),
+    OSError: ("i/o error: {}", 2),
+    MemoryError: ("out of memory", 2),
+    PgValidationError: ("error: {}", 1),
+    MalformedRdfLikePgError: ("error: {}", 1),
 }
 
 
@@ -231,10 +234,12 @@ def cmd_unfold(args: argparse.Namespace) -> int:
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
     _check_format(args.input, "turtle-star", args.from_format, "input")
-    graph, _ = parse_turtle_star(_read(args.input))
-    prepared = minimize(canonicalize_values(graph, args.literal_mode))
-    forward = to_rdf_like_pg(prepared, args.literal_mode)
-    back = from_rdf_like_pg(forward.graph)
+    # Nothing is kept that a later step does not need: the parsed graph
+    # lives on only as prepared, when neither step changes it, and of the
+    # forward transform only its property graph, until back is built.
+    prepared = minimize(canonicalize_values(parse_turtle_star(_read(args.input))[0],
+                                            args.literal_mode))
+    back = from_rdf_like_pg(to_rdf_like_pg(prepared, args.literal_mode).graph)
     if isomorphic(prepared, back):
         n = len(prepared)
         _write([json.dumps({"ok": True, "triples": n}) + "\n" if args.report == "json"
@@ -320,8 +325,8 @@ def main(argv: list[str] | None = None) -> int:
         _write(_violation_report(_violation_entries(exc), args.report), stream=sys.stderr)
         return 1
     except tuple(_FAILURES) as exc:
-        prefix, code = next(_FAILURES[c] for c in type(exc).__mro__ if c in _FAILURES)
-        _write([f"{prefix}{exc}\n"], stream=sys.stderr)
+        line, code = next(_FAILURES[c] for c in type(exc).__mro__ if c in _FAILURES)
+        _write([line.format(exc) + "\n"], stream=sys.stderr)
         return code
     finally:
         if collecting:

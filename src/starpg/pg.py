@@ -2,16 +2,18 @@
 
 Properties attach to vertices and edges as sets of key-value pairs, so an
 element may carry several values under the same key; the uniqueness checks
-below report when that happens.
+below report when that happens.  Each element keeps its set as one tuple,
+without repeats and in property_sort_key order, so a graph's properties
+are listed in one order everywhere.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from itertools import combinations
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .frozen import Frozen, set_field
 
@@ -130,7 +132,16 @@ def _property_value_key(v: PropertyValue):
 
 
 def property_sort_key(p: Property):
+    """The order of an element's properties: by key, then by value.  No
+    two distinct properties share a sort key."""
     return (p.key, _property_value_key(p.value))
+
+
+def ordered_properties(entries: Collection[Property]) -> tuple[Property, ...]:
+    """Distinct properties as one tuple in property_sort_key order."""
+    if len(entries) > 1:
+        return tuple(sorted(entries, key=property_sort_key))
+    return tuple(entries)
 
 
 def _is_vertex(x: object, vertices: frozenset[str]) -> bool:
@@ -138,8 +149,8 @@ def _is_vertex(x: object, vertices: frozenset[str]) -> bool:
     return isinstance(x, str) and x in vertices
 
 
-# The property set of every element without properties.
-_NO_PROPERTIES: frozenset[Property] = frozenset()
+# The properties of every element without properties.
+_NO_PROPERTIES: tuple[Property, ...] = ()
 
 
 class PropertyGraph:
@@ -150,7 +161,13 @@ class PropertyGraph:
     ids live in one namespace and must not collide.  Where several ids,
     edges or properties are invalid, the error names the least of them
     (edges by id, the others by repr), so the message does not depend on
-    hashing.  Elements without properties share one empty frozenset.
+    hashing.
+
+    An element's properties are a tuple in property_sort_key order, without
+    repeats, whatever iterable they were given as; elements without
+    properties share the empty tuple.  Since the sort key tells distinct
+    properties apart, two such tuples are equal exactly when they hold the
+    same set, so graphs compare as their sets of properties do.
     """
 
     __slots__ = ("_vertices", "_edges", "_src", "_tgt", "_lbl", "_props")
@@ -203,12 +220,12 @@ class PropertyGraph:
                 raise MissingEdgeLabelError(f"edge {e!r} has no label")
             raise PgValidationError(f"edge {e!r} label must be str")
 
-        pmap: dict[str, frozenset[Property]] = dict.fromkeys(ids, _NO_PROPERTIES)
+        pmap: dict[str, tuple[Property, ...]] = dict.fromkeys(ids, _NO_PROPERTIES)
         for x, entries in (props or {}).items():
             if x not in pmap:
                 raise PgValidationError(f"properties attached to unknown element {x!r}")
             try:
-                entries = frozenset(entries)
+                entries = set(entries)
             except TypeError:  # an unhashable entry, which is no Property
                 entries = list(entries)
                 if all(isinstance(p, Property) for p in entries):  # a spent iterator's
@@ -218,7 +235,7 @@ class PropertyGraph:
                     p = min((q for q in entries if not isinstance(q, Property)), key=repr)
                     raise PgValidationError(f"not a Property on element {x!r}: {p!r}")
             if entries:
-                pmap[x] = entries
+                pmap[x] = ordered_properties(entries)
 
         self._vertices = vset
         self._edges = eset
@@ -226,6 +243,26 @@ class PropertyGraph:
         self._tgt = tgt
         self._lbl = lbl
         self._props = pmap
+
+    @classmethod
+    def _trusted(cls, vertices: frozenset[str], edges: frozenset[str], src: dict[str, str],
+                 tgt: dict[str, str], lbl: dict[str, str],
+                 props: dict[str, tuple[Property, ...]]) -> PropertyGraph:
+        """The graph of these fields, taken as they are: no check, no copy.
+
+        Only for callers that built a valid graph themselves: src, tgt and
+        lbl total on edges and naming vertices, and props holding, for every
+        vertex and edge, a tuple as the constructor makes it.  The caller
+        hands the containers over and must not change them afterwards.
+        """
+        g = cls.__new__(cls)
+        g._vertices = vertices
+        g._edges = edges
+        g._src = src
+        g._tgt = tgt
+        g._lbl = lbl
+        g._props = props
+        return g
 
     @property
     def vertices(self) -> frozenset[str]:
@@ -248,7 +285,7 @@ class PropertyGraph:
         return MappingProxyType(self._lbl)
 
     @property
-    def props(self) -> Mapping[str, frozenset[Property]]:
+    def props(self) -> Mapping[str, tuple[Property, ...]]:
         return MappingProxyType(self._props)
 
     def source(self, edge: str) -> str:
@@ -260,7 +297,7 @@ class PropertyGraph:
     def label(self, edge: str) -> str:
         return self._lbl[edge]
 
-    def properties(self, element: str) -> frozenset[Property]:
+    def properties(self, element: str) -> tuple[Property, ...]:
         return self._props[element]
 
     def __eq__(self, other: object) -> bool:
@@ -287,12 +324,22 @@ class PropertyGraph:
 
 def property_uniqueness_violations(g: PropertyGraph) -> list[tuple[str, str]]:
     """(element id, key) pairs where one element holds several values for
-    a key, sorted."""
+    a key, sorted.
+
+    An element's properties are ordered by key, so the values of a key
+    are adjacent and one scan of each element finds them.
+    """
     out: list[tuple[str, str]] = []
     for x, props in g.props.items():
-        keys = [p.key for p in props]
-        if len(set(keys)) < len(keys):
-            out.extend((x, key) for key, n in Counter(keys).items() if n > 1)
+        if len(props) < 2:
+            continue
+        previous = repeated = None
+        for p in props:
+            key = p.key
+            if key == previous and key != repeated:
+                out.append((x, key))
+                repeated = key
+            previous = key
     return sorted(out)
 
 

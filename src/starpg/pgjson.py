@@ -25,7 +25,6 @@ from .pg import (
     Property,
     PropertyGraph,
     Text,
-    property_sort_key,
 )
 
 FILE_EXTENSION = ".pg.json"
@@ -266,11 +265,9 @@ def iter_pg_json(g: PropertyGraph) -> Iterator[str]:
     the whole document."""
 
     def properties(x: str) -> str:
-        ps = g.properties(x)
+        ps = g.properties(x)  # already in property_sort_key order
         if not ps:
             return "[]"
-        if len(ps) > 1:
-            ps = sorted(ps, key=property_sort_key)
         return "[\n" + ",\n".join(map(_property_json, ps)) + "\n      ]"
 
     sep = "[\n"

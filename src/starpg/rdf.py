@@ -329,9 +329,11 @@ def minimize(g: RdfStarGraph) -> RdfStarGraph:
 
     One pass suffices: removing a top-level assertion never removes the
     embedded occurrence that made it redundant, so the result is minimal
-    and minimize is idempotent.
+    and minimize is idempotent.  A graph that is already minimal is
+    returned itself.
     """
-    return RdfStarGraph(g.triples - redundant_triples(g))
+    redundant = redundant_triples(g)
+    return RdfStarGraph(g.triples - redundant) if redundant else g
 
 
 def subject_object_terms(g: RdfStarGraph) -> frozenset[Term]:

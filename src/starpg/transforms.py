@@ -27,7 +27,7 @@ from .pg import (
     PropertyValue,
     Text,
     edge_uniqueness_violations,
-    property_sort_key,
+    ordered_properties,
     property_uniqueness_violations,
 )
 from .rdf import (
@@ -40,7 +40,6 @@ from .rdf import (
     _rewrite,
     is_metadata_triple,
     mentioned_terms,
-    minimize,
     term_key,
 )
 
@@ -258,11 +257,12 @@ def _property_table(value: Valuer) -> Callable[[Iri, Literal], Property]:
 
 
 def _assemble(metadata: list[Triple], edges: list[Triple], vertex_map: dict, edge_map: dict,
-              props: dict[str, set[Property]],
+              props: dict[str, tuple[Property, ...]],
               property_of: Callable[[Iri, Literal], Property]) -> PropertyGraph:
     """The property graph both RDF-to-PG transforms share: one edge per
     triple of edges, and the metadata triples as properties of the edge
-    of their embedded subject."""
+    of their embedded subject.  props holds every vertex's properties and
+    gains every edge's; the graph takes the containers without a copy."""
     src = {edge_map[t]: vertex_map[t.subject] for t in edges}
     tgt = {edge_map[t]: vertex_map[t.object] for t in edges}
     lbl = {edge_map[t]: t.predicate.value for t in edges}
@@ -270,8 +270,10 @@ def _assemble(metadata: list[Triple], edges: list[Triple], vertex_map: dict, edg
     for m in metadata:
         # m.object is a literal by condition 3.
         edge_props[edge_map[m.subject]].add(property_of(m.predicate, m.object))
-    props.update(edge_props)
-    return PropertyGraph(vertex_map.values(), edge_map.values(), src, tgt, lbl, props)
+    for e in lbl:
+        props[e] = ordered_properties(edge_props.get(e, ()))
+    return PropertyGraph._trusted(frozenset(vertex_map.values()), frozenset(lbl), src, tgt,
+                                  lbl, props)
 
 
 def to_rdf_like_pg(g: RdfStarGraph, mode: str = "lenient") -> PgResult:
@@ -288,16 +290,18 @@ def to_rdf_like_pg(g: RdfStarGraph, mode: str = "lenient") -> PgResult:
     vertex_map = {term: f"v{i}" for i, term in enumerate(sorted(terms, key=term_key), start=1)}
     edge_map = {t: f"e{i}" for i, t in enumerate(ordinary, start=1)}
 
+    # Each vertex's properties, written in property_sort_key order: the
+    # keys IRI < datatype < kind < literal are all distinct.
     text_property = cache(_text_property)  # datatypes repeat
-    props: dict[str, set[Property]] = {}
+    props: dict[str, tuple[Property, ...]] = {}
     for term, vid in vertex_map.items():
         if isinstance(term, Iri):
-            props[vid] = {_KIND_IRI, _text_property(IRI_KEY, term.value)}
+            props[vid] = (_text_property(IRI_KEY, term.value), _KIND_IRI)
         elif isinstance(term, BNode):
-            props[vid] = {_KIND_BLANK_NODE}
+            props[vid] = (_KIND_BLANK_NODE,)
         else:  # condition 4 gave the literal a value, so it has no language tag
-            props[vid] = {_KIND_LITERAL, Property(LITERAL_KEY, value(term)),
-                          text_property(DATATYPE_KEY, term.datatype.value)}
+            props[vid] = (text_property(DATATYPE_KEY, term.datatype.value), _KIND_LITERAL,
+                          Property(LITERAL_KEY, value(term)))
 
     graph = _assemble(metadata, ordinary, vertex_map, edge_map, props, _property_table(value))
     return PgResult(graph, vertex_map, edge_map)
@@ -366,6 +370,7 @@ def from_rdf_like_pg(p: PropertyGraph) -> RdfStarGraph:
                 raise MalformedRdfLikePgError(f"vertex {v!r}: {exc}") from exc
 
     triples: set[Triple] = set()
+    annotated: set[Triple] = set()
     for e in sorted(p.edges):
         subject = term_map[p.source(e)]
         if isinstance(subject, Literal):
@@ -374,8 +379,9 @@ def from_rdf_like_pg(p: PropertyGraph) -> RdfStarGraph:
         if predicate is None:
             raise MalformedRdfLikePgError(f"edge {e!r} label is not a valid IRI: {p.label(e)!r}")
         t = Triple(subject, predicate, term_map[p.target(e)])
-        triples.add(t)
-        for prop in sorted(p.properties(e), key=property_sort_key):
+        props = p.properties(e)
+        (annotated if props else triples).add(t)
+        for prop in props:
             key_iri = iri_of(prop.key)
             if key_iri is None:
                 raise MalformedRdfLikePgError(
@@ -383,7 +389,11 @@ def from_rdf_like_pg(p: PropertyGraph) -> RdfStarGraph:
                 )
             triples.add(Triple(t, key_iri, literal_of(prop.value)))
 
-    return minimize(RdfStarGraph(triples))
+    # Metadata embeds only the triples of edges with properties, so leaving
+    # those out at top level, also where a parallel bare edge asserts one,
+    # makes the result minimal as it is built.
+    triples -= annotated
+    return RdfStarGraph(triples)
 
 
 def to_simple_pg(g: RdfStarGraph, mode: str = "lenient") -> PgResult:
@@ -402,13 +412,17 @@ def to_simple_pg(g: RdfStarGraph, mode: str = "lenient") -> PgResult:
     edge_map = {t: f"e{i}" for i, t in enumerate(relations, start=1)}
 
     property_of = _property_table(value)
-    props: dict[str, set[Property]] = {vid: set() for vid in vertex_map.values()}
+    # Two literals may give one property, as "1" and "01" do as integers,
+    # so each vertex collects a set and orders it once.
+    props: dict = {vid: set() for vid in vertex_map.values()}
     for node, vid in vertex_map.items():
         if isinstance(node, Iri):
             props[vid].add(_text_property(IRI_KEY, node.value))
     for a in ordinary:
         if isinstance(a.object, Literal):
             props[vertex_map[a.subject]].add(property_of(a.predicate, a.object))
+    for vid, ps in props.items():
+        props[vid] = ordered_properties(ps)
 
     graph = _assemble(metadata, relations, vertex_map, edge_map, props, property_of)
     return PgResult(graph, vertex_map, edge_map)
@@ -452,7 +466,7 @@ def pg_to_rdf_star(p: PropertyGraph, config: MappingConfig | None = None) -> Rdf
 def canonicalize_values(g: RdfStarGraph, mode: str = "lenient") -> RdfStarGraph:
     """Rewrite every literal that carries a property value to that value's
     canonical literal; literals outside the value mapping stay unchanged.
-    Idempotent, and the identity on graphs that are already canonical."""
+    Idempotent, and returns g itself when g is already canonical."""
 
     @cache
     def canonical(l: Literal) -> Literal:
@@ -465,4 +479,11 @@ def canonicalize_values(g: RdfStarGraph, mode: str = "lenient") -> RdfStarGraph:
     def canonical_leaf(x: Term) -> Term:
         return canonical(x) if isinstance(x, Literal) else x
 
-    return RdfStarGraph(_rewrite(t, canonical_leaf) for t in g.triples)
+    changed = {}
+    for t in g.triples:
+        c = _rewrite(t, canonical_leaf)
+        if c is not t:
+            changed[t] = c
+    if not changed:
+        return g  # graphs are immutable, so g itself is the result
+    return RdfStarGraph(changed.get(t, t) for t in g.triples)

@@ -17,6 +17,7 @@ from starpg import (
     Text,
     Triple,
 )
+from starpg.pg import property_sort_key
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -65,6 +66,19 @@ def build_kubrick_pg() -> PropertyGraph:
             "e2": [Property("certainty", Double(0.8))],
         },
     )
+
+
+def assert_ordered_properties(g: PropertyGraph) -> None:
+    """Every element's properties are a tuple, strictly ascending by
+    property_sort_key, and every element without properties has the
+    empty tuple itself."""
+    empty = ()
+    for x in g.vertices | g.edges:
+        ps = g.properties(x)
+        assert type(ps) is tuple
+        keys = [property_sort_key(p) for p in ps]
+        assert all(a < b for a, b in zip(keys, keys[1:])), x
+        assert ps or ps is empty
 
 
 @pytest.fixture

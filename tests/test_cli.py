@@ -16,6 +16,7 @@ from starpg import (
     DEFAULT_PROPERTY_KEY_PREFIX,
     Integer,
     Property,
+    PgResult,
     PropertyGraph,
     RdfStarGraph,
     parse_pg_json,
@@ -320,6 +321,31 @@ class TestRoundtrip:
         path = ttls(f"<<<{EX}s> <{EX}p> <{EX}o>>> <{EX}q> 0.50 .")
         assert main(["roundtrip", path]) == 0
 
+    @pytest.mark.parametrize("text", [
+        f"<<<{EX}s> <{EX}p> <{EX}o>>> <{EX}q> 0.5E0 .\n",
+        f"<{EX}s> <{EX}p> <{EX}o> .\n<<<{EX}s> <{EX}p> <{EX}o>>> <{EX}q> 0.50 .\n",
+    ], ids=["prepared-as-parsed", "canonicalized-and-minimized"])
+    def test_only_the_prepared_graph_is_kept(self, monkeypatch, ttls, capsys, text):
+        # When the graph is read back, the parsed graph lives on only as the
+        # prepared one, and the forward result only as its property graph.
+        def alive():
+            objects = gc.get_objects()
+            return [sum(isinstance(o, cls) for o in objects) for cls in (RdfStarGraph, PgResult)]
+
+        path = ttls(text)
+        seen = []
+        real = starpg.cli.from_rdf_like_pg
+
+        def counting(graph):
+            seen.append(alive())
+            return real(graph)
+
+        monkeypatch.setattr(starpg.cli, "from_rdf_like_pg", counting)
+        gc.collect()
+        before = alive()
+        assert main(["roundtrip", path]) == 0
+        assert seen == [[before[0] + 1, before[1]]]
+
     def test_mismatch_names_the_first_differing_triple(self, monkeypatch, capsys):
         real = starpg.cli.from_rdf_like_pg
 
@@ -517,6 +543,29 @@ class TestViolationReports:
         assert capsys.readouterr().out == ""
         assert len(json.loads(stream.getvalue())["violations"]) == 200
         assert len(stream.writes) == 1
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("argv", [
+        ["check", ALICE_BOB], ["rdf2pg", ALICE_BOB, "--mode", "rdf-like"], ["pg2rdf", KUBRICK],
+        ["unfold", ALICE_BOB], ["roundtrip", ALICE_BOB, "--report", "json"],
+    ], ids=lambda argv: argv[0])
+    def test_memory_error_is_exit_2_with_one_line(self, monkeypatch, capsys, argv):
+        def exhausted(path):
+            raise MemoryError("a message that is not printed")
+
+        monkeypatch.setattr(starpg.cli, "_read", exhausted)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "out of memory\n")
+
+    def test_memory_error_while_transforming(self, monkeypatch, capsys):
+        def exhausted(graph, mode):
+            raise MemoryError
+
+        monkeypatch.setattr(starpg.cli, "to_rdf_like_pg", exhausted)
+        assert main(["rdf2pg", ALICE_BOB, "--mode", "rdf-like"]) == 2
+        assert capsys.readouterr() == ("", "out of memory\n")
 
 
 class TestFailureContract:

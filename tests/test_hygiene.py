@@ -14,6 +14,11 @@ are the public names of the package, those in starpg.__all__.
 
 starpg.__all__ is sorted without repeats, and a star import of the
 package binds exactly its names.
+
+PropertyGraph._trusted, which skips every check, is used only in
+transforms.py, whose transforms build their graphs themselves; every
+input boundary, parse_pg_json above all, goes through the checked
+constructor.
 """
 
 import ast
@@ -173,6 +178,18 @@ def test_package_exports_are_sorted_and_all_bound():
     assert namespace.keys() - {"__builtins__"} == set(starpg.__all__)
 
 
+def attribute_uses(source: str, attr: str) -> list[int]:
+    """The line of every use of the attribute attr in source."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == attr)
+
+
+def test_only_the_transforms_build_unchecked_graphs():
+    users = {str(path.relative_to(ROOT)) for path in FILES
+             if attribute_uses(path.read_text(encoding="utf-8"), "_trusted")}
+    assert users == {"src/starpg/transforms.py"}
+
+
 class TestChecker:
     def test_finds_an_unused_name(self):
         source = "import os\nfrom re import compile, sub\nsub('a', 'b', 'c')\n"
@@ -226,6 +243,12 @@ class TestPrivateNameChecker:
         assert unreferenced_private_names(source, references(other)) == []
         assert unreferenced_private_names(source) == [
             ("_a", 1), ("_b", 2), ("_c", 3), ("_D", 4)]
+
+
+class TestAttributeUses:
+    def test_finds_uses_but_not_definitions(self):
+        source = "class G:\n    def _trusted(self): ...\nG._trusted()\nf = G()._trusted\n"
+        assert attribute_uses(source, "_trusted") == [3, 4]
 
 
 class TestPublicNameChecker:

@@ -1,5 +1,8 @@
+import copy
 import math
 import os
+import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -22,8 +25,10 @@ from starpg import (
     is_property_unique,
     property_uniqueness_violations,
 )
-from starpg.pgjson import parse_pg_json
+from starpg.pgjson import parse_pg_json, serialize_pg_json
 from starpg.transforms import to_rdf_like_pg
+from conftest import assert_ordered_properties
+import randgen
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -179,13 +184,13 @@ class TestConstruction:
         assert g.source("e2") == "Kubrick"
         assert g.target("e2") == "Welles"
         assert g.label("e2") == "influencedBy"
-        assert g.properties("Kubrick") == {
-            Property("name", Text("Stanley Kubrick")),
+        assert g.properties("Kubrick") == (
             Property("birthyear", Integer(1928)),
-        }
-        assert g.properties("Welles") == {Property("name", Text("Orson Welles"))}
-        assert g.properties("e1") == frozenset()
-        assert g.properties("e2") == {Property("certainty", Double(0.8))}
+            Property("name", Text("Stanley Kubrick")),
+        )
+        assert g.properties("Welles") == (Property("name", Text("Orson Welles")),)
+        assert g.properties("e1") == ()
+        assert g.properties("e2") == (Property("certainty", Double(0.8)),)
 
     def test_empty_graph(self):
         g = PropertyGraph()
@@ -225,7 +230,7 @@ class TestConstruction:
         g = PropertyGraph(
             ["v1"], props={"v1": [Property("k", Text("v")), Property("k", Text("v"))]}
         )
-        assert g.properties("v1") == {Property("k", Text("v"))}
+        assert g.properties("v1") == (Property("k", Text("v")),)
 
     def test_mappings_are_read_only(self, kubrick_pg):
         with pytest.raises(TypeError):
@@ -299,6 +304,53 @@ class TestConstructionErrorTable:
         assert len({id(ps) for sets in empty for ps in sets}) == 1
 
 
+class TestPropertyTuples:
+    """An element's properties are one tuple in property_sort_key order,
+    without repeats, however the graph was made."""
+
+    ONE = [Property("k", Double(1.0)), Property("k", Integer(1)), Property("k", Text("1"))]
+
+    def test_unordered_and_repeated_entries(self):
+        entries = [*self.ONE, Property("a", Boolean(False)), Property("k", Integer(1)),
+                   Property("k", Text("1"))]
+        g = PropertyGraph(["v", "w", "x"], props={"v": entries, "w": iter(entries[::-1]),
+                                                  "x": frozenset(entries)})
+        want = (Property("a", Boolean(False)), Property("k", Text("1")),
+                Property("k", Integer(1)), Property("k", Double(1.0)))
+        assert [g.properties(x) for x in ("v", "w", "x")] == [want, want, want]
+        assert_ordered_properties(g)
+
+    def test_a_tuple_out_of_order_is_sorted(self):
+        g = PropertyGraph(["v"], props={"v": tuple(self.ONE)})
+        assert g.properties("v") == tuple(self.ONE[::-1])
+
+    def test_equal_graphs_whatever_the_order_given(self):
+        a = PropertyGraph(["v"], props={"v": self.ONE})
+        b = PropertyGraph(["v"], props={"v": [*self.ONE[::-1], self.ONE[0]]})
+        assert a == b
+        assert a != PropertyGraph(["v"], props={"v": self.ONE[:2]})
+
+    def test_parsed_graphs(self, data_dir):
+        assert_ordered_properties(
+            parse_pg_json((data_dir / "kubrick.pg.json").read_text(encoding="utf-8")))
+        rng = random.Random(11)
+        for _ in range(100):
+            g = randgen.random_property_graph(rng)
+            parsed = parse_pg_json(serialize_pg_json(g))
+            assert parsed == g
+            assert_ordered_properties(parsed)
+
+    @pytest.mark.parametrize("clone", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_pickle_and_deepcopy(self, kubrick_pg, alice_bob, clone):
+        g = PropertyGraph(["v", "w"], ["e"], {"e": "v"}, {"e": "w"}, {"e": "l"},
+                          {"v": [*self.ONE, Property("a", Text("x"))]})
+        for graph in (g, kubrick_pg, to_rdf_like_pg(alice_bob).graph):
+            copied = clone(graph)
+            assert copied == graph
+            assert_ordered_properties(copied)
+
+
 class TestPropertyUniqueness:
     def test_kubrick_graph_is_property_unique(self, kubrick_pg):
         assert is_property_unique(kubrick_pg)
@@ -324,6 +376,14 @@ class TestPropertyUniqueness:
         props = [Property(f"k{i}", Integer(i)) for i in range(20_000)]
         g = PropertyGraph(["v"], props={"v": [*props, Property("k7", Integer(-1))]})
         assert property_uniqueness_violations(g) == [("v", "k7")]
+
+    def test_each_repeated_key_once_and_sorted(self):
+        g = PropertyGraph(["v", "w"], props={
+            "w": [Property("b", Integer(i)) for i in range(3)] + [Property("a", Integer(0))],
+            "v": [Property(k, Integer(i)) for k in "zyx" for i in range(2)],
+        })
+        assert property_uniqueness_violations(g) == [
+            ("v", "x"), ("v", "y"), ("v", "z"), ("w", "b")]
 
     def test_empty_graph_is_property_unique(self):
         assert is_property_unique(PropertyGraph())

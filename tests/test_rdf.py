@@ -182,6 +182,11 @@ class TestMinimality:
         assert is_minimal(alice_bob)
         assert minimize(alice_bob) == alice_bob
 
+    def test_minimal_graph_is_returned_itself(self, alice_bob):
+        assert minimize(alice_bob) is alice_bob
+        g = minimize(RdfStarGraph([INNER, META]))
+        assert minimize(g) is g
+
     def test_reasserted_embedded_triple_is_redundant(self):
         g = RdfStarGraph([INNER, META])
         assert redundant_triples(g) == {INNER}

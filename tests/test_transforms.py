@@ -41,6 +41,7 @@ from starpg import (
     isomorphic,
     mentioned_terms,
     ordinary_triples,
+    parse_turtle_star,
     pg_to_rdf_star,
     relationship_triples,
     term_key,
@@ -52,9 +53,11 @@ from starpg import (
 from conftest import (
     AGE_CERTAINTY,
     AGE_TRIPLE,
+    DATA_DIR,
     KNOWS_TRIPLE,
     NAME_ALICE,
     NAME_BOB,
+    assert_ordered_properties,
 )
 import randgen
 
@@ -222,40 +225,40 @@ class TestToRdfLikePg:
         assert g.vertices == {"v1", "v2", "v3", "v4", "v5"}
         assert g.edges == {"e1", "e2", "e3", "e4"}
 
-        assert g.properties("v1") == {
-            Property("kind", Text("IRI")),
+        assert g.properties("v1") == (
             Property("IRI", Text(EX + "alice")),
-        }
-        assert g.properties("v2") == {
             Property("kind", Text("IRI")),
+        )
+        assert g.properties("v2") == (
             Property("IRI", Text(EX + "bob")),
-        }
+            Property("kind", Text("IRI")),
+        )
         # literal vertices carry the value plus its datatype
-        assert g.properties("v3") == {
+        assert g.properties("v3") == (
+            Property("datatype", Text(XSD_INTEGER)),
             Property("kind", Text("literal")),
             Property("literal", Integer(23)),
-            Property("datatype", Text(XSD_INTEGER)),
-        }
-        assert g.properties("v4") == {
+        )
+        assert g.properties("v4") == (
+            Property("datatype", Text(XSD_STRING)),
             Property("kind", Text("literal")),
             Property("literal", Text("Alice")),
+        )
+        assert g.properties("v5") == (
             Property("datatype", Text(XSD_STRING)),
-        }
-        assert g.properties("v5") == {
             Property("kind", Text("literal")),
             Property("literal", Text("Bob")),
-            Property("datatype", Text(XSD_STRING)),
-        }
+        )
 
         assert (g.source("e1"), g.target("e1")) == ("v1", "v2")
         assert g.label("e1") == "http://xmlns.com/foaf/0.1/knows"
-        assert g.properties("e1") == {Property(EX + "certainty", Double(0.5))}
+        assert g.properties("e1") == (Property(EX + "certainty", Double(0.5)),)
         assert (g.source("e2"), g.target("e2")) == ("v1", "v4")
-        assert g.properties("e2") == frozenset()
+        assert g.properties("e2") == ()
         assert (g.source("e3"), g.target("e3")) == ("v2", "v3")
-        assert g.properties("e3") == {Property(EX + "certainty", Double(0.9))}
+        assert g.properties("e3") == (Property(EX + "certainty", Double(0.9)),)
         assert (g.source("e4"), g.target("e4")) == ("v2", "v5")
-        assert g.properties("e4") == frozenset()
+        assert g.properties("e4") == ()
 
     def test_witness_maps_cover_everything(self, alice_bob):
         result = to_rdf_like_pg(alice_bob)
@@ -281,10 +284,10 @@ class TestToRdfLikePg:
         out = to_rdf_like_pg(g).graph
         assert not is_property_unique(out)
         edge = next(iter(out.edges))
-        assert out.properties(edge) == {
+        assert out.properties(edge) == (
             Property(EX + "q", Text("u")),
             Property(EX + "q", Text("w")),
-        }
+        )
 
 
 def _rdf_like(vertices, edges=()):
@@ -461,17 +464,17 @@ class TestToSimplePg:
         g = result.graph
         assert g.vertices == {"v1", "v2"}
         assert g.edges == {"e1"}
-        assert g.properties("v1") == {
+        assert g.properties("v1") == (
             Property("IRI", Text(EX + "alice")),
             Property("http://xmlns.com/foaf/0.1/name", Text("Alice")),
-        }
-        assert g.properties("v2") == {
+        )
+        assert g.properties("v2") == (
             Property("IRI", Text(EX + "bob")),
             Property("http://xmlns.com/foaf/0.1/name", Text("Bob")),
-        }
+        )
         assert (g.source("e1"), g.target("e1")) == ("v1", "v2")
         assert g.label("e1") == "http://xmlns.com/foaf/0.1/knows"
-        assert g.properties("e1") == {Property(EX + "certainty", Double(0.5))}
+        assert g.properties("e1") == (Property(EX + "certainty", Double(0.5)),)
 
     def test_annotated_attribute_rejected(self, alice_bob):
         with pytest.raises(NotStronglyConvertibleError):
@@ -484,7 +487,7 @@ class TestToSimplePg:
         g = RdfStarGraph([Triple(BNode("n"), P, O)])
         out = to_simple_pg(g).graph
         vertex_props = [out.properties(v) for v in sorted(out.vertices)]
-        assert frozenset() in vertex_props
+        assert () in vertex_props
 
     def test_duplicate_attribute_keys_break_property_uniqueness(self):
         g = RdfStarGraph([
@@ -562,7 +565,56 @@ class TestPgToRdfStar:
             assert is_minimal(g)
 
 
+class TestTrustedConstruction:
+    """The transforms hand their graph over unchecked; it must be the graph
+    the checked constructor builds from the same fields."""
+
+    @staticmethod
+    def assert_as_if_checked(g: PropertyGraph) -> None:
+        assert g == PropertyGraph(g.vertices, g.edges, g.src, g.tgt, g.lbl, g.props)
+        assert_ordered_properties(g)
+
+    @pytest.mark.parametrize("strong", [False, True], ids=["rdf-like", "simple"])
+    def test_random_corpora(self, strong):
+        transform = to_simple_pg if strong else to_rdf_like_pg
+        rng = random.Random(203)
+        for _ in range(300):
+            self.assert_as_if_checked(
+                transform(randgen.random_convertible_graph(rng, strong=strong)).graph)
+
+    @pytest.mark.parametrize("name, transforms", [
+        ("alice_bob.ttls", [to_rdf_like_pg]),
+        ("alice_bob_reduced.ttls", [to_rdf_like_pg, to_simple_pg]),
+        ("kubrick.ttls", [to_rdf_like_pg, to_simple_pg]),
+    ])
+    def test_data_files(self, name, transforms):
+        g, _ = parse_turtle_star((DATA_DIR / name).read_text(encoding="utf-8"))
+        for transform in transforms:
+            self.assert_as_if_checked(transform(g).graph)
+
+    def test_two_literals_of_one_value_give_one_property(self):
+        one, again = Literal("1", Iri(XSD_INTEGER)), Literal("01", Iri(XSD_INTEGER))
+        annotated = Triple(S, P, O)
+        g = RdfStarGraph([Triple(annotated, Q, one), Triple(annotated, Q, again),
+                          Triple(annotated, Q, Literal("x"))])
+        rdf_like = to_rdf_like_pg(g).graph
+        self.assert_as_if_checked(rdf_like)
+        assert rdf_like.properties("e1") == (Property(EX + "q", Text("x")),
+                                             Property(EX + "q", Integer(1)))
+        simple = to_simple_pg(RdfStarGraph([Triple(S, P, one), Triple(S, P, again), annotated]))
+        self.assert_as_if_checked(simple.graph)
+        assert simple.graph.properties(simple.vertex_map[S]) == (
+            Property("IRI", Text(S.value)), Property(P.value, Integer(1)))
+
+
 class TestCanonicalizeValues:
+    def test_canonical_graph_is_returned_itself(self, alice_bob):
+        once = canonicalize_values(alice_bob)
+        assert once is not alice_bob
+        assert canonicalize_values(once) is once
+        empty = RdfStarGraph()
+        assert canonicalize_values(empty) is empty
+
     def test_decimals_become_canonical_doubles(self, alice_bob):
         g = canonicalize_values(alice_bob)
         values = {
