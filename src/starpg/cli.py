@@ -3,7 +3,8 @@
 Subcommands: check, rdf2pg, pg2rdf, unfold, roundtrip.  Exit codes:
 0 success, 1 domain/validation failure, 2 parse/format/usage error.
 Data goes to -o or standard output as it is made, in pieces of about
-64 KiB; diagnostics go to standard error.
+64 KiB; an -o file is replaced only once the whole output is written.
+Diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from itertools import chain
 from typing import Iterable, Iterator, TextIO
 
@@ -133,14 +135,42 @@ def _pieces(chunks: Iterable[str]) -> Iterator[str]:
     yield "".join(batch)
 
 
+@contextmanager
+def _replacing(path: str) -> Iterator[TextIO]:
+    """A new text file that replaces the file at path once the block has
+    written it, and is removed if anything fails first: path then keeps
+    its bytes.  The new file is made beside where path leads, so that one
+    rename puts it in place, and it keeps the permissions of the file it
+    replaces.  An OSError names path, as opening path itself would."""
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        out = open(temporary, "x", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with out:
+            yield out
+        with suppress(FileNotFoundError):
+            os.chmod(temporary, os.stat(target).st_mode & 0o7777)
+        os.replace(temporary, target)
+    except BaseException as exc:
+        with suppress(OSError):
+            os.remove(temporary)
+        if isinstance(exc, OSError) and exc.filename == temporary:
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
+
+
 def _write(chunks: Iterable[str], path: str | None = None, stream: TextIO | None = None) -> None:
     """Write the chunks to the file at path, else to stream, standard
-    output by default, a piece at a time.  The file is opened, and
-    emptied, only once the first piece is made."""
+    output by default, a piece at a time.  Nothing is made before the
+    first piece is.  A file is written all or nothing: until the last
+    piece is written, an existing one keeps its bytes."""
     pieces = _pieces(chunks)
     first = [next(pieces)]
-    with (nullcontext(stream or sys.stdout) if path is None
-          else open(path, "w", encoding="utf-8")) as out:
+    with nullcontext(stream or sys.stdout) if path is None else _replacing(path) as out:
         for piece in chain(first, pieces):
             if piece:
                 out.write(piece)
@@ -208,13 +238,14 @@ def cmd_rdf2pg(args: argparse.Namespace) -> int:
 def cmd_pg2rdf(args: argparse.Namespace) -> int:
     _check_format(args.input, "pg-json", args.from_format, "input")
     _check_format(args.output, "turtle-star", args.to_format, "output")
-    pgraph = parse_pg_json(_read(args.input))
+    pgraph = parse_pg_json(_read(args.input))  # read first: its errors win over the config's
     config = MappingConfig(
         property_key_prefix=args.property_key_prefix,
         edge_label_prefix=args.edge_label_prefix,
         vertex_id_strategy=parse_vertex_id_strategy(args.vertex_ids),
     )
     graph = pg_to_rdf_star(pgraph, config)
+    del pgraph  # not needed through canonicalization, the sort and the write
     prefixes = {"p": config.property_key_prefix, "r": config.edge_label_prefix}
     _write(iter_turtle_star(graph, prefixes), args.output)
     return 0

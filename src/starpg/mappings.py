@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 import re
 import urllib.parse
-from dataclasses import dataclass, field
 
+from .frozen import Frozen, set_field
 from .namespaces import XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING
 from .pg import Boolean, Double, Integer, PropertyGraph, PropertyValue, Text
 from .rdf import BNode, Iri, Literal
@@ -136,15 +136,15 @@ def percent_decode(s: str) -> str | None:
         return None
 
 
-@dataclass(frozen=True)
-class TemplateIriMapping:
+class TemplateIriMapping(Frozen):
     """Injective string-to-IRI mapping: prefix + percent-encoded name."""
 
-    prefix: str
+    __slots__ = __match_args__ = ("prefix",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, prefix: str) -> None:
+        set_field(self, "prefix", prefix)
         try:
-            Iri(self.prefix)
+            Iri(prefix)
         except (TypeError, ValueError) as exc:
             raise MappingConfigError(f"template prefix must be a valid IRI: {exc}") from exc
 
@@ -181,27 +181,34 @@ def parse_vertex_id_strategy(text: str) -> TemplateIriMapping | None:
     raise MappingConfigError(f'vertex id strategy must be "bnode" or "iri:<prefix>": {text!r}')
 
 
-@dataclass(frozen=True)
-class MappingConfig:
-    """The mapping choices consumed by the transformations and the CLI."""
+class MappingConfig(Frozen):
+    """The mapping choices consumed by the transformations and the CLI.
 
-    property_key_prefix: str = DEFAULT_PROPERTY_KEY_PREFIX
-    edge_label_prefix: str = DEFAULT_EDGE_LABEL_PREFIX
-    # None: vertices become fresh blank nodes; else IRIs minted by the template.
-    vertex_id_strategy: TemplateIriMapping | None = None
-    key_map: TemplateIriMapping = field(init=False, repr=False, compare=False)
-    label_map: TemplateIriMapping = field(init=False, repr=False, compare=False)
+    key_map and label_map are the templates of the two prefixes, made once;
+    they are left out of repr and of equality, as the prefixes decide them.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "key_map", TemplateIriMapping(self.property_key_prefix))
-        object.__setattr__(self, "label_map", TemplateIriMapping(self.edge_label_prefix))
-        a, b = self.property_key_prefix, self.edge_label_prefix
+    __slots__ = ("property_key_prefix", "edge_label_prefix", "vertex_id_strategy", "key_map",
+                 "label_map")
+    __match_args__ = ("property_key_prefix", "edge_label_prefix", "vertex_id_strategy")
+
+    def __init__(
+        self,
+        property_key_prefix: str = DEFAULT_PROPERTY_KEY_PREFIX,
+        edge_label_prefix: str = DEFAULT_EDGE_LABEL_PREFIX,
+        # None: vertices become fresh blank nodes; else IRIs minted by the template.
+        vertex_id_strategy: TemplateIriMapping | None = None,
+    ) -> None:
+        set_field(self, "property_key_prefix", property_key_prefix)
+        set_field(self, "edge_label_prefix", edge_label_prefix)
+        set_field(self, "vertex_id_strategy", vertex_id_strategy)
+        set_field(self, "key_map", TemplateIriMapping(property_key_prefix))
+        set_field(self, "label_map", TemplateIriMapping(edge_label_prefix))
+        a, b = property_key_prefix, edge_label_prefix
         # One being a prefix of the other would let key and label IRIs collide.
         if a.startswith(b) or b.startswith(a):
             raise MappingConfigError(
                 f"key and label prefixes must be distinct and prefix-free: {a!r} vs {b!r}"
             )
-        if not isinstance(self.vertex_id_strategy, (TemplateIriMapping, type(None))):
-            raise MappingConfigError(
-                f"not a vertex identity strategy: {self.vertex_id_strategy!r}"
-            )
+        if not isinstance(vertex_id_strategy, (TemplateIriMapping, type(None))):
+            raise MappingConfigError(f"not a vertex identity strategy: {vertex_id_strategy!r}")

@@ -10,6 +10,7 @@ are listed in one order everywhere.
 from __future__ import annotations
 
 import math
+import sys
 from collections import defaultdict
 from itertools import combinations
 from types import MappingProxyType
@@ -61,13 +62,30 @@ class Text(PropertyValue):
         set_field(self, "value", value)
 
 
+def _too_long() -> str:
+    return f"integer longer than {sys.get_int_max_str_digits()} digits"
+
+
+# sys.set_int_max_str_digits takes no limit below this many digits but 0,
+# which is none; an integer of at most three bits per digit of it is below
+# 8**digits, so str converts it under any limit.
+_ALWAYS_CONVERTIBLE_BITS = 3 * sys.int_info.str_digits_check_threshold
+
+
 class Integer(PropertyValue):
+    """An integer that str converts: of at most sys.get_int_max_str_digits()
+    digits, when that limit is not 0, at construction."""
+
     __slots__ = ()
 
     def __init__(self, value: int) -> None:
         # bool is an int subtype in Python; the kinds must stay disjoint.
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeError(f"Integer takes an int, got {type(value).__name__}")
+        if value.bit_length() > _ALWAYS_CONVERTIBLE_BITS:
+            limit = sys.get_int_max_str_digits()
+            if limit and abs(value) >= 10**limit:
+                raise ValueError(_too_long())
         set_field(self, "value", value)
 
 
@@ -235,7 +253,10 @@ class PropertyGraph:
                     p = min((q for q in entries if not isinstance(q, Property)), key=repr)
                     raise PgValidationError(f"not a Property on element {x!r}: {p!r}")
             if entries:
-                pmap[x] = ordered_properties(entries)
+                try:
+                    pmap[x] = ordered_properties(entries)
+                except ValueError:  # str of an Integer made under a looser digit limit
+                    raise PgValidationError(f"{_too_long()} on element {x!r}") from None
 
         self._vertices = vset
         self._edges = eset

@@ -4,10 +4,14 @@ The document shape is {"vertices": [...], "edges": [...]}; every element
 carries an id and a property list, edges additionally src/tgt/label.
 Values are tagged objects {"type": "string"|"integer"|"double"|"boolean",
 "value": ...}.  Properties are arrays, so duplicate keys survive the trip.
-The reader has one path: it checks each object as it reads it, and works
-out which key is missing or unknown only when the key set is wrong.
-Serialization sorts everything, making output byte-stable across runs,
-and iter_pg_json gives the text a vertex or an edge at a time.
+The reader has one path: it decodes the text a vertex or an edge at a
+time with json's own scanner, checks each as it reads it, and keeps only
+what the graph needs, so the document's dict tree is never built whole.
+It works out which key is missing or unknown only when the key set is
+wrong, and words a syntax error only when there is one, through
+json.loads.  Serialization sorts everything, making output byte-stable
+across runs, and iter_pg_json gives the text a vertex or an edge at a
+time.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import sys
 from typing import Iterator
 
 from .pg import (
@@ -25,6 +28,7 @@ from .pg import (
     Property,
     PropertyGraph,
     Text,
+    _too_long,
 )
 
 FILE_EXTENSION = ".pg.json"
@@ -67,10 +71,6 @@ def _shape_error(obj, keys: set[str], what: str) -> str | None:
     for key in sorted(obj.keys() - keys):
         return f"unknown key {key!r}"
     return None
-
-
-def _too_long() -> str:
-    return f"integer longer than {sys.get_int_max_str_digits()} digits"
 
 
 def _strings(x, path: str):
@@ -156,58 +156,201 @@ def _parse_id(obj: dict, path: str, field: str) -> str:
     return value
 
 
-def parse_pg_json(text: str) -> PropertyGraph:
-    """Parse a PG-JSON document; SchemaError names the offending path.
+# The scanner of json.loads: _scan(text, i) decodes the JSON value at
+# text[i] and returns it with the index after it.
+_scan = json.JSONDecoder().scan_once
+_scan_key = json.decoder.scanstring
+_skip = json.decoder.WHITESPACE.match
+# What follows an element of an array: a comma, or the array's end.
+_after_element = re.compile(r"[ \t\n\r]*(?:,[ \t\n\r]*|\])").match
 
-    One pass reads each element and checks it as it goes, in document
-    order, so the error raised is the first one found.  The checks compare
-    exact classes and whole key sets, and build a path only to raise.
-    """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("/", f"invalid JSON: {exc}") from exc
-    except ValueError:  # json.loads reads integers with int(), which caps their length
-        raise SchemaError("/", _too_long()) from None
-    except RecursionError:
-        raise SchemaError("/", "invalid JSON: arrays or objects nested too deeply") from None
-    if doc.__class__ is not dict or doc.keys() != _DOCUMENT_KEYS:
-        raise SchemaError("/", _shape_error(doc, _DOCUMENT_KEYS, "document"))
-    if doc["vertices"].__class__ is not list:
-        raise SchemaError("/vertices", "vertices must be an array")
-    if doc["edges"].__class__ is not list:
-        raise SchemaError("/edges", "edges must be an array")
 
-    props: dict[str, list[Property]] = {}
-    src: dict[str, str] = {}
-    tgt: dict[str, str] = {}
-    lbl: dict[str, str] = {}
-    for array, keys, kind in (("vertices", _VERTEX_KEYS, "vertex"), ("edges", _EDGE_KEYS, "edge")):
-        for i, entry in enumerate(doc[array]):
-            path = f"/{array}/{i}"
-            if entry.__class__ is not dict or entry.keys() != keys:
-                message = _shape_error(entry, keys, kind)
+class _Elements:
+    """One copy of the "vertices" or "edges" array, read an element at a
+    time.  Of its elements up to the first bad one it keeps what the graph
+    needs: ids, properties, and for edges the endpoints and labels.  Of
+    the first bad one it keeps the error and, if it got that far, the id.
+    While no element is bad, it also keeps the first lone surrogate."""
+
+    __slots__ = ("name", "keys", "kind", "props", "src", "tgt", "lbl", "error", "error_id",
+                 "surrogate", "search")
+
+    def __init__(self, name: str, search: bool) -> None:
+        self.name = name
+        self.keys, self.kind = ((_VERTEX_KEYS, "vertex") if name == "vertices"
+                                else (_EDGE_KEYS, "edge"))
+        self.props: dict[str, list[Property]] = {}
+        self.src: dict[str, str] = {}
+        self.tgt: dict[str, str] = {}
+        self.lbl: dict[str, str] = {}
+        self.error: SchemaError | None = None
+        self.error_id: str | None = None
+        self.surrogate: SchemaError | None = None
+        self.search = search  # whether the text may hold a lone surrogate
+
+    def read(self, text: str, i: int) -> int:
+        """Read the array whose "[" is at text[i]; the index after it.
+        Each element is checked, and freed, before the next is decoded;
+        after the first bad one, the rest are only decoded."""
+        i = _skip(text, i + 1).end()
+        if text[i] == "]":
+            return i + 1
+        n = 0
+        while True:
+            entry, i = _scan(text, i)
+            if self.error is None:
+                self._add(entry, n)
+            del entry
+            n += 1
+            after = _after_element(text, i)
+            if after is None:
+                raise ValueError("no JSON array")
+            i = after.end()
+            if text[i - 1] == "]":
+                return i
+
+    def _add(self, entry, i: int) -> None:
+        """Check element i, decoded as entry, and keep it or its error."""
+        path = f"/{self.name}/{i}"
+        x = None
+        try:
+            if entry.__class__ is not dict or entry.keys() != self.keys:
+                message = _shape_error(entry, self.keys, self.kind)
                 if message:
                     raise SchemaError(path, message)
             x = _parse_id(entry, path, "id")
-            if x in props:
+            if x in self.props:
                 raise SchemaError(f"{path}/id", f"duplicate id {x!r}")
-            if keys is _EDGE_KEYS:
-                src[x] = _parse_id(entry, path, "src")
-                tgt[x] = _parse_id(entry, path, "tgt")
+            if self.keys is _EDGE_KEYS:
+                src = _parse_id(entry, path, "src")
+                tgt = _parse_id(entry, path, "tgt")
                 label = entry["label"]
                 if label.__class__ is not str:
                     raise SchemaError(f"{path}/label", "label must be a string")
-                lbl[x] = label
-            props[x] = _parse_properties(entry, path)
+                self.src[x], self.tgt[x], self.lbl[x] = src, tgt, label
+            self.props[x] = _parse_properties(entry, path)
+        except SchemaError as exc:
+            self.error, self.error_id = exc.with_traceback(None), x
+            return
+        if self.search and self.surrogate is None:
+            for string_path, string in _strings(entry, path):
+                if _SURROGATE_RE.search(string):
+                    self.surrogate = SchemaError(string_path, "string holds a lone surrogate")
+                    return
 
+    def edge_error(self, vertices: dict) -> SchemaError | None:
+        """The first error of these edges, given the vertices: an edge
+        whose id is a vertex's is a duplicate, as one whose id is an
+        earlier edge's is."""
+        if not vertices.keys().isdisjoint(self.props) or self.error_id in vertices:
+            for i, x in enumerate([*self.props, self.error_id]):
+                if x in vertices:
+                    return SchemaError(f"/edges/{i}/id", f"duplicate id {x!r}")
+        return self.error
+
+
+def _document(text: str, search: bool):
+    """The document text, decoded as json.loads decodes it, but that each
+    member "vertices" or "edges" of a top-level object that is an array
+    becomes an _Elements, read an element at a time.  Of a repeated key
+    the last copy wins.  Raises ValueError, IndexError, StopIteration or
+    RecursionError where the text is no JSON."""
+    i = _skip(text).end()
+    if text[i] != "{":
+        doc, i = _scan(text, i)
+    else:
+        doc = {}
+        i = _skip(text, i + 1).end()
+        if text[i] != "}":
+            while True:
+                if text[i] != '"':
+                    raise ValueError("no JSON object")
+                key, i = _scan_key(text, i + 1)
+                i = _skip(text, i).end()
+                if text[i] != ":":
+                    raise ValueError("no JSON object")
+                i = _skip(text, i + 1).end()
+                doc[key] = None  # an earlier copy is freed before this one is read
+                if key in _DOCUMENT_KEYS and text[i] == "[":
+                    doc[key] = _Elements(key, search)
+                    i = doc[key].read(text, i)
+                else:
+                    doc[key], i = _scan(text, i)
+                i = _skip(text, i).end()
+                if text[i] != ",":
+                    break
+                i = _skip(text, i + 1).end()
+            if text[i] != "}":
+                raise ValueError("no JSON object")
+        i += 1
+    if _skip(text, i).end() != len(text):
+        raise ValueError("extra data")
+    return doc
+
+
+def _schema_error(doc) -> SchemaError | None:
+    """What is first wrong with the document _document read as doc, in
+    this order: its key set; "vertices", then "edges", not being an
+    array; the first bad vertex; the first bad edge; the first lone
+    surrogate in document order."""
+    if doc.__class__ is not dict or doc.keys() != _DOCUMENT_KEYS:
+        return SchemaError("/", _shape_error(doc, _DOCUMENT_KEYS, "document"))
+    vertices, edges = doc["vertices"], doc["edges"]
+    if vertices.__class__ is not _Elements:
+        return SchemaError("/vertices", "vertices must be an array")
+    if edges.__class__ is not _Elements:
+        return SchemaError("/edges", "edges must be an array")
+    return (vertices.error or edges.edge_error(vertices.props)
+            or next((a.surrogate for a in doc.values() if a.surrogate), None))
+
+
+def parse_pg_json(text: str) -> PropertyGraph:
+    """Parse a PG-JSON document; SchemaError names the offending path.
+
+    The text is read in one pass, a vertex or an edge at a time: each is
+    decoded by json's own scanner, checked, kept as ids and Property
+    objects, and freed before the next, so the document's dict tree never
+    exists whole.  The checks compare exact classes and whole key sets,
+    and build a path only to keep an error.  When the text has an error,
+    the reader still reads to its end, since which error it raises does
+    not depend on where the errors stand in the text:
+    - a JSON syntax error anywhere, as json.loads reports it;
+    - then the document's key set, then "vertices" and "edges" not being
+      arrays;
+    - then the first bad vertex, then the first bad edge, whichever of
+      the two arrays comes first in the text;
+    - then the first lone surrogate.
+    A repeated key takes its last copy, as under json.loads.
+    """
     # Only a text with a lone surrogate, escaped or raw, has its strings
     # searched; ASCII text can hold no raw one, so it costs one fast scan.
-    if _SURROGATE_ESCAPE_RE.search(text) or not text.isascii() and _SURROGATE_RE.search(text):
-        for path, string in _strings(doc, ""):
-            if _SURROGATE_RE.search(string):
-                raise SchemaError(path, "string holds a lone surrogate")
-    return PropertyGraph(props.keys() - src.keys(), src.keys(), src, tgt, lbl, props)
+    search = bool(_SURROGATE_ESCAPE_RE.search(text)
+                  or not text.isascii() and _SURROGATE_RE.search(text))
+    try:
+        doc = _document(text, search)
+    except (ValueError, IndexError, StopIteration, RecursionError) as exc:
+        error = exc
+    else:
+        error = _schema_error(doc)
+    if error is not None:
+        # A syntax error wins, and json.loads words it.  If json.loads
+        # finds none, the error stands, even one the scanner raised.
+        try:
+            json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SchemaError("/", f"invalid JSON: {exc}") from exc
+        except ValueError:  # json.loads reads integers with int(), which caps their length
+            raise SchemaError("/", _too_long()) from None
+        except RecursionError:
+            raise SchemaError("/", "invalid JSON: arrays or objects nested too deeply") from None
+        raise error
+    del text  # a caller that passed a temporary frees it here, before the graph is built
+    vertices, edges = doc["vertices"], doc["edges"]
+    del doc
+    props = vertices.props
+    ids = frozenset(props)
+    props.update(edges.props)
+    return PropertyGraph(ids, edges.src.keys(), edges.src, edges.tgt, edges.lbl, props)
 
 
 # The fixed layout of iter_pg_json, as json.dumps(..., indent=2) lays out

@@ -10,10 +10,10 @@ violation report instead of producing garbage.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable, Union
 
+from .frozen import Frozen, set_field
 from .mappings import (
     MappingConfig,
     assign_vertex_identities,
@@ -67,8 +67,7 @@ _VERTEX_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Frozen):
     """One failed convertibility condition, anchored at a top-level triple.
 
     condition is "1" (embedded subject is a metadata triple), "2" (embedded
@@ -76,14 +75,19 @@ class Violation:
     value mapping), or "strong" (embedded attribute triple).
     """
 
-    triple: Triple
-    condition: str
-    reason: str
+    __slots__ = __match_args__ = ("triple", "condition", "reason")
+
+    def __init__(self, triple: Triple, condition: str, reason: str) -> None:
+        set_field(self, "triple", triple)
+        set_field(self, "condition", condition)
+        set_field(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class ConvertibilityReport:
-    violations: tuple[Violation, ...]
+class ConvertibilityReport(Frozen):
+    __slots__ = __match_args__ = ("violations",)
+
+    def __init__(self, violations: tuple[Violation, ...]) -> None:
+        set_field(self, "violations", violations)
 
     @property
     def convertible(self) -> bool:
@@ -236,14 +240,18 @@ def _classify(g: RdfStarGraph, mode: str,
     return value, ordinary, metadata
 
 
-@dataclass(frozen=True)
-class PgResult:
+class PgResult(Frozen):
     """A transformed graph plus the witness maps from source terms/triples
     to the vertex and edge ids chosen for them."""
 
-    graph: PropertyGraph
-    vertex_map: dict[Term, str]
-    edge_map: dict[Triple, str]
+    __slots__ = __match_args__ = ("graph", "vertex_map", "edge_map")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, graph: PropertyGraph, vertex_map: dict[Term, str],
+                 edge_map: dict[Triple, str]) -> None:
+        set_field(self, "graph", graph)
+        set_field(self, "vertex_map", vertex_map)
+        set_field(self, "edge_map", edge_map)
 
 
 def _text_property(key: str, text: str) -> Property:

@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import math
+import os
 import random
 import shutil
 import subprocess
@@ -570,7 +571,8 @@ class TestOutOfMemory:
 
 class TestFailureContract:
     """A command that fails writes nothing to standard output and leaves
-    an existing -o file as it was."""
+    an existing -o file as it was, also when it fails after its first
+    piece is written."""
 
     EARLIER = "earlier bytes\n"
 
@@ -605,6 +607,64 @@ class TestFailureContract:
         with pytest.raises(ValueError):
             starpg.cli._write(chunks(), str(target))
         assert target.read_text(encoding="utf-8") == self.EARLIER
+
+    @pytest.mark.parametrize("exists", [True, False], ids=["existing", "new"])
+    def test_output_file_is_all_or_nothing(self, tmp_path, exists):
+        def chunks():
+            yield "a" * starpg.cli._PIECE_SIZE
+            yield "b" * starpg.cli._PIECE_SIZE
+            raise OSError(28, "No space left on device")
+
+        target = tmp_path / "existing.out"
+        if exists:
+            target.write_text(self.EARLIER, encoding="utf-8")
+        with pytest.raises(OSError, match="No space left on device"):
+            starpg.cli._write(chunks(), str(target))
+        assert [p.name for p in tmp_path.iterdir()] == (["existing.out"] if exists else [])
+        if exists:
+            assert target.read_text(encoding="utf-8") == self.EARLIER
+
+    def test_output_file_keeps_its_permissions_and_its_symbolic_link(self, tmp_path):
+        target = tmp_path / "target.out"
+        target.write_text(self.EARLIER, encoding="utf-8")
+        target.chmod(0o640)
+        link = tmp_path / "link.out"
+        link.symlink_to(target)
+        starpg.cli._write(["new bytes\n"], str(link))
+        assert link.is_symlink() and target.read_text(encoding="utf-8") == "new bytes\n"
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.out", "target.out"]
+
+    @pytest.mark.parametrize("name, message", [
+        ("missing/out.ttls", "[Errno 2] No such file or directory: '{}'"),
+        ("", "[Errno 21] Is a directory: '{}'"),
+    ], ids=["missing-directory", "directory"])
+    def test_output_file_errors_name_the_path_given(self, tmp_path, capsys, name, message):
+        target = str(tmp_path / name)
+        assert main(["pg2rdf", KUBRICK, "-o", target]) == 2
+        assert capsys.readouterr() == ("", f"i/o error: {message.format(target)}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_file_size_limit_keeps_the_old_output_file(self, tmp_path):
+        # The child may write 100 KiB per file: the output fails part way,
+        # after its first pieces are written.
+        resource = pytest.importorskip("resource")
+        source = tmp_path / "wide.pg.json"
+        source.write_text(serialize_pg_json(_wide_pg(3000)), encoding="utf-8")
+        target = tmp_path / "out.ttls"
+        target.write_text(self.EARLIER, encoding="utf-8")
+
+        def limit_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (100 * 1024, 100 * 1024))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "starpg", "pg2rdf", str(source), "-o", str(target)],
+            capture_output=True, text=True, preexec_fn=limit_file_size,
+            env={**os.environ, "PYTHONPATH": str(Path(starpg.__file__).parent.parent)})
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "i/o error: [Errno 27] File too large\n"
+        assert target.read_text(encoding="utf-8") == self.EARLIER
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.ttls", "wide.pg.json"]
 
 
 class TestStreamedOutput:

@@ -42,6 +42,20 @@ def _edges(*rows, vertices=("v", "w")):
     return (list(vertices), [row[0] for row in rows], column(1), column(2), column(3))
 
 
+_DIGITS = sys.get_int_max_str_digits()
+_TOO_LONG = f"integer longer than {_DIGITS} digits"
+
+
+def _unbounded_integer(n: int) -> Integer:
+    """Integer(n), made while int has no digit limit, as a caller that
+    lifts the limit may make one."""
+    sys.set_int_max_str_digits(0)
+    try:
+        return Integer(n)
+    finally:
+        sys.set_int_max_str_digits(_DIGITS)
+
+
 # Every error PropertyGraph raises, as (arguments, exception class,
 # message).  Where the arguments break several rules, the row pins which
 # error is reported.
@@ -128,6 +142,10 @@ CONSTRUCTION_ERRORS = {
     "unknown-element-in-mapping-order": ((["v"], [], None, None, None, {"nope": [], "v": [1]}),
                                          PgValidationError,
                                          "properties attached to unknown element 'nope'"),
+    # ordering an Integer made when int had no digit limit
+    "integer-longer-than-the-limit": ((["v"], [], None, None, None, {"v": [
+        Property("k", _unbounded_integer(10**(_DIGITS + 700))), Property("k", Integer(1))]}),
+        PgValidationError, f"{_TOO_LONG} on element 'v'"),
 }
 
 
@@ -142,6 +160,15 @@ class TestValues:
     def test_integer_rejects_bool(self):
         with pytest.raises(TypeError):
             Integer(True)
+
+    def test_integer_is_bounded_by_the_digit_limit(self):
+        assert Integer(10**_DIGITS - 1).value == 10**_DIGITS - 1
+        assert Integer(-(10**_DIGITS - 1)).value == -(10**_DIGITS - 1)
+        for n in (10**_DIGITS, -(10**_DIGITS), 10**5000):
+            with pytest.raises(ValueError) as info:
+                Integer(n)
+            assert str(info.value) == _TOO_LONG
+        assert _unbounded_integer(10**5000).value == 10**5000
 
     def test_double_rejects_bool_and_nan(self):
         with pytest.raises(TypeError):

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from starpg import (
 )
 from starpg.pg import property_sort_key
 from conftest import build_kubrick_pg
+import pgjson_oracle
 import randgen
 
 
@@ -449,6 +451,183 @@ class TestSchemaErrors:
         })
         with pytest.raises(PgValidationError):
             parse_pg_json(text)
+
+
+def _outcome(parse, text: str):
+    """The graph parse reads from text, or the class, path and message of
+    its error."""
+    try:
+        return parse(text)
+    except SchemaError as e:
+        return SchemaError, e.path, e.message
+    except PgValidationError as e:
+        return type(e), str(e)
+
+
+# Values that break one rule of an element, a property or a value.
+_BAD_IDS = [1, "", None, "\ud800"]
+_BAD_PROPERTIES = [
+    "x", {}, [1], [{"key": "k"}], [{"key": 1, "value": {"type": "string", "value": "x"}}],
+    [{"key": "k", "value": {"type": "integer", "value": True}}],
+    [{"key": "k", "value": {"type": "date", "value": "x"}}],
+    [{"key": "k", "value": {"type": "string", "value": "a\udfffb"}}],
+    [{"key": "\ud800", "value": {"type": "boolean", "value": False}}],
+    [{"key": "k", "value": {"type": [[[[]]]], "value": 1}}],
+]
+
+
+def _mutate_element(rng: random.Random, entry: dict, ids: list[str]):
+    """entry, a vertex or an edge, with one thing changed; most changes
+    break a rule."""
+    if not isinstance(entry, dict):
+        return entry
+    entry = dict(entry)
+    change = rng.randrange(8)
+    if change == 0:
+        return rng.choice(["v1", 1, [], None])
+    if change == 1:
+        del entry[rng.choice(sorted(entry))]
+    elif change == 2:
+        entry[rng.choice(["label", "weight", "src"])] = "x"
+    elif change == 3:
+        entry["id"] = rng.choice(_BAD_IDS + ids)
+    elif change == 4:
+        entry["properties"] = rng.choice(_BAD_PROPERTIES)
+    elif change == 5:
+        entry[rng.choice(["src", "tgt", "label"])] = rng.choice(_BAD_IDS + ids + ["ghost"])
+    elif change == 6:
+        entry["properties"] = [*entry.get("properties", []), *rng.choice(_BAD_PROPERTIES[2:])]
+    else:
+        entry["id"] = f"{entry.get('id')}\udc00"
+    return entry
+
+
+def _mutated_document(rng: random.Random) -> str:
+    """The text of a random valid document, changed: its elements, its
+    top-level members (reordered, repeated, dropped, added or of another
+    type) and its text (truncated, or a character put in)."""
+    doc = json.loads(serialize_pg_json(randgen.random_property_graph(rng)))
+    ids = [x["id"] for x in doc["vertices"] + doc["edges"]]
+
+    def mutated(array: list) -> list:
+        array = list(array)
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            if array:
+                i = rng.randrange(len(array))
+                array[i] = _mutate_element(rng, array[i], ids)
+        return array
+
+    members = [("vertices", mutated(doc["vertices"])), ("edges", mutated(doc["edges"]))]
+    for _ in range(rng.choice([0, 0, 1, 2, 3])):
+        change = rng.randrange(5)
+        if change == 0:
+            rng.shuffle(members)
+        elif change == 1 and members:
+            key, array = rng.choice(members)
+            copy = (key, mutated(array) if isinstance(array, list) else [])
+            members.insert(rng.randrange(len(members) + 1), copy)
+        elif change == 2 and members:
+            members.pop(rng.randrange(len(members)))
+        elif change == 3:
+            members.insert(rng.randrange(len(members) + 1), ("labels", []))
+        elif members:
+            i = rng.randrange(len(members))
+            members[i] = (members[i][0], rng.choice([{}, None, "[]", 1, [[]] * 2000]))
+    ascii_only = rng.random() < 0.5
+    indent = rng.choice([None, 2])
+    text = "{" + ", ".join(f"{json.dumps(key)}: "
+                           f"{json.dumps(value, ensure_ascii=ascii_only, indent=indent)}"
+                           for key, value in members) + "}"
+    change = rng.randrange(10)
+    if change == 0:
+        text = text[:rng.randrange(len(text))]
+    elif change == 1:
+        i = rng.randrange(len(text) + 1)
+        text = text[:i] + rng.choice([",", "]", "}", "[", '"', " ", "\ufeff", "1"]) + text[i:]
+    elif change == 2:
+        text = "[" * 1500 + text
+    return text
+
+
+class TestReaderOracle:
+    """parse_pg_json against the reader it replaced, which json.loads the
+    whole document first (tests/pgjson_oracle.py): the same graph, or the
+    same error at the same path."""
+
+    def test_mutated_documents(self):
+        rng = random.Random(61)
+        outcomes = {"graph": 0, "schema": 0, "syntax": 0}
+        for _ in range(1500):
+            text = _mutated_document(rng)
+            got = _outcome(parse_pg_json, text)
+            assert got == _outcome(pgjson_oracle.parse, text), text
+            if isinstance(got, PropertyGraph):
+                outcomes["graph"] += 1
+            elif got[0] is SchemaError:
+                outcomes["syntax" if got[2].startswith("invalid JSON") else "schema"] += 1
+        assert min(outcomes.values()) >= 100, outcomes
+
+    @pytest.mark.parametrize("text", [
+        '{"edges": [{"id": "v", "src": "v", "tgt": "v", "label": "l"}], "vertices": [{"id": "v"}]}',
+        '{"edges": [{"id": "e", "src": "v", "tgt": "v", "label": 1}], "vertices": [{"id": "e"}]}',
+        '{"edges": [{"id": "\\ud800", "src": "v", "tgt": "v", "label": "l"}], '
+        '"vertices": [{"id": "\\udc00"}]}',
+        '{"vertices": [{"id": 1}], "edges": [], "vertices": [{"id": "v"}]}',
+        '{"vertices": [{"id": "v"}], "edges": [{"id": "v", "src": "v", "tgt": "v", "label": "l"}],'
+        ' "vertices": [{"id": "w"}]}',
+        '{"vertices": [], "edges": 1, "edges": []}',
+        '{"vertices": [], "edges": [], "vertices": 1}',
+        '{"vertices": [], "edges": [], "edges": [}',
+        '{"vertices": [{"id": "v"}], "edges": []} x',
+        '\ufeff{"vertices": [], "edges": []}',
+        ' \t\r\n{ \n"vertices" :[ ] ,"edges":[]\n}\n ',
+        '{"vertices": [{"id": "v"},], "edges": []}',
+        '{"vertices": [{"id": "v"}, {"id": "v", "properties": 1}], "edges": []',
+        "",
+        "{",
+        '{"vertices": [], "edges": [{"id": "e", "src": "v", "tgt": "v", "label": "l"}]}',
+    ])
+    def test_documents(self, text):
+        assert _outcome(parse_pg_json, text) == _outcome(pgjson_oracle.parse, text)
+
+    @pytest.mark.parametrize("depth", [10, 500, *range(900, 1000, 4), 5000])
+    def test_deep_nesting(self, depth):
+        # Where json.loads runs out of recursion depends on the caller's
+        # stack, so both readers are called from frames of the same depth,
+        # and the depths cover the limit's neighbourhood.
+        nested = "[" * depth + "]" * depth
+        for text in (nested, f'{{"vertices": [], "edges": [], "x": {nested}}}',
+                     f'{{"vertices": [{nested}], "edges": []}}',
+                     f'{{"vertices": [{{"id": "v", "x": {nested}}}], "edges": []}}',
+                     _with_value({"type": "t", "value": 1}).replace('"t"', nested)):
+            assert _outcome(parse_pg_json, text) == _outcome(pgjson_oracle.parse, text)
+
+
+class TestReaderMemory:
+    def test_peak_is_near_what_the_graph_keeps(self):
+        """The reader holds one element's dicts at a time, not the
+        document's tree: its peak stays within 1.6 times the memory the
+        parsed graph keeps.  json.loads of the whole text first gave 2.5."""
+        rng = random.Random(67)
+        vertices = [{"id": f"v{i}", "properties": [
+            {"key": "name", "value": {"type": "string", "value": f"person {i}"}},
+            {"key": "age", "value": {"type": "integer", "value": rng.randrange(100)}}]}
+            for i in range(2500)]
+        edges = [{"id": f"e{i}", "src": f"v{i}", "tgt": f"v{rng.randrange(2500)}",
+                  "label": "knows", "properties": [
+                      {"key": "since", "value": {"type": "integer", "value": 2000 + i % 20}}]}
+                 for i in range(2500)]
+        text = json.dumps({"vertices": vertices, "edges": edges}, indent=2)
+        del vertices, edges
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            g = parse_pg_json(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(g.vertices) == len(g.edges) == 2500
+        assert (peak - base) <= 1.6 * (kept - base)
 
 
 class TestSerialize:

@@ -1,7 +1,8 @@
-"""The term model: immutable slotted terms and values with a hash stored
-or cached at construction, pickling and copying through the constructors,
-the nesting-depth limit on triples built in code, and the term tables that
-make equal terms one object within a parse or a transformation."""
+"""The term model: immutable slotted terms, values and records with a hash
+stored or cached at construction, pickling and copying through the
+constructors, the nesting-depth limit on triples built in code, and the
+term tables that make equal terms one object within a parse or a
+transformation."""
 
 import copy
 import dataclasses
@@ -15,6 +16,11 @@ import pytest
 
 from starpg import (
     RDF_LANG_STRING,
+    ConvertibilityReport,
+    MappingConfig,
+    PgResult,
+    TemplateIriMapping,
+    Violation,
     XSD_DECIMAL,
     XSD_INTEGER,
     BNode,
@@ -61,7 +67,17 @@ TERMS = [
 ]
 VALUES = [Text("x"), Integer(2**70), Double(0.5), Double(float("-inf")), Boolean(False)]
 PROPERTIES = [Property("name", Text("Ada")), Property("age", Integer(36))]
-OBJECTS = TERMS + VALUES + PROPERTIES
+_VIOLATION = Violation(Triple(S, P, O), "1", "embedded subject is itself a metadata triple")
+# The records that were frozen dataclasses, each with its fields' values.
+RECORDS = [
+    _VIOLATION,
+    ConvertibilityReport((_VIOLATION,)),
+    ConvertibilityReport(()),
+    TemplateIriMapping(EX),
+    MappingConfig(),
+    MappingConfig(EX + "k/", EX + "l/", TemplateIriMapping(EX + "v/")),
+]
+OBJECTS = TERMS + VALUES + PROPERTIES + RECORDS
 
 
 def _chain(depth: int) -> Triple:
@@ -143,6 +159,48 @@ class TestPicklingAndCopying:
                                   capture_output=True, check=True).stdout
 
         assert run("2", "load", run("1", "dump")) == b"True\n"
+
+
+class TestRecords:
+    """Violation, ConvertibilityReport, PgResult, TemplateIriMapping and
+    MappingConfig behave as the frozen dataclasses they were: each is
+    checked against a dataclass made now with the same name and fields.
+    OBJECTS holds them too, for immutability, equality and pickling."""
+
+    @staticmethod
+    def _dataclass_twin(x):
+        cls = dataclasses.make_dataclass(type(x).__name__, x.__match_args__, frozen=True)
+        return cls(*(getattr(x, f) for f in x.__match_args__))
+
+    @pytest.mark.parametrize("x", RECORDS, ids=repr)
+    def test_repr_and_hash_are_the_dataclasses(self, x):
+        twin = self._dataclass_twin(x)
+        assert repr(x) == repr(twin)
+        assert hash(x) == hash(twin)
+        assert x != twin  # equality asks for the same class, as a dataclass's does
+
+    def test_mapping_config_defaults_and_derived_templates(self):
+        config = MappingConfig(edge_label_prefix=EX + "l/")
+        assert config == MappingConfig(MappingConfig().property_key_prefix, EX + "l/", None)
+        assert config.key_map == TemplateIriMapping(config.property_key_prefix)
+        assert config.label_map == TemplateIriMapping(EX + "l/")
+        copied = pickle.loads(pickle.dumps(config))
+        assert copied.label_map == config.label_map
+        assert "key_map" not in repr(config) and "label_map" not in repr(config)
+
+    def test_pg_result_compares_but_does_not_hash(self):
+        result = to_rdf_like_pg(build_alice_bob())
+        assert result == PgResult(result.graph, dict(result.vertex_map), dict(result.edge_map))
+        assert repr(result).startswith("PgResult(graph=PropertyGraph(")
+        with pytest.raises(TypeError):
+            hash(result)
+
+    def test_importing_the_cli_does_not_load_dataclasses(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run([sys.executable, "-c",
+                              "import sys, starpg.cli; print('dataclasses' in sys.modules)"],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        assert out == "False\n"
 
 
 class TestDeepTriplesBuiltInCode:
