@@ -3,7 +3,8 @@
 Subcommands: check, rdf2pg, pg2rdf, unfold, roundtrip.  Exit codes:
 0 success, 1 domain/validation failure, 2 parse/format/usage error.
 Data goes to -o or standard output as it is made, in pieces of about
-64 KiB; an -o file is replaced only once the whole output is written.
+64 KiB; a regular -o file is replaced only once the whole output is
+written.
 Diagnostics go to standard error.
 """
 
@@ -13,6 +14,7 @@ import argparse
 import gc
 import json
 import os
+import stat
 import sys
 from contextlib import contextmanager, nullcontext, suppress
 from itertools import chain
@@ -135,25 +137,57 @@ def _pieces(chunks: Iterable[str]) -> Iterator[str]:
     yield "".join(batch)
 
 
-@contextmanager
-def _replacing(path: str) -> Iterator[TextIO]:
-    """A new text file that replaces the file at path once the block has
-    written it, and is removed if anything fails first: path then keeps
-    its bytes.  The new file is made beside where path leads, so that one
-    rename puts it in place, and it keeps the permissions of the file it
-    replaces.  An OSError names path, as opening path itself would."""
+def _temporary_beside(path: str) -> tuple[int, str, str, int | None] | None:
+    """Where path leads to a regular file that may be written, or to none
+    yet, a new file beside it that only its owner may read: its handle
+    and name, where path leads, and the mode of the file there, None if
+    there is none.  None for anything else: a device, a pipe, a
+    directory, a read-only file, a path that ends in a separator, or one
+    beside which no file can be made."""
+    if path.endswith((os.sep, os.altsep or os.sep)):
+        return None
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    except OSError:
+        return None
+    if mode is not None and not (stat.S_ISREG(mode) and os.access(path, os.W_OK)):
+        return None
+    import tempfile
+
     target = os.path.realpath(path)
     directory, name = os.path.split(target)
-    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
-        out = open(temporary, "x", encoding="utf-8")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with out:
+        handle, temporary = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    except OSError:
+        return None
+    return handle, temporary, target, mode
+
+
+@contextmanager
+def _replacing(path: str) -> Iterator[TextIO]:
+    """The file at path, opened for writing.  Where _temporary_beside
+    makes a file, that is written instead: it replaces the file at path
+    once the block has written it, with that file's permissions, or with
+    those open would give a new one, and it is removed if anything fails
+    first, so that path keeps its bytes.  Otherwise path is opened in
+    place, and its errors are worded as open(path, "w") words them.  An
+    OSError names path."""
+    made = _temporary_beside(path)
+    if made is None:
+        with open(path, "w", encoding="utf-8") as out:
             yield out
-        with suppress(FileNotFoundError):
-            os.chmod(temporary, os.stat(target).st_mode & 0o7777)
+        return
+    handle, temporary, target, mode = made
+    try:
+        with open(handle, "w", encoding="utf-8") as out:
+            yield out
+        if mode is None:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(temporary, mode & 0o7777)
         os.replace(temporary, target)
     except BaseException as exc:
         with suppress(OSError):
@@ -166,8 +200,8 @@ def _replacing(path: str) -> Iterator[TextIO]:
 def _write(chunks: Iterable[str], path: str | None = None, stream: TextIO | None = None) -> None:
     """Write the chunks to the file at path, else to stream, standard
     output by default, a piece at a time.  Nothing is made before the
-    first piece is.  A file is written all or nothing: until the last
-    piece is written, an existing one keeps its bytes."""
+    first piece is.  A regular file is written all or nothing: until the
+    last piece is written, an existing one keeps its bytes."""
     pieces = _pieces(chunks)
     first = [next(pieces)]
     with nullcontext(stream or sys.stdout) if path is None else _replacing(path) as out:

@@ -173,7 +173,7 @@ class _Elements:
     While no element is bad, it also keeps the first lone surrogate."""
 
     __slots__ = ("name", "keys", "kind", "props", "src", "tgt", "lbl", "error", "error_id",
-                 "surrogate", "search")
+                 "surrogate", "search", "brackets")
 
     def __init__(self, name: str, search: bool) -> None:
         self.name = name
@@ -187,6 +187,7 @@ class _Elements:
         self.error_id: str | None = None
         self.surrogate: SchemaError | None = None
         self.search = search  # whether the text may hold a lone surrogate
+        self.brackets = 0  # the objects and arrays of the elements kept
 
     def read(self, text: str, i: int) -> int:
         """Read the array whose "[" is at text[i]; the index after it.
@@ -228,10 +229,13 @@ class _Elements:
                 if label.__class__ is not str:
                     raise SchemaError(f"{path}/label", "label must be a string")
                 self.src[x], self.tgt[x], self.lbl[x] = src, tgt, label
-            self.props[x] = _parse_properties(entry, path)
+            self.props[x] = properties = _parse_properties(entry, path)
         except SchemaError as exc:
             self.error, self.error_id = exc.with_traceback(None), x
             return
+        # The element, its property array if it has one, and each
+        # property with its value.
+        self.brackets += 1 + ("properties" in entry) + 2 * len(properties)
         if self.search and self.surrogate is None:
             for string_path, string in _strings(entry, path):
                 if _SURROGATE_RE.search(string):
@@ -320,7 +324,12 @@ def parse_pg_json(text: str) -> PropertyGraph:
     - then the first bad vertex, then the first bad edge, whichever of
       the two arrays comes first in the text;
     - then the first lone surrogate.
-    A repeated key takes its last copy, as under json.loads.
+    A repeated key takes its last copy, as under json.loads.  Its earlier
+    copies are decoded but not kept; the one place this reader and
+    json.loads could part is such a copy nested almost as deep as json
+    allows, since the reader decodes it from a level or two nearer the
+    top.  So a document whose brackets are not all the graph's is also
+    read by json.loads, which raises where such a copy is too deep.
     """
     # Only a text with a lone surrogate, escaped or raw, has its strings
     # searched; ASCII text can hold no raw one, so it costs one fast scan.
@@ -332,7 +341,10 @@ def parse_pg_json(text: str) -> PropertyGraph:
         error = exc
     else:
         error = _schema_error(doc)
-    if error is not None:
+    # The graph's own brackets are the elements' and the document's three;
+    # any others stand in strings or in dropped copies of repeated keys.
+    if error is not None or (text.count("[") + text.count("{")
+                             != 3 + doc["vertices"].brackets + doc["edges"].brackets):
         # A syntax error wins, and json.loads words it.  If json.loads
         # finds none, the error stands, even one the scanner raised.
         try:
@@ -343,7 +355,8 @@ def parse_pg_json(text: str) -> PropertyGraph:
             raise SchemaError("/", _too_long()) from None
         except RecursionError:
             raise SchemaError("/", "invalid JSON: arrays or objects nested too deeply") from None
-        raise error
+        if error is not None:
+            raise error
     del text  # a caller that passed a temporary frees it here, before the graph is built
     vertices, edges = doc["vertices"], doc["edges"]
     del doc

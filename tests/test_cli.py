@@ -5,8 +5,12 @@ import math
 import os
 import random
 import shutil
+import stat
 import subprocess
 import sys
+import tempfile
+import threading
+from contextlib import suppress
 from pathlib import Path
 
 import pytest
@@ -635,15 +639,82 @@ class TestFailureContract:
         assert target.stat().st_mode & 0o777 == 0o640
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.out", "target.out"]
 
-    @pytest.mark.parametrize("name, message", [
-        ("missing/out.ttls", "[Errno 2] No such file or directory: '{}'"),
-        ("", "[Errno 21] Is a directory: '{}'"),
-    ], ids=["missing-directory", "directory"])
-    def test_output_file_errors_name_the_path_given(self, tmp_path, capsys, name, message):
-        target = str(tmp_path / name)
+    @pytest.mark.parametrize("name, existing, message", [
+        ("missing/out.ttls", [], "[Errno 2] No such file or directory: '{}'"),
+        ("", [], "[Errno 21] Is a directory: '{}'"),
+        ("existing.out/", ["existing.out"], "[Errno 21] Is a directory: '{}'"),
+        ("new/", [], "[Errno 21] Is a directory: '{}'"),
+    ], ids=["missing-directory", "directory", "file-as-directory", "new-directory"])
+    def test_output_file_errors_name_the_path_given(self, tmp_path, capsys, name, existing,
+                                                    message):
+        for earlier in existing:
+            (tmp_path / earlier).write_text(self.EARLIER, encoding="utf-8")
+        target = str(tmp_path / name) + ("/" if name.endswith("/") else "")
         assert main(["pg2rdf", KUBRICK, "-o", target]) == 2
         assert capsys.readouterr() == ("", f"i/o error: {message.format(target)}\n")
-        assert list(tmp_path.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == existing
+        for earlier in existing:
+            assert (tmp_path / earlier).read_text(encoding="utf-8") == self.EARLIER
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_output_pipe_is_written_in_place(self, tmp_path, capsys):
+        assert main(["pg2rdf", KUBRICK]) == 0
+        expected = capsys.readouterr().out
+        pipe = tmp_path / "out.pipe"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(pipe.read_text(encoding="utf-8")), daemon=True)
+        reader.start()
+        try:
+            code = main(["pg2rdf", KUBRICK, "-o", str(pipe)])
+        finally:
+            # Should the pipe not have been opened, this lets the reader go.
+            with suppress(OSError):
+                os.close(os.open(pipe, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=60)
+        assert (code, capsys.readouterr(), received) == (0, ("", ""), [expected])
+        assert [p.name for p in tmp_path.iterdir()] == ["out.pipe"]
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
+
+    def test_output_file_is_written_in_place_where_no_file_can_be_made_beside_it(
+            self, tmp_path, monkeypatch):
+        def refused(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(tempfile, "mkstemp", refused)
+        target = tmp_path / "out.ttls"
+        target.write_text(self.EARLIER, encoding="utf-8")
+        starpg.cli._write(["new bytes\n"], str(target))
+        assert target.read_text(encoding="utf-8") == "new bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.ttls"]
+
+    def test_stale_temporary_file_is_left_alone(self, tmp_path):
+        target = tmp_path / "out.ttls"
+        target.write_text(self.EARLIER, encoding="utf-8")
+        stale = tmp_path / f".out.ttls.{os.getpid()}.tmp"
+        stale.write_text("left by a run that was killed\n", encoding="utf-8")
+        starpg.cli._write(["new bytes\n"], str(target))
+        assert target.read_text(encoding="utf-8") == "new bytes\n"
+        assert stale.read_text(encoding="utf-8") == "left by a run that was killed\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name, "out.ttls"]
+
+    def test_output_is_private_until_it_is_in_place(self, tmp_path):
+        target = tmp_path / "new.out"
+        modes = []
+
+        def chunks():
+            yield "a" * starpg.cli._PIECE_SIZE
+            modes.extend(p.stat().st_mode & 0o777 for p in tmp_path.iterdir())
+            yield "b"
+
+        umask = os.umask(0o022)
+        try:
+            starpg.cli._write(chunks(), str(target))
+        finally:
+            os.umask(umask)
+        assert modes == [0o600]
+        assert target.stat().st_mode & 0o777 == 0o644
 
     def test_file_size_limit_keeps_the_old_output_file(self, tmp_path):
         # The child may write 100 KiB per file: the output fails part way,

@@ -594,12 +594,19 @@ class TestReaderOracle:
     def test_deep_nesting(self, depth):
         # Where json.loads runs out of recursion depends on the caller's
         # stack, so both readers are called from frames of the same depth,
-        # and the depths cover the limit's neighbourhood.
+        # and the depths cover the limit's neighbourhood.  The last four
+        # documents repeat a key: its dropped first copy is still nested
+        # too deeply for json.loads.
         nested = "[" * depth + "]" * depth
         for text in (nested, f'{{"vertices": [], "edges": [], "x": {nested}}}',
                      f'{{"vertices": [{nested}], "edges": []}}',
                      f'{{"vertices": [{{"id": "v", "x": {nested}}}], "edges": []}}',
-                     _with_value({"type": "t", "value": 1}).replace('"t"', nested)):
+                     _with_value({"type": "t", "value": 1}).replace('"t"', nested),
+                     f'{{"vertices": [{nested}], "vertices": [], "edges": []}}',
+                     f'{{"vertices": {nested}, "edges": [], "vertices": []}}',
+                     f'{{"edges": [], "vertices": [{{"id": {nested}, "id": "v"}}]}}',
+                     _with_value({"type": "t", "value": True})
+                     .replace('"t"', f'{nested}, "type": "boolean"')):
             assert _outcome(parse_pg_json, text) == _outcome(pgjson_oracle.parse, text)
 
 
