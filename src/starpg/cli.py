@@ -4,7 +4,9 @@ Subcommands: check, rdf2pg, pg2rdf, unfold, roundtrip.  Exit codes:
 0 success, 1 domain/validation failure, 2 parse/format/usage error.
 Data goes to -o or standard output as it is made, in pieces of about
 64 KiB; a regular -o file is replaced only once the whole output is
-written.
+written.  The replacement is a new file, put in place by os.replace: it
+keeps the old file's permission bits, but not its hard links, owner,
+group or extended attributes.
 Diagnostics go to standard error.
 """
 
@@ -75,7 +77,9 @@ class InputEncodingError(Exception):
 
 # The stderr line and exit code of each failure a command raises,
 # violations aside; {} stands for the exception's text.  Running out of
-# memory prints a constant, so that its handler allocates little.
+# memory prints a constant, so that its handler allocates little, and
+# the classes are a tuple made once, so that matching one allocates
+# nothing.
 _FAILURES = {
     TurtleParseError: ("parse error: {}", 2),
     SchemaError: ("schema error: {}", 2),
@@ -87,6 +91,7 @@ _FAILURES = {
     PgValidationError: ("error: {}", 1),
     MalformedRdfLikePgError: ("error: {}", 1),
 }
+_FAILURE_CLASSES = tuple(_FAILURES)
 
 
 def _check_format(path: str | None, expected: str, override: str | None, role: str) -> None:
@@ -389,7 +394,12 @@ def main(argv: list[str] | None = None) -> int:
         # Only the commands with a --report option raise these.
         _write(_violation_report(_violation_entries(exc), args.report), stream=sys.stderr)
         return 1
-    except tuple(_FAILURES) as exc:
+    except _FAILURE_CLASSES as exc:
+        # Free the failed command's frames, and all they hold, before the
+        # line is made: after a MemoryError they may hold all the memory
+        # left.  An exception raised while handling another holds that
+        # one, and its frames, as its context.
+        exc.__traceback__ = exc.__context__ = None
         line, code = next(_FAILURES[c] for c in type(exc).__mro__ if c in _FAILURES)
         _write([line.format(exc) + "\n"], stream=sys.stderr)
         return code

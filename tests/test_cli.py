@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import weakref
 from contextlib import suppress
 from pathlib import Path
 
@@ -550,6 +551,18 @@ class TestViolationReports:
         assert len(stream.writes) == 1
 
 
+# A child that limits its address space to its own size after importing
+# the CLI plus argv[1] bytes, then runs the CLI on the rest of its argv.
+_LIMITED_CHILD = """\
+import os, resource, sys
+import starpg.cli
+with open("/proc/self/statm") as statm:
+    limit = int(statm.read().split()[0]) * os.sysconf("SC_PAGE_SIZE") + int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(starpg.cli.main(sys.argv[2:]))
+"""
+
+
 class TestOutOfMemory:
     @pytest.mark.parametrize("argv", [
         ["check", ALICE_BOB], ["rdf2pg", ALICE_BOB, "--mode", "rdf-like"], ["pg2rdf", KUBRICK],
@@ -571,6 +584,57 @@ class TestOutOfMemory:
         monkeypatch.setattr(starpg.cli, "to_rdf_like_pg", exhausted)
         assert main(["rdf2pg", ALICE_BOB, "--mode", "rdf-like"]) == 2
         assert capsys.readouterr() == ("", "out of memory\n")
+
+    def test_failed_command_is_freed_before_the_line_is_written(self, monkeypatch, capsys):
+        class Held:
+            pass
+
+        held = []
+
+        def exhausted(path):
+            data = Held()
+            held.append(weakref.ref(data))
+            try:
+                raise KeyError(path)
+            except KeyError:
+                raise MemoryError
+
+        write = starpg.cli._write
+        alive = []
+
+        def watched(*args, **kwargs):
+            alive.append(held[0]() is not None)
+            write(*args, **kwargs)
+
+        monkeypatch.setattr(starpg.cli, "_read", exhausted)
+        monkeypatch.setattr(starpg.cli, "_write", watched)
+        assert main(["pg2rdf", KUBRICK]) == 2
+        assert capsys.readouterr() == ("", "out of memory\n")
+        assert alive == [False]
+
+    @pytest.mark.parametrize("vertices", [None, 25000], ids=["kubrick", "25000-vertices"])
+    def test_address_space_limit(self, tmp_path, capsys, vertices):
+        # The child may map 40 MiB beyond its size after the import: too
+        # little for a 25,000-vertex graph, which exits 2 with the one
+        # line, and enough for the small file, so that the limit is not
+        # too small for the interpreter alone.
+        pytest.importorskip("resource")
+        if not os.path.exists("/proc/self/statm"):
+            pytest.skip("needs /proc/self/statm")
+        source = KUBRICK
+        if vertices:
+            source = tmp_path / "big.pg.json"
+            source.write_text(serialize_pg_json(_wide_pg(vertices)), encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-c", _LIMITED_CHILD, str(40 << 20), "pg2rdf", str(source)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(starpg.__file__).parent.parent)})
+        if vertices:
+            assert (result.returncode, result.stdout, result.stderr) == (2, "", "out of memory\n")
+        else:
+            assert main(["pg2rdf", KUBRICK]) == 0
+            assert (result.returncode, result.stdout, result.stderr) == (
+                0, capsys.readouterr().out, "")
 
 
 class TestFailureContract:

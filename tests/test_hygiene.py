@@ -19,6 +19,11 @@ PropertyGraph._trusted, which skips every check, is used only in
 transforms.py, whose transforms build their graphs themselves; every
 input boundary, parse_pg_json above all, goes through the checked
 constructor.
+
+tests/pgjson_oracle.py imports from starpg only the per-value helpers
+and the two classes it imports today: never the reader's element check
+_add nor its streamed path, which would make the differential test
+compare the reader with itself.
 """
 
 import ast
@@ -190,6 +195,28 @@ def test_only_the_transforms_build_unchecked_graphs():
     assert users == {"src/starpg/transforms.py"}
 
 
+def starpg_imports(source: str) -> set[tuple[str, str]]:
+    """(module, name) for each name source imports from starpg or one of
+    its modules, and (module, "") for each plain import of one."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {(alias.name, "") for alias in node.names
+                    if alias.name.partition(".")[0] == "starpg"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "starpg":
+            out |= {(node.module, alias.name) for alias in node.names}
+    return out
+
+
+def test_the_pgjson_oracle_imports_only_per_value_helpers():
+    source = (ROOT / "tests" / "pgjson_oracle.py").read_text(encoding="utf-8")
+    helpers = {"_DOCUMENT_KEYS", "_EDGE_KEYS", "_SURROGATE_ESCAPE_RE", "_SURROGATE_RE",
+               "_VERTEX_KEYS", "_parse_id", "_parse_properties", "_shape_error", "_strings",
+               "_too_long"}
+    assert starpg_imports(source) == {("starpg", "PropertyGraph"), ("starpg", "SchemaError"),
+                                      *(("starpg.pgjson", name) for name in helpers)}
+
+
 class TestChecker:
     def test_finds_an_unused_name(self):
         source = "import os\nfrom re import compile, sub\nsub('a', 'b', 'c')\n"
@@ -243,6 +270,14 @@ class TestPrivateNameChecker:
         assert unreferenced_private_names(source, references(other)) == []
         assert unreferenced_private_names(source) == [
             ("_a", 1), ("_b", 2), ("_c", 3), ("_D", 4)]
+
+
+class TestStarpgImports:
+    def test_finds_plain_and_from_imports_of_the_package_only(self):
+        source = ("import json\nimport starpg.pgjson\nfrom starpg.pgjson import _add as a\n"
+                  "from starpg import parse_pg_json\nfrom json import loads\n")
+        assert starpg_imports(source) == {("starpg.pgjson", ""), ("starpg.pgjson", "_add"),
+                                          ("starpg", "parse_pg_json")}
 
 
 class TestAttributeUses:
