@@ -4,11 +4,12 @@ The document shape is {"vertices": [...], "edges": [...]}; every element
 carries an id and a property list, edges additionally src/tgt/label.
 Values are tagged objects {"type": "string"|"integer"|"double"|"boolean",
 "value": ...}.  Properties are arrays, so duplicate keys survive the trip.
-The reader has two paths with one per-element check, _add.  The
-streamed path reads a document of just that shape a vertex or an edge at
-a time, so its dict tree is never built whole.  At the first thing it
-does not take, the reference path reads the text with json.loads and
-checks it whole; every error is that path's.  Serialization sorts
+The reader has two paths with one per-element check, _add.  On the
+streamed path json.loads hands each vertex and edge to a hook as soon as
+it is decoded, which checks and keeps it, so the document's dict tree is
+never built whole.  Where that does not give just the document's own
+elements, the reference path reads the text with json.loads and checks
+it whole; every error is that path's.  Serialization sorts
 everything, making output byte-stable across runs, and iter_pg_json
 gives the text a vertex or an edge at a time.
 """
@@ -156,10 +157,10 @@ def _parse_id(obj: dict, path: str, field: str) -> str:
 
 
 def _add(entry, path: str, keys: set[str], kind: str, props: dict, src: dict, tgt: dict,
-         lbl: dict) -> list[Property]:
+         lbl: dict) -> None:
     """Check entry, the vertex or edge at path, against keys, and keep it:
-    its properties in props, which it returns, an edge's endpoints and
-    label in src, tgt and lbl.  An id already in props is a duplicate."""
+    its properties in props, an edge's endpoints and label in src, tgt
+    and lbl.  An id already in props is a duplicate."""
     if entry.__class__ is not dict or entry.keys() != keys:
         message = _shape_error(entry, keys, kind)
         if message:
@@ -174,90 +175,61 @@ def _add(entry, path: str, keys: set[str], kind: str, props: dict, src: dict, tg
         if label.__class__ is not str:
             raise SchemaError(f"{path}/label", "label must be a string")
         src[x], tgt[x], lbl[x] = source, target, label
-    props[x] = properties = _parse_properties(entry, path)
-    return properties
+    props[x] = _parse_properties(entry, path)
 
 
-# The key set and the name of the elements of each array, in the order
-# the reference path checks them.
+# Each array's element key set and name, in the order the reference path checks them.
 _ARRAYS = {"vertices": (_VERTEX_KEYS, "vertex"), "edges": (_EDGE_KEYS, "edge")}
-# The scanner of json.loads: _scan(text, i) decodes the JSON value at
-# text[i] and returns it with the index after it.
-_scan = json.JSONDecoder().scan_once
-_scan_key = json.decoder.scanstring
-_skip = json.decoder.WHITESPACE.match
-# What follows an element of an array: a comma, or the array's end.
-_after_element = re.compile(r"[ \t\n\r]*(?:,[ \t\n\r]*|\])").match
 
 
 def _streamed(text: str, search: bool, props: dict, src: dict, tgt: dict, lbl: dict) -> bool:
-    """Read text as {"vertices": [...], "edges": [...]}, the keys in either
-    order and each once, into the four dicts: each element is decoded,
-    kept by _add and freed before the next.  False at the first thing
-    the reference path must judge: another shape, a schema error, a lone
-    surrogate (searched for only if search), or a bracket the kept
-    elements do not account for.  Raises ValueError, IndexError,
-    StopIteration or RecursionError where the scanner does."""
-    brackets = 3  # the document's object and its two arrays
-    names = []
-    i = 0
-    for opener in "{,":
-        i = _skip(text, i).end()
-        if text[i] != opener:
-            return False
-        i = _skip(text, i + 1).end()
-        if text[i] != '"':
-            return False
-        name, i = _scan_key(text, i + 1)
-        i = _skip(text, i).end()
-        if name not in _ARRAYS or name in names or text[i] != ":":
-            return False
-        names.append(name)
-        i = _skip(text, i + 1).end()
-        if text[i] != "[":
-            return False
-        keys, kind = _ARRAYS[name]
-        i = _skip(text, i + 1).end()
-        n = 0
-        closed = text[i] == "]"
-        i += closed
-        while not closed:
-            entry, i = _scan(text, i)
-            try:
-                properties = _add(entry, f"/{name}/{n}", keys, kind, props, src, tgt, lbl)
-            except SchemaError:
-                return False
-            if search and any(_SURROGATE_RE.search(s) for _, s in _strings(entry, "")):
-                return False
-            # The element, its property array if it has one, and each
-            # property with its value.
-            brackets += 1 + ("properties" in entry) + 2 * len(properties)
-            del entry
-            after = _after_element(text, i)
-            if after is None:
-                return False
-            i = after.end()
-            closed = text[i - 1] == "]"
-            n += 1
-    i = _skip(text, i).end()
-    if text[i] != "}" or _skip(text, i + 1).end() != len(text):
+    """Read text as {"vertices": [...], "edges": [...]} into the four dicts
+    with one json.loads, whose hook gets each object once it is decoded
+    whole.  One with an "id" is a vertex, or an edge if it has a "src":
+    _add checks and keeps it, and its array's marker takes its place.
+    True only if the result is an object of just the two arrays, each
+    holding only its own marker, one per kept element: an element kept
+    elsewhere, such as in a repeated key's dropped copy, leaves its marker
+    out.  False or any exception leaves the text to the reference path,
+    so _add gets an empty path.
+
+    This json.loads runs a frame deeper than the reference path's, so it
+    decodes no text that path finds nested too deeply.  If search, the
+    hook searches each object's string values for a lone surrogate: each
+    string of a valid document is one, or a fixed key."""
+    vertex, edge = object(), object()
+
+    def hook(obj: dict):
+        if search and any(v.__class__ is str and _SURROGATE_RE.search(v) for v in obj.values()):
+            raise ValueError("lone surrogate")
+        if "id" not in obj:
+            return obj
+        if "src" in obj:
+            _add(obj, "", _EDGE_KEYS, "edge", props, src, tgt, lbl)
+            return edge
+        _add(obj, "", _VERTEX_KEYS, "vertex", props, src, tgt, lbl)
+        return vertex
+
+    doc = json.loads(text, object_hook=hook)
+    if doc.__class__ is not dict or doc.keys() != _DOCUMENT_KEYS:
         return False
-    # Any other bracket stands in a string, or in a dropped copy of a
-    # repeated key that json.loads may find nested too deeply.
-    return text.count("[") + text.count("{") == brackets
+    vertices, edges = doc["vertices"], doc["edges"]
+    return (vertices.__class__ is list and edges.__class__ is list
+            and vertices.count(vertex) == len(vertices) and edges.count(edge) == len(edges)
+            and len(vertices) + len(edges) == len(props))
 
 
 def parse_pg_json(text: str) -> PropertyGraph:
     """Parse a PG-JSON document; SchemaError names the offending path.
 
-    A document of the usual shape takes the streamed path: a vertex or an
-    edge at a time is decoded by json's own scanner, checked, kept as ids
-    and Property objects, and freed before the next, so the document's
-    dict tree never exists whole.  At the first irregularity, whether an
-    error or only an unusual form, the reader starts again on the
-    reference path: json.loads reads the whole text, and one loop checks
-    it with the same per-element check.  Which error a document raises
-    is that loop's, whatever its place in the text:
+    A document of the usual shape takes the streamed path: json.loads
+    decodes it, and each vertex or edge is checked, kept as ids and
+    Property objects and freed once decoded, so the document's dict tree
+    never exists whole.  On any irregularity, whether an error or only an
+    unusual form, the reader starts again on the reference path:
+    json.loads reads the whole text, and one loop checks it with the same
+    per-element check.  Which error a document raises is that loop's,
+    whatever its place in the text:
     - a JSON syntax error anywhere, as json.loads reports it;
     - then the document's key set, then "vertices" and "edges" not being
       arrays;
@@ -273,7 +245,7 @@ def parse_pg_json(text: str) -> PropertyGraph:
     props, src, tgt, lbl = {}, {}, {}, {}
     try:
         streamed = _streamed(text, search, props, src, tgt, lbl)
-    except (ValueError, IndexError, StopIteration, RecursionError):
+    except (ValueError, RecursionError):
         streamed = False
     if not streamed:
         # json.loads runs in this frame, not in a helper: where it runs

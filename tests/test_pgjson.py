@@ -567,6 +567,45 @@ class TestReaderOracle:
                 outcomes["syntax" if got[2].startswith("invalid JSON") else "schema"] += 1
         assert min(outcomes.values()) >= 100, outcomes
 
+    def test_planted_elements(self):
+        """Valid documents with a valid vertex or edge planted where no
+        element belongs: as a property's value or entry, in the dropped
+        first copy of a repeated key, in an element or at the top level,
+        or in the other array.  The streamed path decodes and checks it as
+        it does any element, yet the graph must be json.loads's."""
+        rng = random.Random(71)
+        kinds = dict.fromkeys(["value", "entry", "element copy", "top-level copy", "other array"], 0)
+        for _ in range(500):
+            doc = json.loads(serialize_pg_json(randgen.random_property_graph(rng)))
+            fresh = rng.random() < 0.8
+            name = rng.choice(["vertices", "edges"])
+            planted = ({"id": "p" if fresh else "v1", "properties": []} if name == "vertices" else
+                       {"id": "p" if fresh else "e1", "src": "v1", "tgt": "v1", "label": "l"})
+            elements = doc["vertices"] + doc["edges"]
+            kind = rng.choice(sorted(kinds))
+            if kind == "value" and not any(x["properties"] for x in elements):
+                kind = "entry"
+            kinds[kind] += 1
+            if kind == "value":
+                rng.choice([p for x in elements for p in x["properties"]])["value"] = planted
+            elif kind == "entry":
+                properties = rng.choice(elements)["properties"]
+                properties.insert(rng.randrange(len(properties) + 1), planted)
+            elif kind == "element copy":
+                array = rng.choice([a for a in doc.values() if a])
+                i = rng.randrange(len(array))
+                array[i] = {"copy": None, **array[i]}
+            elif kind == "other array":
+                array = doc["edges" if name == "vertices" else "vertices"]
+                array.insert(rng.randrange(len(array) + 1), planted)
+            copy = json.dumps([planted])
+            text = json.dumps(doc, ensure_ascii=rng.random() < 0.5).replace(
+                '"copy": null', f'"properties": {copy}')
+            if kind == "top-level copy":
+                text = f'{{"{name}": {copy}, {text[1:]}'
+            assert _outcome(parse_pg_json, text) == _outcome(pgjson_oracle.parse, text), text
+        assert min(kinds.values()) >= 50, kinds
+
     @pytest.mark.parametrize("text", [
         '{"edges": [{"id": "v", "src": "v", "tgt": "v", "label": "l"}], "vertices": [{"id": "v"}]}',
         '{"edges": [{"id": "e", "src": "v", "tgt": "v", "label": 1}], "vertices": [{"id": "e"}]}',
@@ -589,6 +628,13 @@ class TestReaderOracle:
         '{"vertices": [{"id": "[v", "properties": [{"key": "{k", "value": {"type": "string", '
         '"value": "[{"}}]}], "edges": [{"id": "e", "src": "[v", "tgt": "[v", "label": "{"}]}',
         '{"vertices": [{"id": 1, "id": "v"}], "edges": []}',
+        '{"vertices": [{"id": "v", "properties": [{"id": "w"}], "properties": []}], "edges": []}',
+        '{"vertices": [{"id": "w"}], "vertices": [{"id": "v"}], "edges": []}',
+        '{"vertices": [{"id": "e", "src": "v", "tgt": "v", "label": "l"}], "edges": [{"id": "v"}]}',
+        '{"vertices": [null], "edges": []}',
+        _with_value({"id": "w", "properties": []}),
+        '{"vertices": [{"id": "v", "properties": [{"key": "\\ud800", "value": {"type": "boolean", '
+        '"value": true}}], "properties": []}], "edges": []}',
     ])
     def test_documents(self, text):
         assert _outcome(parse_pg_json, text) == _outcome(pgjson_oracle.parse, text)
@@ -618,7 +664,8 @@ class TestReaderMemory:
         (("vertices", "edges"), ""),
         (("edges", "vertices"), ""),
         (("vertices", "edges"), "\U0001f600"),
-    ], ids=["vertices-first", "edges-first", "escaped-astral"])
+        (("vertices", "edges"), "[{"),
+    ], ids=["vertices-first", "edges-first", "escaped-astral", "brackets"])
     def test_peak_is_near_what_the_graph_keeps(self, order, mark):
         """The reader holds one element's dicts at a time, not the
         document's tree: its peak stays within 1.6 times the memory the
@@ -626,7 +673,7 @@ class TestReaderMemory:
         This holds with edges first, and when ids, keys, labels and
         string values hold an astral character, which json.dumps escapes
         as a surrogate pair, so that the reader searches every string
-        for a lone surrogate."""
+        for a lone surrogate, or brackets."""
         rng = random.Random(67)
         vertices = [{"id": f"v{i}{mark}", "properties": [
             {"key": f"name{mark}", "value": {"type": "string", "value": f"person {i}{mark}"}},
