@@ -14,7 +14,7 @@ import urllib.parse
 
 from .frozen import Frozen, set_field
 from .namespaces import XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING
-from .pg import Boolean, Double, Integer, PropertyGraph, PropertyValue, Text
+from .pg import _INTEGER_RE, Boolean, Double, Integer, PropertyGraph, PropertyValue, Text
 from .rdf import BNode, Iri, Literal
 
 DEFAULT_PROPERTY_KEY_PREFIX = "http://example.org/property/"
@@ -22,7 +22,6 @@ DEFAULT_EDGE_LABEL_PREFIX = "http://example.org/relationship/"
 
 LITERAL_MODES = ("strict", "lenient")
 
-_INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
 _DECIMAL_RE = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)\Z")
 _DOUBLE_RE = re.compile(r"([+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?|-?INF|NaN)\Z")
 

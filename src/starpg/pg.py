@@ -10,9 +10,10 @@ are listed in one order everywhere.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from collections import defaultdict
-from itertools import combinations
+from itertools import chain, combinations
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
 
@@ -66,6 +67,7 @@ def _too_long() -> str:
     return f"integer longer than {sys.get_int_max_str_digits()} digits"
 
 
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")  # an xsd:integer, or a PG-JSON integer string
 # sys.set_int_max_str_digits takes no limit below this many digits but 0,
 # which is none; an integer of at most three bits per digit of it is below
 # 8**digits, so str converts it under any limit.
@@ -174,12 +176,12 @@ _NO_PROPERTIES: tuple[Property, ...] = ()
 class PropertyGraph:
     """A directed multigraph with total endpoint/label maps and property sets.
 
-    All six components are validated together at construction, in one
-    unsorted pass; instances are immutable afterwards.  Vertex and edge
-    ids live in one namespace and must not collide.  Where several ids,
-    edges or properties are invalid, the error names the least of them
-    (edges by id, the others by repr), so the message does not depend on
-    hashing.
+    All six components are validated at construction, rule by rule in a
+    fixed order, each rule in one unsorted pass over its part; instances
+    are immutable afterwards.  Vertex and edge ids live in one namespace
+    and must not collide.  Where several ids, edges or properties are
+    invalid, the error names the least of them (edges by id, the others
+    by repr), so the message does not depend on hashing.
 
     An element's properties are a tuple in property_sort_key order, without
     repeats, whatever iterable they were given as; elements without
@@ -201,11 +203,10 @@ class PropertyGraph:
     ) -> None:
         vset = frozenset(vertices)
         eset = frozenset(edges)
-        ids = vset | eset
-        for x in ids:
-            if not isinstance(x, str) or not x:
-                x = min((y for y in ids if not isinstance(y, str) or not y), key=repr)
-                raise PgValidationError(f"element id must be a non-empty string: {x!r}")
+        bad = [x for x in chain(vset, eset) if not isinstance(x, str) or not x]
+        if bad:
+            raise PgValidationError(
+                f"element id must be a non-empty string: {min(bad, key=repr)!r}")
         shared = vset & eset
         if shared:
             raise IdCollisionError(f"ids used as both vertex and edge: {sorted(shared)!r}")
@@ -214,17 +215,13 @@ class PropertyGraph:
         tgt = dict(tgt or {})
         lbl = dict(lbl or {})
         for name, mapping in (("src", src), ("tgt", tgt), ("lbl", lbl)):
-            unknown = set(mapping) - eset
+            unknown = mapping.keys() - eset
             if unknown:  # str keys in their order, then any others by repr
                 unknown = sorted(unknown, key=lambda k: (0, k) if isinstance(k, str)
                                  else (1, repr(k)))
                 raise PgValidationError(f"{name} mentions unknown edge: {unknown!r}")
-        try:
-            broken = [e for e in eset if src.get(e) not in vset or tgt.get(e) not in vset
-                      or not isinstance(lbl.get(e), str)]
-        except TypeError:  # an unhashable endpoint, which names no vertex
-            broken = [e for e in eset if not _is_vertex(src.get(e), vset)
-                      or not _is_vertex(tgt.get(e), vset) or not isinstance(lbl.get(e), str)]
+        broken = [e for e in eset if not _is_vertex(src.get(e), vset)
+                  or not _is_vertex(tgt.get(e), vset) or not isinstance(lbl.get(e), str)]
         if broken:
             e = min(broken)
             for name, mapping in (("src", src), ("tgt", tgt)):
@@ -232,31 +229,24 @@ class PropertyGraph:
                     raise DanglingEdgeError(f"edge {e!r} has no {name} endpoint")
                 if not _is_vertex(mapping[e], vset):
                     raise DanglingEdgeError(
-                        f"edge {e!r} {name} refers to unknown vertex {mapping[e]!r}"
-                    )
+                        f"edge {e!r} {name} refers to unknown vertex {mapping[e]!r}")
             if e not in lbl:
                 raise MissingEdgeLabelError(f"edge {e!r} has no label")
             raise PgValidationError(f"edge {e!r} label must be str")
 
-        pmap: dict[str, tuple[Property, ...]] = dict.fromkeys(ids, _NO_PROPERTIES)
+        pmap: dict[str, tuple[Property, ...]] = dict.fromkeys(chain(vset, eset), _NO_PROPERTIES)
         for x, entries in (props or {}).items():
             if x not in pmap:
                 raise PgValidationError(f"properties attached to unknown element {x!r}")
-            try:
-                entries = set(entries)
-            except TypeError:  # an unhashable entry, which is no Property
-                entries = list(entries)
-                if all(isinstance(p, Property) for p in entries):  # a spent iterator's
-                    raise PgValidationError(f"unhashable entry on element {x!r}") from None
+            entries = tuple(entries)
             for p in entries:
                 if not isinstance(p, Property):
                     p = min((q for q in entries if not isinstance(q, Property)), key=repr)
                     raise PgValidationError(f"not a Property on element {x!r}: {p!r}")
-            if entries:
-                try:
-                    pmap[x] = ordered_properties(entries)
-                except ValueError:  # str of an Integer made under a looser digit limit
-                    raise PgValidationError(f"{_too_long()} on element {x!r}") from None
+            try:  # several entries go through a set, since every Property hashes
+                pmap[x] = ordered_properties(set(entries)) if len(entries) > 1 else entries
+            except ValueError:  # str of an Integer made under a looser digit limit
+                raise PgValidationError(f"{_too_long()} on element {x!r}") from None
 
         self._vertices = vset
         self._edges = eset

@@ -22,6 +22,7 @@ import re
 from typing import Iterator
 
 from .pg import (
+    _INTEGER_RE,
     Boolean,
     Double,
     Integer,
@@ -36,7 +37,6 @@ FILE_EXTENSION = ".pg.json"
 # JSON numbers are exact only within the double-precision safe range;
 # integers beyond it travel as digit strings.
 _SAFE_INT = 2**53 - 1
-_INT_STRING_RE = re.compile(r"[+-]?[0-9]+\Z")
 # A lone surrogate, and its \u escape: a parsed string can hold one only
 # if the text holds either.
 _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
@@ -102,7 +102,7 @@ def _parse_value(obj, path: str, i: int):
                 return Integer(raw)
             if cls is not str:
                 message = "integer value must be a JSON number or digit string"
-            elif not _INT_STRING_RE.fullmatch(raw):
+            elif not _INTEGER_RE.fullmatch(raw):
                 message = f"malformed integer {raw!r}"
             else:
                 try:

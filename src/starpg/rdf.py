@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import copy
 import re
-from collections import Counter, defaultdict
+from collections import Counter, OrderedDict, defaultdict
 from typing import Callable, Iterable, Iterator, Union
 
 from .frozen import Frozen, set_field
@@ -453,7 +453,11 @@ class _Partition:
 
     def _add_cell(self, nodes: list[int], start: int) -> int:
         c = len(self.members)
-        self.members.append(dict.fromkeys(nodes))
+        # A deleted key leaves a slot that a dict's iteration still steps
+        # over, but an OrderedDict unlinks it, so the first live member of
+        # a cell that shrinks is found at once.  A one-node cell never
+        # shrinks, and stays the smaller dict.
+        self.members.append((OrderedDict if len(nodes) > 1 else dict).fromkeys(nodes))
         self.end.append(start + len(nodes))
         self.start[start] = c
         for n in nodes:
@@ -463,7 +467,7 @@ class _Partition:
     def copy(self) -> "_Partition":
         p = copy.copy(self)  # shares the rows, the occurrences and the ranks
         p.cell, p.end, p.start = self.cell[:], self.end[:], dict(self.start)
-        p.members = [dict(m) for m in self.members]
+        p.members = [m.copy() for m in self.members]
         return p
 
     def discrete(self) -> bool:

@@ -399,15 +399,6 @@ def _quote(text: str) -> str:
     return '"' + text.translate(_STRING_ESCAPES) + '"'
 
 
-def _render_iri(value: str, prefixes: list[tuple[str, str]]) -> str:
-    # prefixes come sorted by (-len(ns), label): longest namespace wins,
-    # ties break on the label.
-    for label, ns in prefixes:
-        if value.startswith(ns) and _LOCAL_RE.fullmatch(value[len(ns):]):
-            return f"{label}:{value[len(ns):]}"
-    return f"<{value}>"
-
-
 def _render_literal(l: Literal, render_iri: Callable[[Iri], str]) -> str:
     lex = l.lexical_form
     if l.language is not None:
@@ -424,14 +415,27 @@ def _render_literal(l: Literal, render_iri: Callable[[Iri], str]) -> str:
 
 def _iri_renderer(prefixes: Mapping[str, str]) -> Callable[[Iri], str]:
     """A function that renders an IRI with the prefixes; it renders each
-    distinct IRI once and keeps its text."""
-    by_length = sorted(prefixes.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+    distinct IRI once and keeps its text.
+
+    The longest namespace that the IRI starts with and leaves a valid
+    local name wins, and of its labels the least.  One dict lookup per
+    distinct namespace length finds it, however many prefixes there are.
+    """
+    label_of = {ns: label for label, ns in sorted(prefixes.items(), reverse=True)}
+    lengths = sorted({len(ns) for ns in label_of}, reverse=True)
     iris: dict[str, str] = {}
 
     def render_iri(iri: Iri) -> str:
-        text = iris.get(iri.value)
+        value = iri.value
+        text = iris.get(value)
         if text is None:
-            text = iris[iri.value] = _render_iri(iri.value, by_length)
+            text = f"<{value}>"
+            for n in lengths:
+                label = label_of.get(value[:n])
+                if label is not None and n <= len(value) and _LOCAL_RE.fullmatch(value, n):
+                    text = f"{label}:{value[n:]}"
+                    break
+            iris[value] = text
         return text
 
     return render_iri
@@ -509,7 +513,7 @@ def unfold_to_rdf(g: RdfStarGraph) -> RdfStarGraph:
     result contains no embedded triples.
     """
     embedded = sorted(embedded_triples(g), key=term_key)
-    used = set(blank_node_labels(g))
+    used = blank_node_labels(g)
     ref: dict[Triple, BNode] = {}
     counter = 1
     for e in embedded:

@@ -708,7 +708,9 @@ class TestFailureContract:
         ("", [], "[Errno 21] Is a directory: '{}'"),
         ("existing.out/", ["existing.out"], "[Errno 21] Is a directory: '{}'"),
         ("new/", [], "[Errno 21] Is a directory: '{}'"),
-    ], ids=["missing-directory", "directory", "file-as-directory", "new-directory"])
+        ("plain.txt/out.ttls", ["plain.txt"], "[Errno 20] Not a directory: '{}'"),
+    ], ids=["missing-directory", "directory", "file-as-directory", "new-directory",
+            "under-a-file"])
     def test_output_file_errors_name_the_path_given(self, tmp_path, capsys, name, existing,
                                                     message):
         for earlier in existing:
@@ -719,6 +721,20 @@ class TestFailureContract:
         assert sorted(p.name for p in tmp_path.iterdir()) == existing
         for earlier in existing:
             assert (tmp_path / earlier).read_text(encoding="utf-8") == self.EARLIER
+
+    def test_an_error_on_the_temporary_file_names_the_path_given(self, tmp_path, monkeypatch,
+                                                                capsys):
+        def refused(source, destination):
+            raise PermissionError(13, "Permission denied", source, None, destination)
+
+        monkeypatch.setattr(os, "replace", refused)
+        target = tmp_path / "out.ttls"
+        target.write_text(self.EARLIER, encoding="utf-8")
+        assert main(["pg2rdf", KUBRICK, "-o", str(target)]) == 2
+        assert capsys.readouterr() == (
+            "", f"i/o error: [Errno 13] Permission denied: '{target}'\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.ttls"]
+        assert target.read_text(encoding="utf-8") == self.EARLIER
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_output_pipe_is_written_in_place(self, tmp_path, capsys):

@@ -58,6 +58,10 @@ class TestValueToLiteral:
         for v in [Text("chat"), Integer(1), Double(1.5), Boolean(True)]:
             assert value_to_literal(v).language is None
 
+    def test_a_non_value_is_a_type_error(self):
+        with pytest.raises(TypeError, match=r"^not a PropertyValue: 'x'$"):
+            value_to_literal("x")
+
 
 class TestValueFromLiteral:
     def test_plain_string(self):
@@ -115,6 +119,10 @@ class TestValueFromLiteral:
         assert value_from_literal(lit, mode="lenient") is not None
         assert value_from_literal(lit, mode="strict") is None
 
+    def test_an_unknown_mode_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"^literal mode must be one of .*: 'loose'$"):
+            value_from_literal(Literal("1"), mode="loose")
+
     def test_strict_mode_accepts_canonical_forms(self):
         for v in [Text("x"), Integer(23), Double(0.5), Boolean(True)]:
             assert value_from_literal(value_to_literal(v), mode="strict") == v
@@ -168,6 +176,7 @@ class TestPercentEncoding:
         assert percent_decode("a b") is None
         assert percent_decode("%2") is None
         assert percent_decode("%zz") is None
+        assert percent_decode("%FF") is None  # well-formed escapes, but not UTF-8
 
     @given(st.text())
     def test_round_trip(self, s):
@@ -227,6 +236,13 @@ class TestVertexIdentities:
         assert isinstance(strat, TemplateIriMapping)
         with pytest.raises(MappingConfigError):
             parse_vertex_id_strategy("nonsense")
+
+    def test_a_strategy_of_another_kind_is_rejected(self):
+        with pytest.raises(TypeError, match=r"^not a vertex identity strategy: 'bnode'$"):
+            assign_vertex_identities("bnode", PropertyGraph(["v"]))
+        with pytest.raises(MappingConfigError,
+                           match=r"^not a vertex identity strategy: 'bnode'$"):
+            MappingConfig(vertex_id_strategy="bnode")
 
 
 class TestMappingConfig:

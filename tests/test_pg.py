@@ -284,8 +284,8 @@ class TestConstructionErrorTable:
         assert str(info.value) == message
 
     def test_unhashable_entry_of_a_one_shot_iterator(self):
-        # The failed entry is used up, so the message cannot name it.
-        with pytest.raises(PgValidationError, match="^unhashable entry on element 'v'$"):
+        # The entries are taken once, so the message names the entry.
+        with pytest.raises(PgValidationError, match="^not a Property on element 'v': {}$"):
             PropertyGraph(["v"], props={"v": iter([Property("k", Text("v")), {}])})
 
     @pytest.mark.parametrize("args, message", [

@@ -103,6 +103,24 @@ class TestTermConstruction:
         with pytest.raises(TypeError):
             Triple(S, BNode("b1"), O)
 
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: Iri(1), TypeError, "IRI value must be str, got int"),
+        (lambda: Literal(1), TypeError, "literal lexical form must be str"),
+        (lambda: Literal("x", XSD_STRING), TypeError, "literal datatype must be Iri, got str"),
+        (lambda: Literal("x", Iri(XSD_STRING), "fr"), ValueError,
+         "language-tagged literal must have datatype rdf:langString"),
+        (lambda: Triple(S, P, "o"), TypeError,
+         "triple object must be Iri, BNode, Literal, or Triple, got str"),
+        (lambda: RdfStarGraph([INNER, S]), TypeError,
+         "graph element is not a Triple: Iri(value='http://example.org/s')"),
+        (lambda: term_key("x"), TypeError, "not an RDF-star term: 'x'"),
+    ], ids=["iri-value", "literal-lexical-form", "literal-datatype", "langstring-datatype",
+            "triple-object", "graph-element", "term-key"])
+    def test_wrong_kinds_are_named(self, make, error, message):
+        with pytest.raises(error) as info:
+            make()
+        assert info.type is error and str(info.value) == message
+
 
 class TestNesting:
     def test_plain_triple_is_zero_nested(self):

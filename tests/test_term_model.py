@@ -114,6 +114,17 @@ class TestImmutability:
         assert Literal("1") != Text("1")
         assert len(set(OBJECTS)) == len(OBJECTS)
 
+    @pytest.mark.parametrize("x", OBJECTS, ids=repr)
+    def test_an_object_of_another_class_is_unequal(self, x):
+        assert x != object() and x != tuple(getattr(x, f) for f in x.__match_args__)
+
+    def test_graph_repr_hash_and_equality_with_other_types(self):
+        g, pg = build_alice_bob(), build_kubrick_pg()
+        assert hash(g) == hash(RdfStarGraph(g.triples))
+        assert repr(g) == f"RdfStarGraph({len(g)} triples)"
+        assert repr(pg) == f"PropertyGraph({len(pg.vertices)} vertices, {len(pg.edges)} edges)"
+        assert g != g.triples and pg != pg.props
+
     def test_triples_are_equal_by_value_at_every_level(self):
         assert _chain(MAX_NESTING_DEPTH) == _chain(MAX_NESTING_DEPTH)
         assert _chain(MAX_NESTING_DEPTH) != _chain(MAX_NESTING_DEPTH - 1)

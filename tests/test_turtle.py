@@ -30,6 +30,7 @@ from starpg import (
     serialize_turtle_star,
     unfold_to_rdf,
 )
+import starpg.turtle
 from starpg.turtle import MAX_NESTING_DEPTH
 from conftest import AGE, CERTAINTY, EX, FOAF, KNOWS, NAME, build_alice_bob
 import randgen
@@ -508,6 +509,27 @@ class TestSerialize:
         g = RdfStarGraph([Triple(iri, P, O)])
         text = serialize_turtle_star(g, {"ex": EX})
         assert f"<{iri.value}>" in text
+
+    def test_prefix_choice_agrees_with_a_scan_of_every_prefix(self):
+        def scan(value: str, prefixes: dict[str, str]) -> str:
+            # The longest namespace wins, ties break on the label.
+            for label, ns in sorted(prefixes.items(), key=lambda kv: (-len(kv[1]), kv[0])):
+                if value.startswith(ns) and starpg.turtle._LOCAL_RE.fullmatch(value[len(ns):]):
+                    return f"{label}:{value[len(ns):]}"
+            return f"<{value}>"
+
+        rng = random.Random(7)
+
+        def word(size: int) -> str:
+            return "".join(rng.choice("ab/_-.#") for _ in range(rng.randrange(size)))
+
+        for _ in range(2000):
+            prefixes = {rng.choice(["", "a", "b", "p", "q1", "z-"]): "e:" + word(5)
+                        for _ in range(rng.randrange(1, 6))}
+            render = starpg.turtle._iri_renderer(prefixes)
+            for _ in range(25):
+                value = "e:" + word(8)
+                assert render(Iri(value)) == scan(value, prefixes), (value, prefixes)
 
     def test_bare_shortening_only_when_reparse_identical(self):
         cases = {
