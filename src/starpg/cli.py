@@ -146,9 +146,9 @@ def _temporary_beside(path: str) -> tuple[int, str, str, int | None] | None:
     """Where path leads to a regular file that may be written, or to none
     yet, a new file beside it that only its owner may read: its handle
     and name, where path leads, and the mode of the file there, None if
-    there is none.  None for anything else: a device, a pipe, a
-    directory, a read-only file, a path that ends in a separator, or one
-    beside which no file can be made."""
+    there is none.  None for anything else: a device, a pipe, a path that
+    resolves to a directory, even one that names no file, a read-only file,
+    a path that ends in a separator, or one beside which no file can be made."""
     if path.endswith((os.sep, os.altsep or os.sep)):
         return None
     try:
@@ -162,6 +162,8 @@ def _temporary_beside(path: str) -> tuple[int, str, str, int | None] | None:
     import tempfile
 
     target = os.path.realpath(path)
+    if os.path.isdir(target):
+        return None
     directory, name = os.path.split(target)
     try:
         handle, temporary = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
@@ -296,8 +298,9 @@ def cmd_unfold(args: argparse.Namespace) -> int:
     graph, prefixes = parse_turtle_star(_read(args.input))
     unfolded = unfold_to_rdf(graph)
     # Unfolding changes the graph exactly when it embeds triples.
-    if unfolded != graph and "rdf" not in prefixes:
+    if unfolded is not graph and "rdf" not in prefixes:
         prefixes["rdf"] = RDF
+    del graph  # not needed through canonicalization, the sort and the write
     _write(iter_turtle_star(unfolded, prefixes), args.output)
     return 0
 

@@ -259,16 +259,17 @@ def nesting_depth(t: Triple) -> int:
 
 def is_metadata_triple(t: Triple) -> bool:
     """True iff the triple embeds another triple in subject or object."""
-    return isinstance(t.subject, Triple) or isinstance(t.object, Triple)
+    return t._depth > 0
 
 
-def _triple_terms(t: Triple) -> set[Term]:
-    out: set[Term] = {t.subject, t.predicate, t.object}
-    if isinstance(t.subject, Triple):
-        out |= _triple_terms(t.subject)
-    if isinstance(t.object, Triple):
-        out |= _triple_terms(t.object)
-    return out
+def _terms(t: Triple) -> Iterator[Term]:
+    """The terms of t, as mentioned_terms(t) has them: its predicate, then
+    its subject and its object, each followed by the terms it embeds."""
+    yield t.predicate
+    for x in (t.subject, t.object):
+        yield x
+        if isinstance(x, Triple):
+            yield from _terms(x)
 
 
 def mentioned_terms(x: Triple | RdfStarGraph) -> frozenset[Term]:
@@ -279,16 +280,8 @@ def mentioned_terms(x: Triple | RdfStarGraph) -> frozenset[Term]:
     triple x itself does not).  For a graph: the union over its triples,
     so a top-level triple is a member only if it is also embedded somewhere.
     """
-    if isinstance(x, RdfStarGraph):
-        out: set[Term] = set()
-        for t in x.triples:
-            out |= _triple_terms(t)
-        return frozenset(out)
-    return frozenset(_triple_terms(x))
-
-
-def _embedded_in(metadata: Iterable[Triple]) -> frozenset[Triple]:
-    return frozenset(e for t in metadata for e in _triple_terms(t) if isinstance(e, Triple))
+    triples = x.triples if isinstance(x, RdfStarGraph) else (x,)
+    return frozenset(y for t in triples for y in _terms(t))
 
 
 def embedded_triples(x: Triple | RdfStarGraph) -> frozenset[Triple]:
@@ -297,18 +290,17 @@ def embedded_triples(x: Triple | RdfStarGraph) -> frozenset[Triple]:
     Only metadata triples embed anything, so only they are descended into.
     """
     triples = x.triples if isinstance(x, RdfStarGraph) else (x,)
-    return _embedded_in(t for t in triples if is_metadata_triple(t))
+    return frozenset(e for t in triples if t._depth for e in _terms(t) if isinstance(e, Triple))
 
 
 def metadata_triples(g: RdfStarGraph) -> frozenset[Triple]:
     """Top-level triples of g that embed another triple."""
-    return frozenset(t for t in g.triples if is_metadata_triple(t))
+    return frozenset(t for t in g.triples if t._depth)
 
 
 def ordinary_triples(g: RdfStarGraph) -> frozenset[Triple]:
     """Every triple asserted or embedded in g, minus g's metadata triples."""
-    metadata = metadata_triples(g)
-    return (g.triples | _embedded_in(metadata)) - metadata
+    return (g.triples | embedded_triples(g)) - metadata_triples(g)
 
 
 def redundant_triples(g: RdfStarGraph) -> frozenset[Triple]:
@@ -359,7 +351,7 @@ def subject_object_nodes(g: RdfStarGraph) -> frozenset[Iri | BNode]:
 
 def blank_node_labels(g: RdfStarGraph) -> frozenset[str]:
     """Labels of every blank node occurring anywhere in g."""
-    return frozenset(x.label for x in mentioned_terms(g) if isinstance(x, BNode))
+    return frozenset(x.label for t in g.triples for x in _terms(t) if isinstance(x, BNode))
 
 
 def _holds_bnode(x: Term) -> bool:
@@ -599,9 +591,9 @@ def _host_rows(g: RdfStarGraph) -> tuple[list[str], Rows]:
     ids: dict[str, int] = {}
     rows: Rows = []
     for t in g.triples:
-        labels: list[str] = []
-        skeleton = _skeleton(t, labels)
-        if labels:
+        if _holds_bnode(t):
+            labels: list[str] = []
+            skeleton = _skeleton(t, labels)
             rows.append((skeleton, [ids.setdefault(label, len(ids)) for label in labels]))
     return list(ids), rows
 
@@ -657,9 +649,9 @@ def canonicalize_bnodes(g: RdfStarGraph) -> RdfStarGraph:
     before, and sorts the host-triple keys of their occurrences.  The
     result is built by one relabel_bnodes call.
     """
-    if not any(map(_holds_bnode, g.triples)):
-        return g
     labels, rows = _host_rows(g)
+    if not rows:
+        return g
     p = _refined(labels, rows)
     _break_ties(p)
     return relabel_bnodes(g, {label: f"b{c}" for label, c in zip(labels, p.colours())})

@@ -294,7 +294,7 @@ def to_rdf_like_pg(g: RdfStarGraph, mode: str = "lenient") -> PgResult:
     runs in the same pass over g as the classification.
     """
     value, ordinary, metadata = _classify(g, mode, strong=False)
-    terms = {x for t in ordinary for x in (t.subject, t.object) if not isinstance(x, Triple)}
+    terms = {x for t in ordinary for x in (t.subject, t.object)}  # none a triple: conditions 1-3
     vertex_map = {term: f"v{i}" for i, term in enumerate(sorted(terms, key=term_key), start=1)}
     edge_map = {t: f"e{i}" for i, t in enumerate(ordinary, start=1)}
 
@@ -442,7 +442,8 @@ def pg_to_rdf_star(p: PropertyGraph, config: MappingConfig | None = None) -> Rdf
     Vertex properties become plain triples about the vertex's node term;
     an edge with properties contributes one metadata triple per property
     about its embedded edge triple; a propertyless edge contributes its
-    edge triple directly.  The output is always minimal.
+    edge triple directly.  A vertex with no properties and no edges
+    produces no triple, so it has no image.  The output is always minimal.
     """
     config = config or MappingConfig()
     pv = property_uniqueness_violations(p)

@@ -56,6 +56,7 @@ from .rdf import (
     canonicalize_bnodes,
     embedded_triples,
     is_metadata_triple,
+    metadata_triples,
     term_key,
 )
 
@@ -510,9 +511,11 @@ def unfold_to_rdf(g: RdfStarGraph) -> RdfStarGraph:
     Each distinct embedded triple gets one fresh blank node carrying the
     four reification statements (type, subject, predicate, object), and
     every occurrence of the embedded triple is replaced by that node.  The
-    result contains no embedded triples.
+    result embeds no triple, and is g itself when g embeds none.
     """
     embedded = sorted(embedded_triples(g), key=term_key)
+    if not embedded:
+        return g
     used = blank_node_labels(g)
     ref: dict[Triple, BNode] = {}
     counter = 1
@@ -544,7 +547,7 @@ def embed_plain_rdf(g: RdfStarGraph) -> RdfStarGraph:
 
     Raises NotPlainRdfError when some triple embeds another.
     """
-    for t in g:
-        if is_metadata_triple(t):
-            raise NotPlainRdfError(f"graph embeds a triple: {format_term(t)}")
+    first = min(metadata_triples(g), key=term_key, default=None)
+    if first is not None:
+        raise NotPlainRdfError(f"graph embeds a triple: {format_term(first)}")
     return g

@@ -23,11 +23,14 @@ from starpg import (
     Integer,
     Iri,
     Literal,
+    MappingConfig,
     Property,
     PropertyGraph,
     RdfStarGraph,
+    TemplateIriMapping,
     Text,
     Triple,
+    assign_vertex_identities,
     attribute_triples,
     canonicalize_bnodes,
     canonicalize_values,
@@ -378,3 +381,51 @@ def test_criterion_10_export_minimality():
     with criterion(10, "property graph export always yields minimal graphs"):
         for p in pg_corpus():
             assert is_minimal(pg_to_rdf_star(p))
+
+
+def test_criterion_11_pg_to_rdf_star_to_pg():
+    with criterion(11, "PG to RDF-star to PG keeps every vertex with a property or an edge"):
+        rng = random.Random(137)
+        vertex_ids = TemplateIriMapping("http://example.org/vertex/")
+        configs = [MappingConfig(), MappingConfig(vertex_id_strategy=vertex_ids)]
+        dropped = 0
+        start = time.perf_counter()
+        for _ in range(1000):
+            p = randgen.random_property_graph(rng)
+            for config in configs:
+                q = to_simple_pg(pg_to_rdf_star(p, config))
+                key, label = config.key_map.invert, config.label_map.invert
+
+                def unmapped(props):
+                    return {Property(key(Iri(x.key)), x.value) for x in props if x.key != "IRI"}
+
+                # The witness: each vertex's node term, then its vertex in q.
+                node_of = assign_vertex_identities(config.vertex_id_strategy, p)
+                incident = {p.source(e) for e in p.edges} | {p.target(e) for e in p.edges}
+                image = {}
+                for v in sorted(p.vertices):
+                    if not p.properties(v) and v not in incident:
+                        assert node_of[v] not in q.vertex_map
+                        dropped += 1
+                        continue
+                    w = image[v] = q.vertex_map[node_of[v]]
+                    assert unmapped(q.graph.properties(w)) == set(p.properties(v))
+                    iri = [x.value for x in q.graph.properties(w) if x.key == "IRI"]
+                    assert iri == ([Text(node_of[v].value)] if isinstance(node_of[v], Iri) else [])
+                assert len(set(image.values())) == len(image)
+                assert set(image.values()) == q.graph.vertices
+
+                edges = set()
+                for e in p.edges:
+                    f = q.edge_map[Triple(node_of[p.source(e)], config.label_map.apply(p.label(e)),
+                                          node_of[p.target(e)])]
+                    edges.add(f)
+                    assert (q.graph.source(f), q.graph.target(f)) == (
+                        image[p.source(e)], image[p.target(e)])
+                    assert label(Iri(q.graph.label(f))) == p.label(e)
+                    assert unmapped(q.graph.properties(f)) == set(p.properties(e))
+                assert len(edges) == len(p.edges)
+                assert edges == q.graph.edges
+        elapsed = time.perf_counter() - start
+        assert dropped > 0
+        assert elapsed < 60.0

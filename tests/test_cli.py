@@ -736,6 +736,29 @@ class TestFailureContract:
         assert [p.name for p in tmp_path.iterdir()] == ["out.ttls"]
         assert target.read_text(encoding="utf-8") == self.EARLIER
 
+    @pytest.mark.parametrize("target", ["", "missing/.."])
+    def test_a_path_that_resolves_to_the_working_directory_is_opened_in_place(
+            self, tmp_path, monkeypatch, capsys, target):
+        # Neither path names a file, but each resolves to the working
+        # directory: no file is made beside it, in its parent, and open
+        # words the error.
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path / "sub")
+        made = []
+        mkstemp = tempfile.mkstemp
+
+        def recording(*args, **kwargs):
+            made.append(kwargs.get("dir"))
+            return mkstemp(*args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkstemp", recording)
+        assert main(["unfold", ALICE_BOB, "-o", target]) == 2
+        assert capsys.readouterr() == (
+            "", f"i/o error: [Errno 2] No such file or directory: {target!r}\n")
+        assert made == []
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+        assert list((tmp_path / "sub").iterdir()) == []
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_output_pipe_is_written_in_place(self, tmp_path, capsys):
         assert main(["pg2rdf", KUBRICK]) == 0

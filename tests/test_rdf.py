@@ -651,6 +651,25 @@ class TestCanonicalLabelling:
             n = len(blank_node_labels(g))
             assert blank_node_labels(canon) == {f"b{i}" for i in range(1, n + 1)}
 
+    def test_one_skeleton_per_triple_that_holds_a_blank_node(self, monkeypatch):
+        # The unfolded graph embeds nothing, so every Triple passed to
+        # _skeleton is a top-level triple; the names and the knows triples
+        # between named persons are ground, and get no skeleton.
+        g = _anon_shaped(200)
+        hosts = [t for t in g.triples if BNode in (type(t.subject), type(t.object))]
+        assert 0 < len(hosts) < len(g)
+        built = []
+        skeleton = starpg.rdf._skeleton
+
+        def counting(x, labels):
+            if isinstance(x, Triple):
+                built.append(x)
+            return skeleton(x, labels)
+
+        monkeypatch.setattr(starpg.rdf, "_skeleton", counting)
+        canonicalize_bnodes(g)
+        assert Counter(built) == Counter(hosts)
+
     def test_rounds_on_a_100_level_reification_chain(self, refine_rounds):
         g = unfold_to_rdf(_nested_chain(100))
         n = len(blank_node_labels(g))

@@ -39,7 +39,7 @@ EXAMPLES = _examples()
 
 def test_every_example_is_found():
     assert [c.split()[0] for c, _ in EXAMPLES] == [
-        "check", "check", "rdf2pg", "pg2rdf", "unfold", "roundtrip"]
+        "check", "check", "rdf2pg", "pg2rdf", "unfold", "roundtrip", "roundtrip"]
 
 
 @pytest.mark.parametrize("command, shown", EXAMPLES, ids=[c for c, _ in EXAMPLES])

@@ -25,9 +25,11 @@ from starpg import (
     format_term,
     is_metadata_triple,
     isomorphic,
+    metadata_triples,
     nesting_depth,
     parse_turtle_star,
     serialize_turtle_star,
+    term_key,
     unfold_to_rdf,
 )
 import starpg.turtle
@@ -663,6 +665,7 @@ class TestUnfold:
     def test_plain_graph_unchanged(self):
         g = RdfStarGraph([Triple(S, P, O), Triple(S, Q, Literal("x"))])
         assert unfold_to_rdf(g) == g
+        assert unfold_to_rdf(g) is g
 
     def test_unfold_keeps_triples_it_does_not_change(self, alice_bob):
         # A top-level triple that embeds nothing goes into the result as
@@ -712,5 +715,9 @@ class TestEmbedPlainRdf:
         assert embed_plain_rdf(RdfStarGraph()) == RdfStarGraph()
 
     def test_rejects_nesting(self, alice_bob):
-        with pytest.raises(NotPlainRdfError):
+        # The message names the least metadata triple in term order.
+        assert len(metadata_triples(alice_bob)) == 2
+        first = min(metadata_triples(alice_bob), key=term_key)
+        with pytest.raises(NotPlainRdfError) as raised:
             embed_plain_rdf(alice_bob)
+        assert str(raised.value) == f"graph embeds a triple: {format_term(first)}"
