@@ -584,10 +584,10 @@ def _refine(p: _Partition, touched: set[int]) -> None:
 Rows = list[tuple[tuple, list[int]]]  # (skeleton, blank node ids in slot order) per triple
 
 
-def _host_rows(g: RdfStarGraph) -> tuple[list[str], Rows]:
+def _host_rows(g: RdfStarGraph, ground: list[Triple] | None = None) -> tuple[list[str], Rows]:
     """The blank node labels of g, and for each triple of g that holds
     one, its skeleton and the ids of its blank nodes, in slot order, into
-    the labels."""
+    the labels.  The other triples go to ground, when it is given."""
     ids: dict[str, int] = {}
     rows: Rows = []
     for t in g.triples:
@@ -595,6 +595,8 @@ def _host_rows(g: RdfStarGraph) -> tuple[list[str], Rows]:
             labels: list[str] = []
             skeleton = _skeleton(t, labels)
             rows.append((skeleton, [ids.setdefault(label, len(ids)) for label in labels]))
+        elif ground is not None:
+            ground.append(t)
     return list(ids), rows
 
 
@@ -780,6 +782,8 @@ def isomorphic(a: RdfStarGraph, b: RdfStarGraph) -> bool:
         return True
     if len(a) != len(b):
         return False
-    if not all(t in b.triples for t in a.triples if not _holds_bnode(t)):
+    ground: list[Triple] = []
+    host_a = _host_rows(a, ground)
+    if not all(t in b.triples for t in ground):
         return False
-    return _rows_isomorphic(*_host_rows(a), *_host_rows(b))
+    return _rows_isomorphic(*host_a, *_host_rows(b))

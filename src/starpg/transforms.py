@@ -294,8 +294,10 @@ def to_rdf_like_pg(g: RdfStarGraph, mode: str = "lenient") -> PgResult:
     runs in the same pass over g as the classification.
     """
     value, ordinary, metadata = _classify(g, mode, strong=False)
-    terms = {x for t in ordinary for x in (t.subject, t.object)}  # none a triple: conditions 1-3
-    vertex_map = {term: f"v{i}" for i, term in enumerate(sorted(terms, key=term_key), start=1)}
+    # The terms, none a triple (conditions 1-3), in a sorted list: their
+    # set is freed before the assembly, where a round trip peaks.
+    terms = sorted({x for t in ordinary for x in (t.subject, t.object)}, key=term_key)
+    vertex_map = {term: f"v{i}" for i, term in enumerate(terms, start=1)}
     edge_map = {t: f"e{i}" for i, t in enumerate(ordinary, start=1)}
 
     # Each vertex's properties, written in property_sort_key order: the
@@ -377,7 +379,7 @@ def from_rdf_like_pg(p: PropertyGraph) -> RdfStarGraph:
             except ValueError as exc:
                 raise MalformedRdfLikePgError(f"vertex {v!r}: {exc}") from exc
 
-    triples: set[Triple] = set()
+    triples: list[Triple] = []
     annotated: set[Triple] = set()
     for e in sorted(p.edges):
         subject = term_map[p.source(e)]
@@ -388,20 +390,24 @@ def from_rdf_like_pg(p: PropertyGraph) -> RdfStarGraph:
             raise MalformedRdfLikePgError(f"edge {e!r} label is not a valid IRI: {p.label(e)!r}")
         t = Triple(subject, predicate, term_map[p.target(e)])
         props = p.properties(e)
-        (annotated if props else triples).add(t)
+        if props:
+            annotated.add(t)
+        else:
+            triples.append(t)
         for prop in props:
             key_iri = iri_of(prop.key)
             if key_iri is None:
                 raise MalformedRdfLikePgError(
                     f"edge {e!r} property key is not a valid IRI: {prop.key!r}"
                 )
-            triples.add(Triple(t, key_iri, literal_of(prop.value)))
+            triples.append(Triple(t, key_iri, literal_of(prop.value)))
 
     # Metadata embeds only the triples of edges with properties, so leaving
     # those out at top level, also where a parallel bare edge asserts one,
-    # makes the result minimal as it is built.
-    triples -= annotated
-    return RdfStarGraph(triples)
+    # makes the result minimal as it is built.  A list, not a set, holds
+    # the triples until then: the graph's frozenset is the only table of
+    # them, not a copy of another at the peak of a round trip.
+    return RdfStarGraph(t for t in triples if t not in annotated)
 
 
 def to_simple_pg(g: RdfStarGraph, mode: str = "lenient") -> PgResult:
@@ -455,20 +461,21 @@ def pg_to_rdf_star(p: PropertyGraph, config: MappingConfig | None = None) -> Rdf
 
     node_of = assign_vertex_identities(config.vertex_id_strategy, p)
     # The term tables: one IRI per distinct key and label, one literal per
-    # distinct value.  The triples go into a set, so no order is needed.
+    # distinct value.  The triples go into a list, in no order, so that the
+    # graph's frozenset is the only table of them.
     key_iri, label_iri = cache(config.key_map.apply), cache(config.label_map.apply)
     literal_of = cache(value_to_literal)
-    triples: set[Triple] = set()
+    triples: list[Triple] = []
     for v in p.vertices:
         for prop in p.properties(v):
-            triples.add(Triple(node_of[v], key_iri(prop.key), literal_of(prop.value)))
+            triples.append(Triple(node_of[v], key_iri(prop.key), literal_of(prop.value)))
     for e in p.edges:
         edge_triple = Triple(node_of[p.source(e)], label_iri(p.label(e)), node_of[p.target(e)])
         edge_properties = p.properties(e)
         for prop in edge_properties:
-            triples.add(Triple(edge_triple, key_iri(prop.key), literal_of(prop.value)))
+            triples.append(Triple(edge_triple, key_iri(prop.key), literal_of(prop.value)))
         if not edge_properties:
-            triples.add(edge_triple)
+            triples.append(edge_triple)
     return RdfStarGraph(triples)
 
 

@@ -9,10 +9,25 @@ else (collections, blank node property lists, triple-quoted strings,
 @base, deeper nesting) is a parse error with a 1-based line/column
 diagnostic.
 
-The parser is a recursive descent over tokens.  One master regex with a
-named group per token kind finds each token after its whitespace and
-comments; it runs lazily under re.finditer, so the parser holds one
-token at a time and no token list is built.
+A statement of one triple is read with one match of a statement
+pattern.  Its subject is a prefixed name, an <IRI>, a blank node, or
+<< >> around three of those with a name in the middle; its predicate a
+prefixed name or an <IRI>; its object a name, a blank node, a plain
+string or a bare number that does not start with '.'.  Of the writer's
+own lines, those with a language tag, a datatype, a boolean, a '.5'
+number, a literal inside << >>, an embedded object or deeper nesting do
+not take that path; all others do.
+
+Everything else, errors included, goes through the tokens: a recursive
+descent in which one master regex with a named group per token kind
+finds each token after its whitespace and comments.  It runs lazily
+under re.finditer, so the parser holds one token at a time and no token
+list is built.  A statement whose match fails, or whose match names an
+unknown prefix or an invalid IRI, is read again by the tokens from its
+start, so every error and its position come from the tokens.  Such a
+statement costs a failed match more than the tokens alone would, so a
+document written in ; or , lists parses a little slower than it would
+by tokens only.
 
 Serialization is deterministic: prefixes sorted by label, one triple per
 line in term order, blank nodes renumbered b1, b2, ... by the canonical
@@ -96,7 +111,8 @@ _ESCAPE_RE = re.compile(r"\\(.)")
 # Turtle constructs outside the subset, by the character their object starts with.
 _UNSUPPORTED = {"'": "single-quoted strings", "[": "blank node property lists",
                 "(": "collections"}
-_IRIREF_RE = re.compile(r"<[^>\n]*>?")  # without its '>', an unterminated IRI
+_IRIREF = r"<[^>\n]*>"
+_IRIREF_RE = re.compile(rf"{_IRIREF}?")  # without its '>', an unterminated IRI
 _STRING_BODY_RE = re.compile(
     rf'[^"\\\n\r]*(?:\\[{re.escape("".join(_ESCAPES))}][^"\\\n\r]*)*')
 # One match: the trivia before a token, then the token, whose kind is the
@@ -117,6 +133,31 @@ _TOKEN_RE = re.compile(
     r"|(?P<END>\Z)|(?P<CHAR>.))",
     re.DOTALL,
 )
+# One match: a whole statement "subject predicate object ." with the
+# trivia before each token, cut into the tokens _TOKEN_RE would cut.  A
+# node is a prefixed name, an <IRI> or a blank node; the subject is a node
+# or << node name node >>, the predicate a name, and the object a node, a
+# plain string or a number.  A name or label ends where its token ends; a
+# number is the token _TOKEN_RE takes, held by the lookahead so that a
+# later failure cannot shorten it; a string has no tag or datatype after
+# it.  A comment here always has a token after it, so it ends at its
+# newline.  The groups are the embedded subject, predicate and object,
+# the subject node, the predicate, the object node, the string body and
+# the number.  The parser compiles it when it first runs: re.compile keeps
+# what it compiled, and a command that reads no Turtle-star never pays.
+_T = r"[ \t\r\n]*(?:#[^\n]*\n[ \t\r\n]*)*"
+_NAME = rf"(?:{_PREFIX_RE.pattern})?:{_LOCAL_RE.pattern}(?![A-Za-z0-9_-])|(?!<<){_IRIREF}"
+_NODE = rf"{_NAME}|_:{_BNODE_LABEL_RE.pattern}(?![A-Za-z0-9_-])"
+_STATEMENT = (
+    rf"{_T}(?:<<{_T}({_NODE}){_T}({_NAME}){_T}({_NODE}){_T}>>|({_NODE}))"
+    rf'{_T}({_NAME}){_T}(?:({_NODE})|"(?!"")({_STRING_BODY_RE.pattern})"(?![@^])'
+    rf"|(?=(?!\.)(?P<n>{_NUMBER_RE.pattern}))(?P=n)){_T}\."
+)
+
+
+def _unescape(lex: str) -> str:
+    """The string a string token's body stands for."""
+    return _ESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], lex) if "\\" in lex else lex
 
 
 def _number_datatype(lex: str) -> str:
@@ -128,9 +169,11 @@ def _number_datatype(lex: str) -> str:
 
 
 class _Parser:
-    """Recursive descent over the tokens of _TOKEN_RE: the parser holds
-    the current match and takes the next only when it moves on.  Line and
-    column are computed from a token's start when an error is raised."""
+    """One _STATEMENT match per statement of one triple, and recursive
+    descent over the tokens of _TOKEN_RE for the rest: there the parser
+    holds the current match and takes the next only when it moves on.
+    Line and column are computed from a token's start when an error is
+    raised."""
 
     def __init__(self, text: str) -> None:
         self.text = text
@@ -144,7 +187,6 @@ class _Parser:
         self.literals: dict[tuple, Literal] = {}
         self.pnames: dict[str, Iri] = {}
         self.depth = 0  # << >> levels open at the current token
-        self.scan_from(0)
 
     # -- tokens --------------------------------------------------------
 
@@ -182,12 +224,60 @@ class _Parser:
     # -- grammar -------------------------------------------------------
 
     def parse(self) -> tuple[RdfStarGraph, dict[str, str]]:
-        while self.kind != "END":
+        """Read a statement of one triple with one _STATEMENT match, and
+        anything else with the tokens.  When the match fails or a term
+        raises (an unknown prefix, an invalid IRI), the tokens read that
+        statement again from the same position, with their own error.
+        When the tokens have just read the statement before, they go on
+        from the token they hold instead of starting again."""
+        text, add, node = self.text, self.triples.add, self.node
+        xsd_string = self.iri(XSD_STRING)
+        match = re.compile(_STATEMENT).match
+        pos, tokens_at = 0, -1  # tokens_at: where the token the tokens hold starts
+        while True:
+            m = match(text, pos)
+            if m is not None:
+                es, ep, eo, s, p, o, lex, number = m.groups()
+                try:
+                    s = Triple(node(es), node(ep), node(eo)) if s is None else node(s)
+                    p = node(p)
+                    if o is not None:
+                        o = node(o)
+                    elif lex is not None:
+                        o = self.literal(_unescape(lex), xsd_string)
+                    else:
+                        o = self.literal(number, self.iri(_number_datatype(number)))
+                except (KeyError, ValueError):
+                    pass
+                else:
+                    add(Triple(s, p, o))
+                    pos = m.end()
+                    continue
+            if pos != tokens_at:
+                self.scan_from(pos)
+            if self.kind == "END":
+                return RdfStarGraph(self.triples), dict(self.prefixes)
             if self.kind == "AT":
                 self.directive()
             else:
                 self.statement()
-        return RdfStarGraph(self.triples), dict(self.prefixes)
+            pos = tokens_at = self.m.start()
+
+    def node(self, token: str) -> Iri | BNode:
+        """The term of a prefixed name, <IRI> or blank node token of
+        _STATEMENT; raises KeyError for an unknown prefix and
+        ValueError for an invalid IRI."""
+        iri = self.pnames.get(token)
+        if iri is not None:
+            return iri
+        if token[0] == "<":
+            return self.iri(token[1:-1])
+        if token[0] == "_":
+            return BNode(token[2:])
+        label, _, local = token.partition(":")
+        # A declared namespace is a valid IRI, and so is any local name after it.
+        iri = self.pnames[token] = self.iri(self.prefixes[label] + local)
+        return iri
 
     def directive(self) -> None:
         word = self.m["AT"][1:]
@@ -326,14 +416,12 @@ class _Parser:
         predicate and a boolean as an object."""
         m, kind = self.m, self.kind
         if kind == "PNAME":
-            token = m[kind]
-            iri = self.pnames.get(token)
+            try:
+                iri = self.node(m[kind])
+            except KeyError:
+                iri = None  # raised below, so the KeyError is not its context
             if iri is None:
-                label, _, local = token.partition(":")
-                if label not in self.prefixes:
-                    self.error(f"unknown prefix {label!r}")
-                # A declared namespace is a valid IRI, and so is any local name after it.
-                iri = self.pnames[token] = self.iri(self.prefixes[label] + local)
+                self.error(f"unknown prefix {m[kind].partition(':')[0]!r}")
             self.advance()
             return iri
         if kind == "WORD":
@@ -362,9 +450,7 @@ class _Parser:
 
     def string_literal(self) -> Literal:
         m = self.m
-        lex = m["lex"]
-        if "\\" in lex:
-            lex = _ESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], lex)
+        lex = _unescape(m["lex"])
         language, datatype = m["lang"], m["dt"]
         self.advance()
         if language is not None:

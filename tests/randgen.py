@@ -143,6 +143,29 @@ def random_triple(rng: random.Random, depth: int = 0) -> Triple:
     )
 
 
+def random_one_level_graph(rng: random.Random, max_triples: int = 20) -> RdfStarGraph:
+    """A graph of nodes, plain strings and numbers alone, whose subjects
+    nest at most one level and whose objects never do: the statements the
+    Turtle-star parser reads with one match."""
+    def node_object():
+        r = rng.random()
+        if r < 0.25:
+            return Literal(rng.choice(_STRINGS))
+        if r < 0.4:
+            return value_to_literal(Integer(rng.randrange(-1000, 1000)))
+        if r < 0.5:
+            return value_to_literal(Double(rng.choice(_DOUBLES)))
+        return _node(rng)
+
+    def subject():
+        if rng.random() < 0.3:
+            return Triple(_node(rng), rng.choice(PREDICATES), _node(rng))
+        return _node(rng)
+
+    n = rng.randrange(0, max_triples + 1)
+    return RdfStarGraph(Triple(subject(), rng.choice(PREDICATES), node_object()) for _ in range(n))
+
+
 def random_rdf_star_graph(rng: random.Random, max_triples: int = 20) -> RdfStarGraph:
     n = rng.randrange(0, max_triples + 1)
     return RdfStarGraph(random_triple(rng, rng.randrange(0, 3)) for _ in range(n))

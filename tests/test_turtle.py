@@ -1,4 +1,5 @@
 import random
+import re
 
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -340,6 +341,13 @@ class TestParseErrors:
         self.check(f"@prefix ex: <{EX}> .\nex:a ex:b nope:c .",
                    "unknown prefix", line=2, column=11)
 
+    @pytest.mark.parametrize("text", ["ex:a ex:b ex:c .", "ex:a ex:b ex:c ; ex:d ex:e ."])
+    def test_unknown_prefix_is_raised_without_a_context(self, text):
+        # A caller's traceback shows the parse error alone, not the lookup
+        # that failed inside the parser.
+        err = self.check(text, "unknown prefix", line=1, column=1)
+        assert err.__context__ is None
+
     def test_unterminated_iri(self):
         self.check(f"<{EX}s> <{EX}p> <http://example.org/never", "unterminated")
 
@@ -440,6 +448,23 @@ def _outcome(parse_fn, text: str):
         return exc.line, exc.column, exc.message
 
 
+# Tokens of the kinds one match reads, and tokens near them, for each
+# position of a one-triple statement, each after a gap drawn from _GAP.
+_GAP = st.sampled_from(["", " ", "\n", "# c\n", "#ex:p 1 .\n"])
+_ONE_TRIPLE_TERMS = [
+    st.sampled_from(["ex:s", f"<{EX}s>", "_:b1", "<<ex:a ex:b ex:c>>", "<<_:b1 ex:b <e:c>>>",
+                     "zz:s", "<bad iri>", "_:b-1", '"x"', "1", "ex:abc:d", "ex:o-", "a",
+                     '<<ex:a ex:b "lit">>', "<<ex:a ex:b ex:c", "<<<<ex:a ex:b ex:c>> ex:b ex:c>>"]),
+    st.sampled_from(["ex:p", f"<{EX}p>", "a", "_:p", "zz:p", "ex:p:q", "<<ex:a ex:b ex:c>>"]),
+    st.sampled_from(["ex:o", "_:b1x", '"x"', '"a\\"b\\n"', '""', "12", "1.5", "1.e3", "-3",
+                     "+2E5", ".5", "1.5ex:t", '"x"@en', '"x"^^ex:t', "<bad iri>", "ex:o-", "true",
+                     '"""x"""', '"x"^', "1" * 500, "_:b_", "<<ex:a ex:b ex:c>>"]),
+    st.sampled_from([".", ";", ",", ".5", ">>", ""]),
+]
+_ONE_TRIPLE_STATEMENT = st.tuples(*(st.tuples(_GAP, term) for term in _ONE_TRIPLE_TERMS)).map(
+    lambda parts: "".join(gap + token for gap, token in parts))
+
+
 class TestParserOracle:
     """parse_turtle_star against the character-level parser it replaced
     (tests/turtle_oracle.py): the same graph and prefixes, or the same
@@ -467,6 +492,47 @@ class TestParserOracle:
     def test_data_files(self, data_dir):
         for path in sorted(data_dir.glob("*.ttls")):
             self.check(path.read_text(encoding="utf-8"))
+
+    # Statements near the shapes one match reads: each must give the
+    # graph or the error the tokens give.
+    @pytest.mark.parametrize("statement", [
+        "ex:s ex:p 1.5ex:t .", "ex:s ex:p ex:abc:d .", "ex:s ex:p 12.", "ex:s ex:p 1.5.",
+        "ex:s ex:p 1.e3 .", "ex:s ex:p .5 .", "ex:s ex:p ex:o.ex:t ex:p ex:o .",
+        "ex:s#c\nex:p ex:o .", 'ex:s ex:p "x"@en .', 'ex:s ex:p "x"^^ex:t .',
+        "ex:s ex:p <bad iri> .", "zz:s ex:p ex:o .", "ex:s ex:p _:b1x.",
+        '<<ex:a ex:b "lit">> ex:p 1 .', "ex:s ex:p ex:o-.", "ex:s #ex:p ex:o .\nex:q",
+    ])
+    def test_near_misses(self, statement):
+        self.check(_PREFIX + statement)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_ONE_TRIPLE_STATEMENT, max_size=6))
+    def test_one_triple_statements(self, statements):
+        self.check(_PREFIX + "".join(statements))
+
+    @pytest.mark.parametrize("trivia", [" " * 200_000, "# c\n" * 50_000])
+    @pytest.mark.parametrize("statement", ["ex:s ex:p ex:o ; ex:q 1 .", "ex:s ex:p ex:o ex:q ."])
+    def test_long_trivia_before_a_statement_one_match_cannot_read(self, trivia, statement):
+        # No time bound: a trivia pattern that backtracks exponentially
+        # would not finish.
+        self.check(_PREFIX + trivia + statement)
+
+
+class TestOneMatchStatements:
+    """The writer's lines of the shapes one match reads: every such line
+    is one full match of the statement pattern, so a change that sends
+    them to the tokens fails here, not only in the benchmark."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("prefixes", [{}, {"ex": EX}])
+    def test_every_written_line_is_one_match(self, seed, prefixes):
+        statement = re.compile(starpg.turtle._STATEMENT)
+        g = randgen.random_one_level_graph(random.Random(seed))
+        text = serialize_turtle_star(g, prefixes)
+        for line in text.splitlines():
+            if line and not line.startswith("@prefix"):
+                assert statement.fullmatch(line), line
+        assert parse(text) == canonicalize_bnodes(g)
 
 
 class TestSerialize:
