@@ -320,9 +320,9 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
         return 0
     want = canonicalize_bnodes(prepared).triples
     got = canonicalize_bnodes(back).triples
-    difference = sorted(want ^ got, key=term_key)
-    side = "missing" if difference[0] in want else "unexpected"
-    _write([f"round-trip mismatch, {side} triple: {format_term(difference[0])}\n"],
+    first = min(want ^ got, key=term_key)
+    side = "missing" if first in want else "unexpected"
+    _write([f"round-trip mismatch, {side} triple: {format_term(first)}\n"],
            stream=sys.stderr)
     return 1
 

@@ -205,11 +205,12 @@ class RdfStarGraph:
     """An immutable set of RDF-star triples.
 
     Iteration yields triples in the deterministic term order, so derived
-    listings and serializations are stable across runs.  The order is
-    sorted on first iteration and kept, so later iterations cost O(n).
+    listings and serializations are stable across runs.  Each iteration
+    sorts the triples anew, into a list the graph does not keep; code that
+    needs no order walks the set, .triples.
     """
 
-    __slots__ = ("_triples", "_order")
+    __slots__ = ("_triples",)
 
     def __init__(self, triples: Iterable[Triple] = ()) -> None:
         tset = frozenset(triples)
@@ -217,16 +218,13 @@ class RdfStarGraph:
             if not isinstance(t, Triple):
                 raise TypeError(f"graph element is not a Triple: {t!r}")
         self._triples = tset
-        self._order: tuple[Triple, ...] | None = None
 
     @property
     def triples(self) -> frozenset[Triple]:
         return self._triples
 
     def __iter__(self) -> Iterator[Triple]:
-        if self._order is None:
-            self._order = tuple(sorted(self._triples, key=term_key))
-        return iter(self._order)
+        return iter(sorted(self._triples, key=term_key))
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -351,7 +349,8 @@ def subject_object_nodes(g: RdfStarGraph) -> frozenset[Iri | BNode]:
 
 def blank_node_labels(g: RdfStarGraph) -> frozenset[str]:
     """Labels of every blank node occurring anywhere in g."""
-    return frozenset(x.label for t in g.triples for x in _terms(t) if isinstance(x, BNode))
+    return frozenset(x.label for t in g.triples if _holds_bnode(t)
+                     for x in _terms(t) if isinstance(x, BNode))
 
 
 def _holds_bnode(x: Term) -> bool:

@@ -146,9 +146,9 @@ def literal_valuer(mode: str) -> Valuer:
 
 def _check(g: RdfStarGraph, strong: bool,
            value: Valuer) -> tuple[ConvertibilityReport, list[Triple], list[Triple]]:
-    """Both convertibility checks in one pass over g in term order, which
-    also classifies g: returns the report, g's embedding-free triples and
-    g's metadata triples, both lists in term order.
+    """Both convertibility checks in one pass over the set of g's triples,
+    which also classifies g: returns the report, whose violations alone
+    are sorted, and g's embedding-free and metadata triples, in no order.
 
     The pass records, for each embedded triple with a literal object, the
     top-level triples that host it, so the strong condition costs no
@@ -158,7 +158,7 @@ def _check(g: RdfStarGraph, strong: bool,
     plain: list[Triple] = []
     metadata: list[Triple] = []
     hosts: dict[Triple, list[Triple]] = defaultdict(list)
-    for t in g:
+    for t in g.triples:
         if not is_metadata_triple(t):
             plain.append(t)
             # Its only possible literal is its object; it embeds nothing.
@@ -190,9 +190,10 @@ def _check(g: RdfStarGraph, strong: bool,
             for e in mentioned:
                 if isinstance(e, Triple) and isinstance(e.object, Literal):
                     hosts[e].append(t)
+    violations.sort(key=lambda v: term_key(v.triple))  # stable, so 1, 3, 2, 4 per triple
     for e in sorted(hosts, key=term_key):
         reason = f"embeds attribute triple with object {_literal_note(e.object)}"
-        violations.extend(Violation(t, "strong", reason) for t in hosts[e])
+        violations.extend(Violation(t, "strong", reason) for t in sorted(hosts[e], key=term_key))
     return ConvertibilityReport(tuple(violations)), plain, metadata
 
 
@@ -202,9 +203,9 @@ def check_pg_convertible(g: RdfStarGraph, mode: str = "lenient") -> Convertibili
     no nested metadata, metadata objects are literals, and every mentioned
     literal carries a property value in the given mode.
 
-    One pass over g, linear in its size.  Violations come in graph order;
-    per triple, conditions 1, 3, 2, then 4 per literal in term order.
-    Each distinct literal is valued once.
+    One pass over g, linear in its size, then a sort of the violations
+    into the term order of their triples; per triple, conditions 1, 3, 2,
+    then 4 per literal in term order.  Each distinct literal is valued once.
     """
     return _check(g, False, literal_valuer(mode))[0]
 
@@ -213,10 +214,10 @@ def check_strongly_pg_convertible(g: RdfStarGraph, mode: str = "lenient") -> Con
     """As check_pg_convertible, plus: no embedded triple has a literal
     object (metadata may only annotate relationship triples).
 
-    The same single pass, n log n overall.  The violations of
-    check_pg_convertible come first; then one "strong" violation per
-    hosting top-level triple, by term order of the embedded attribute
-    triple and, for each, by host in graph order.
+    The same pass, then a sort of the violations and of each attribute
+    triple's hosts.  The violations of check_pg_convertible come first;
+    then one "strong" violation per hosting top-level triple, by term
+    order of the embedded attribute triple, then of the host.
     """
     return _check(g, True, literal_valuer(mode))[0]
 
@@ -225,18 +226,18 @@ def _classify(g: RdfStarGraph, mode: str,
               strong: bool) -> tuple[Valuer, list[Triple], list[Triple]]:
     """The prologue of both RDF-to-PG transforms: one checked pass over g.
 
-    Returns the valuer the pass filled, g's ordinary triples and g's
-    metadata triples, both in term order, or raises with the report.  By
-    conditions 1-3 every metadata triple is <<plain>> p literal, so the
-    ordinary triples are the embedding-free ones plus the embedded
-    subjects g does not assert; only those need merging in.
+    Returns the valuer the pass filled, g's ordinary triples in term
+    order, which fixes the edge ids, and g's metadata triples in no
+    particular order, or raises with the report.  By conditions 1-3 every
+    metadata triple is <<plain>> p literal, so the ordinary triples are
+    the embedding-free ones plus the embedded subjects g does not assert.
     """
     value = literal_valuer(mode)
     report, plain, metadata = _check(g, strong, value)
     if not report.convertible:
         raise (NotStronglyConvertibleError if strong else NotConvertibleError)(report)
     unasserted = {m.subject for m in metadata} - g.triples
-    ordinary = sorted([*plain, *unasserted], key=term_key) if unasserted else plain
+    ordinary = sorted([*plain, *unasserted], key=term_key)
     return value, ordinary, metadata
 
 

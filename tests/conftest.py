@@ -7,6 +7,7 @@ import pytest
 from starpg import (
     XSD_DECIMAL,
     XSD_INTEGER,
+    BNode,
     Double,
     Integer,
     Iri,
@@ -48,6 +49,42 @@ def build_alice_bob() -> RdfStarGraph:
 def build_alice_bob_reduced() -> RdfStarGraph:
     """The strongly convertible subgraph: the age annotation dropped."""
     return RdfStarGraph([KNOWS_CERTAINTY, NAME_ALICE, NAME_BOB])
+
+
+def _ex(local: str) -> Iri:
+    return Iri(EX + local)
+
+
+# Embedded attribute triples, each hosted by several metadata triples.
+MULTI_HOST_ATTRIBUTES = (
+    Triple(ALICE, AGE, Literal("31", Iri(XSD_INTEGER))),
+    Triple(BOB, NAME, Literal("Bob")),
+    Triple(BNode("x1"), _ex("score"), Literal("0.25", Iri(XSD_DECIMAL))),
+)
+
+# One violator of each of conditions 1-4, in that order.
+MULTI_HOST_VIOLATORS = (
+    Triple(Triple(MULTI_HOST_ATTRIBUTES[0], _ex("by"), Literal("census")), _ex("seen"),
+           Literal("twice")),
+    Triple(ALICE, _ex("says"), Triple(BOB, NAME, Literal("Robert"))),
+    Triple(KNOWS_TRIPLE, _ex("via"), BOB),
+    Triple(ALICE, NAME, Literal("Alicia", language="es")),
+)
+
+
+def build_multi_host() -> RdfStarGraph:
+    """Three embedded attribute triples with three or four hosts each
+    (the violator of condition 1 is the fourth host of the first), an
+    annotated relationship, plain triples, and one violator of each of
+    conditions 1-4: the order of the "strong" violations depends on how
+    each attribute triple's hosts are sorted."""
+    hosts = [
+        Triple(e, _ex(f"h{j}"), Literal(f"{i}.{j}", Iri(XSD_DECIMAL)))
+        for i, e in enumerate(MULTI_HOST_ATTRIBUTES)
+        for j in range(3 + i % 2)
+    ]
+    plain = [KNOWS_TRIPLE, NAME_ALICE, Triple(BNode("x1"), KNOWS, ALICE)]
+    return RdfStarGraph([*hosts, *plain, KNOWS_CERTAINTY, *MULTI_HOST_VIOLATORS])
 
 
 def build_kubrick_pg() -> PropertyGraph:

@@ -37,7 +37,7 @@ from starpg import (
 import starpg.cli
 from starpg.cli import main
 from starpg.turtle import MAX_NESTING_DEPTH
-from conftest import DATA_DIR, EX, build_kubrick_pg
+from conftest import DATA_DIR, EX, MULTI_HOST_VIOLATORS, build_kubrick_pg, build_multi_host
 from randgen import random_convertible_graph, random_property_graph
 
 ALICE_BOB = str(DATA_DIR / "alice_bob.ttls")
@@ -989,6 +989,55 @@ class TestCollector:
             gc.set_debug(0)
             gc.garbage.clear()
         assert ours == []
+
+
+# Runs starpg.cli.main in-process for each argv read as JSON from stdin,
+# and prints the exit code, stdout and stderr of each as JSON.
+_MAIN_PER_ARGV = """
+import contextlib, io, json, sys
+from starpg.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+class TestHashSeedDeterminism:
+    def test_every_command_gives_the_same_bytes_under_two_hash_seeds(self, tmp_path):
+        multi = build_multi_host()
+        clean = RdfStarGraph(multi.triples - set(MULTI_HOST_VIOLATORS))
+        turtle = sorted(str(p) for p in DATA_DIR.glob("*.ttls"))
+        for name, g in (("multi_host.ttls", multi), ("multi_host_clean.ttls", clean)):
+            (tmp_path / name).write_text(serialize_turtle_star(g), encoding="utf-8")
+            turtle.append(str(tmp_path / name))
+        rdf_like = tmp_path / "multi_host.pg.json"
+        rdf_like.write_text(serialize_pg_json(to_rdf_like_pg(clean).graph), encoding="utf-8")
+        argvs = []
+        for path in turtle:
+            argvs += [["check", path, "--level", level, "--report", report]
+                      for level in ("minimal", "convertible", "strong")
+                      for report in ("text", "json")]
+            argvs += [["rdf2pg", path, "--mode", mode] for mode in ("rdf-like", "simple")]
+            argvs += [["unfold", path]]
+            argvs += [["roundtrip", path, "--report", report] for report in ("text", "json")]
+        for path in (KUBRICK, str(rdf_like)):
+            argvs += [["pg2rdf", path], ["pg2rdf", path, "--vertex-ids", f"iri:{EX}v/"]]
+
+        def run(seed: str) -> list:
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": str(Path(starpg.__file__).parent.parent)}
+            result = subprocess.run([sys.executable, "-c", _MAIN_PER_ARGV],
+                                    input=json.dumps(argvs), capture_output=True, text=True,
+                                    env=env, check=True)
+            return json.loads(result.stdout)
+
+        first = run("1")
+        assert {code for code, _, _ in first} == {0, 1}
+        assert first == run("2")
 
 
 class TestEndToEnd:

@@ -58,6 +58,7 @@ from conftest import (
     NAME_ALICE,
     NAME_BOB,
     assert_ordered_properties,
+    build_multi_host,
 )
 import randgen
 
@@ -176,6 +177,8 @@ class TestStrongConvertibility:
         graphs = [randgen.random_rdf_star_graph(rng) for _ in range(300)]
         graphs += [randgen.random_convertible_graph(rng) for _ in range(200)]
         graphs += [randgen.random_convertible_graph(rng, strong=True) for _ in range(100)]
+        # None of the drawn graphs has an attribute triple with two hosts.
+        graphs.append(build_multi_host())
         for g in graphs:
             for mode in ("lenient", "strict"):
                 want = _rescan_oracle(g, mode)
