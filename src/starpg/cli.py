@@ -47,6 +47,7 @@ from .transforms import (
     MalformedRdfLikePgError,
     NotEdgeUniqueError,
     NotPropertyUniqueError,
+    Violation,
     canonicalize_values,
     check_pg_convertible,
     check_strongly_pg_convertible,
@@ -115,7 +116,7 @@ def _read(path: str) -> str:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputEncodingError(
-            f"{path}: invalid UTF-8 at byte offset {exc.start}: {exc.reason}"
+            f"{path!r}: invalid UTF-8 at byte offset {exc.start}: {exc.reason}"
         ) from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
@@ -249,17 +250,13 @@ def cmd_check(args: argparse.Namespace) -> int:
     _check_format(args.input, "turtle-star", args.from_format, "input")
     graph, _ = parse_turtle_star(_read(args.input))
     if args.level == "minimal":
-        entries = [
-            {
-                "condition": "redundant",
-                "reason": "top-level triple also occurs embedded",
-                "triple": format_term(t),
-            }
-            for t in sorted(redundant_triples(graph), key=term_key)
-        ]
+        report = ConvertibilityReport(tuple(
+            Violation(t, "redundant", "top-level triple also occurs embedded")
+            for t in sorted(redundant_triples(graph), key=term_key)))
     else:
         checker = check_pg_convertible if args.level == "convertible" else check_strongly_pg_convertible
-        entries = _convertibility_entries(checker(graph, args.literal_mode))
+        report = checker(graph, args.literal_mode)
+    entries = _convertibility_entries(report)
     _write(["OK\n"] if args.report == "text" and not entries
            else _violation_report(entries, args.report))
     return 0 if not entries else 1

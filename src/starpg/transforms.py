@@ -42,6 +42,7 @@ from .rdf import (
     mentioned_terms,
     term_key,
 )
+from .turtle import _quote
 
 # Reserved vertex property keys of the RDF-like encoding.  None of them is
 # a valid absolute IRI, so they cannot collide with mapped predicate keys.
@@ -131,9 +132,10 @@ class NotEdgeUniqueError(ValueError):
 
 
 def _literal_note(l: Literal) -> str:
+    """l in typed form, its lexical form quoted as the writer quotes it."""
     if l.language is not None:
-        return f'"{l.lexical_form}"@{l.language}'
-    return f'"{l.lexical_form}"^^<{l.datatype.value}>'
+        return f"{_quote(l.lexical_form)}@{l.language}"
+    return f"{_quote(l.lexical_form)}^^<{l.datatype.value}>"
 
 
 Valuer = Callable[[Literal], Union[PropertyValue, None]]

@@ -445,7 +445,8 @@ class _Parser:
             self.error("triple-quoted strings are not supported")
         end = _STRING_BODY_RE.match(self.text, at + 1).end()
         if self.text.startswith("\\", end):
-            self.error(f"unsupported escape \\{self.text[end + 1:end + 2]}", end)
+            char = self.text[end + 1:end + 2]
+            self.error(f"unsupported escape \\{char if char.isprintable() else repr(char)}", end)
         self.error("unterminated string literal")
 
     def string_literal(self) -> Literal:

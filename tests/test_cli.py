@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import shutil
 import stat
 import subprocess
@@ -20,7 +21,10 @@ from starpg import (
     RDF,
     DEFAULT_EDGE_LABEL_PREFIX,
     DEFAULT_PROPERTY_KEY_PREFIX,
+    ConvertibilityError,
     Integer,
+    Iri,
+    Literal,
     Property,
     PgResult,
     PropertyGraph,
@@ -32,6 +36,7 @@ from starpg import (
     serialize_turtle_star,
     term_key,
     to_rdf_like_pg,
+    to_simple_pg,
     unfold_to_rdf,
 )
 import starpg.cli
@@ -549,6 +554,119 @@ class TestViolationReports:
         assert capsys.readouterr().out == ""
         assert len(json.loads(stream.getvalue())["violations"]) == 200
         assert len(stream.writes) == 1
+
+
+# Literals whose lexical forms hold a newline, a tab, a quote and a
+# backslash: two outside the value mapping at top level (condition 4), one
+# as a metadata object (condition 4), and a string in an annotated
+# attribute triple (the strong condition).
+_AWKWARD_LITERALS = (
+    Literal('a\nb"c', Iri(f"{EX}dt")),
+    Literal("t\tu\\v", language="en"),
+    Literal('q"\\\n', Iri(f"{EX}dt")),
+    Literal('s\t"\\\nx'),
+)
+_AWKWARD = (
+    rf'<{EX}s1> <{EX}p> "a\nb\"c"^^<{EX}dt> .' "\n"
+    rf'<{EX}s2> <{EX}p> "t\tu\\v"@en .' "\n"
+    rf'<<<{EX}s3> <{EX}p> <{EX}o>>> <{EX}q> "q\"\\\n"^^<{EX}dt> .' "\n"
+    rf'<<<{EX}s4> <{EX}age> "s\t\"\\\nx">> <{EX}q> 0.5 .' "\n"
+)
+_REPORT_LINE = re.compile(r"\[(\w+)\] (.*?): (<<.*>>)")
+_LITERAL_REASON = re.compile(
+    r"literal (.*) has no property value|embeds attribute triple with object (.*)")
+
+
+class TestReportLines:
+    """Each violation and each diagnostic is one line, whatever text it
+    quotes, and a literal in a reason reads back as the same literal."""
+
+    @pytest.mark.parametrize("argv, count", [
+        (["check"], 3),
+        (["check", "--level", "strong"], 4),
+        (["check", "--level", "convertible", "--report", "json"], 3),
+        (["check", "--level", "strong", "--report", "json"], 4),
+        (["rdf2pg", "--mode", "simple"], 4),
+        (["rdf2pg", "--mode", "simple", "--report", "json"], 4),
+        (["roundtrip"], 3),
+        (["roundtrip", "--report", "json"], 3),
+    ], ids=lambda x: "-".join(x) if isinstance(x, list) else str(x))
+    def test_each_violation_is_one_line(self, ttls, capsys, argv, count):
+        assert main([argv[0], ttls(_AWKWARD), *argv[1:]]) == 1
+        out, err = capsys.readouterr()
+        # check reports on standard output, a failed transform on standard error
+        text, other = (out, err) if argv[0] == "check" else (err, out)
+        assert other == ""
+        if "json" in argv:
+            entries = json.loads(text)["violations"]
+            violations = [(e["condition"], e["reason"], e["triple"]) for e in entries]
+        else:
+            assert text.endswith("\n")
+            lines = text.split("\n")[:-1]
+            violations = [_REPORT_LINE.fullmatch(line).groups() for line in lines]
+        assert len(violations) == count
+        quoted = set()
+        for condition, reason, triple in violations:
+            assert "\n" not in reason + triple
+            lexical = next(filter(None, _LITERAL_REASON.fullmatch(reason).groups()))
+            graph, _ = parse_turtle_star(f"<{EX}s> <{EX}p> {lexical} .")
+            [parsed] = graph.triples
+            quoted.add(parsed.object)
+        assert quoted == set(_AWKWARD_LITERALS[:count])
+
+    @pytest.mark.parametrize("transform", [to_rdf_like_pg, to_simple_pg])
+    def test_error_text_is_one_line(self, transform):
+        graph, _ = parse_turtle_star(_AWKWARD)
+        with pytest.raises(ConvertibilityError) as exc:
+            transform(graph)
+        assert "\n" not in str(exc.value)
+        assert 'literal "a\\nb\\"c"^^<http://example.org/dt>' in str(exc.value)
+
+    MINIMAL = (
+        rf'<{EX}a> <{EX}p> "x\ny\"z\\"@en .' "\n"
+        rf'<<<{EX}a> <{EX}p> "x\ny\"z\\"@en>> <{EX}q> 1 .' "\n"
+        f"<{EX}c> <{EX}p> 3 .\n"
+        f"<<<{EX}c> <{EX}p> 3>> <{EX}q> 4 .\n"
+        f"<{EX}b> <{EX}p> <{EX}o> .\n"
+        f"<<<{EX}b> <{EX}p> <{EX}o>>> <{EX}q> 2 .\n"
+        f"<{EX}d> <{EX}p> <{EX}o> .\n"
+    )
+    REDUNDANT = [
+        rf'<<<{EX}a> <{EX}p> "x\ny\"z\\"@en>>',
+        f"<<<{EX}b> <{EX}p> <{EX}o>>>",
+        f"<<<{EX}c> <{EX}p> 3>>",
+    ]
+
+    def test_minimal_text_report(self, ttls, capsys):
+        assert main(["check", ttls(self.MINIMAL), "--level", "minimal"]) == 1
+        assert capsys.readouterr() == ("".join(
+            f"[redundant] top-level triple also occurs embedded: {t}\n"
+            for t in self.REDUNDANT), "")
+
+    def test_minimal_json_report(self, ttls, capsys):
+        argv = ["check", ttls(self.MINIMAL), "--level", "minimal", "--report", "json"]
+        assert main(argv) == 1
+        expected = {"ok": False, "violations": [
+            {"condition": "redundant", "reason": "top-level triple also occurs embedded",
+             "triple": t} for t in self.REDUNDANT]}
+        assert capsys.readouterr() == (json.dumps(expected, indent=2) + "\n", "")
+
+    @pytest.mark.parametrize("name, data, line", [
+        ("bad\nname.ttls", b"\xff", "encoding error: 'bad\\nname.ttls': "
+         "invalid UTF-8 at byte offset 0: invalid start byte"),
+        ("missing\nname.ttls", None,
+         "i/o error: [Errno 2] No such file or directory: 'missing\\nname.ttls'"),
+        ("input.ttls", f'<{EX}s> <{EX}p> "a\\\nb" .\n'.encode(),
+         "parse error: line 1, column 49: unsupported escape \\'\\n'"),
+        ("input.ttls", f'<{EX}s> <{EX}p> "a\\\tb" .\n'.encode(),
+         "parse error: line 1, column 49: unsupported escape \\'\\t'"),
+    ], ids=["encoding", "missing", "escaped-newline", "escaped-tab"])
+    def test_diagnostic_is_one_line(self, tmp_path, monkeypatch, capsys, name, data, line):
+        monkeypatch.chdir(tmp_path)
+        if data is not None:
+            (tmp_path / name).write_bytes(data)
+        assert main(["check", name]) == 2
+        assert capsys.readouterr() == ("", line + "\n")
 
 
 # A child that limits its address space to its own size after importing

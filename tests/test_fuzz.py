@@ -2,8 +2,11 @@
 well-formed documents, each passed to a command through a file.
 
 Whatever the input, every command must exit with 0, 1 or 2 and print no
-traceback.  Commands that write data sometimes write to a file with -o,
-which encodes the text, unlike the captured standard output.
+traceback.  A run that exits with 2 prints one line on standard error; one
+that exits with 1 prints only violation lines, as a text report, or the
+line of an error or of a round-trip mismatch, whatever text they quote.
+Commands that write data sometimes write to a file with -o, which
+encodes the text, unlike the captured standard output.
 """
 
 import contextlib
@@ -24,7 +27,8 @@ _TURTLE_TOKENS = [
     "_:b1", "_:b2", "_:x", "_:", "_:b" + "9" * 5000, "<<", ">>", "<", ">", ".", ";", ",", "[", "]", "(", ")",
     '"v"', '"v"@en', '"v"@', '"5"^^<http://www.w3.org/2001/XMLSchema#integer>',
     '"x"^^<http://www.w3.org/2001/XMLSchema#integer>', '"0.5"^^ex:t', '"', '"""', "'v'",
-    '"\\q"', '"\\n"', "1", "-1", "1.5", ".5", "1e3", "+", "true", "false", "^^", "@base",
+    '"\\q"', '"\\n"', '"a\\nb"^^ex:t', '"\\\n', "1", "-1", "1.5", ".5", "1e3", "+",
+    "true", "false", "^^", "@base",
     "@", "#c\n", "\n", "\r", "\t", "\x00", " ", "é",
     "+x", "+.", "_", ":x", "..5", "<<<", '"a"^^_:x', '"a"^^true',
     "1" * 5000,  # longer than int() converts
@@ -89,8 +93,9 @@ _PG_DOCUMENT = st.fixed_dictionaries({
 # Mostly well-formed Turtle-star statements, nested up to a few levels.
 _PREDICATE = st.sampled_from(["ex:p", "ex:q", "a"])
 _NODE = st.sampled_from(["ex:s", "ex:o", f"<{EX}t>", "_:b1", "_:b2", "_:x", "_:b10"])
-# Most literals carry a property value; the last two carry none.
-_LITERAL = st.sampled_from(['"v"', '"w"', "1", "0.5", "1e3", "true", '"v"@en', '"abc"^^ex:t'])
+# Most literals carry a property value; the last three carry none.
+_LITERAL = st.sampled_from(['"v"', '"w"', "1", "0.5", "1e3", "true", '"v"@en', '"abc"^^ex:t',
+                            '"a\\nb\\"c"^^ex:t'])
 _SUBJECT = st.recursive(
     _NODE,
     lambda inner: st.tuples(inner, _PREDICATE, st.one_of(_NODE, _LITERAL, inner)).map(
@@ -117,6 +122,13 @@ def _run(argv: list[str], data: bytes, suffix: str, to_file: bool) -> None:
             code = main([argv[0], path, *argv[1:]])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().endswith("\n") and err.getvalue().count("\n") == 1
+    elif code == 1 and "json" not in argv:
+        text = out.getvalue() + err.getvalue()
+        assert text.endswith("\n")
+        assert all(line.startswith(("[", "error: ", "round-trip mismatch"))
+                   for line in text.split("\n")[:-1])
 
 
 @settings(max_examples=150, deadline=None)

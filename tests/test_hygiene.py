@@ -20,6 +20,11 @@ transforms.py, whose transforms build their graphs themselves; every
 input boundary, parse_pg_json above all, goes through the checked
 constructor.
 
+No f-string in src/starpg outside turtle.py inserts a .lexical_form
+as it is: a literal shown to a user is quoted by the Turtle-star
+writer's escapes, so that it reads back as the same literal and a
+newline or quote in it cannot split or end the line that shows it.
+
 tests/pgjson_oracle.py imports from starpg only the per-value helpers
 and the two classes it imports today: never the reader's element check
 _add nor its streamed path, which would make the differential test
@@ -195,6 +200,20 @@ def test_only_the_transforms_build_unchecked_graphs():
     assert users == {"src/starpg/transforms.py"}
 
 
+def lexical_form_insertions(source: str) -> list[int]:
+    """The line of every f-string field that inserts a .lexical_form as it is."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.FormattedValue)
+                  and isinstance(node.value, ast.Attribute)
+                  and node.value.attr == "lexical_form")
+
+
+@pytest.mark.parametrize("path", [m for m in MODULES if m.name != "turtle.py"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_the_writer_renders_lexical_forms(path):
+    assert lexical_form_insertions(path.read_text(encoding="utf-8")) == []
+
+
 def starpg_imports(source: str) -> set[tuple[str, str]]:
     """(module, name) for each name source imports from starpg or one of
     its modules, and (module, "") for each plain import of one."""
@@ -284,6 +303,15 @@ class TestAttributeUses:
     def test_finds_uses_but_not_definitions(self):
         source = "class G:\n    def _trusted(self): ...\nG._trusted()\nf = G()._trusted\n"
         assert attribute_uses(source, "_trusted") == [3, 4]
+
+
+class TestLexicalFormInsertions:
+    def test_finds_raw_fields_but_not_quoted_ones(self):
+        source = ("a = f'\"{l.lexical_form}\"'\n"
+                  "b = f'{_quote(l.lexical_form)}@{l.language}'\n"
+                  "c = l.lexical_form + ''\n"
+                  "d = f'{x!r} {t.object.lexical_form:>5}'\n")
+        assert lexical_form_insertions(source) == [1, 4]
 
 
 class TestPublicNameChecker:

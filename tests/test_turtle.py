@@ -299,6 +299,9 @@ PARSE_ERRORS = [
     ('<e:s> <e:p> """long""" .', 1, 13, "triple-quoted strings are not supported"),
     ('<e:s> <e:p> "open', 1, 13, "unterminated string literal"),
     ('<e:s> <e:p> "a\\qb" .', 1, 15, "unsupported escape \\q"),
+    # A character that is not printable is shown by its repr.
+    ('<e:s> <e:p> "a\\\nb" .', 1, 15, "unsupported escape \\'\\n'"),
+    ('<e:s> <e:p> "a\\\tb" .', 1, 15, "unsupported escape \\'\\t'"),
     ('<e:s> <e:p> "x"@9 .', 1, 17, "malformed language tag"),
     ('<e:s> <e:p> "x"^^<<e:d>> .', 1, 18, "expected datatype IRI"),
     (f'<e:s> <e:p> "x"^^<{RDF}langString> .', 1, 13,

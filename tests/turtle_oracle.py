@@ -312,7 +312,7 @@ class _Parser:
             # c is a backslash
             e = self.peek(1)
             if e not in _ESCAPES:
-                self.error(f"unsupported escape \\{e}", self.pos)
+                self.error(f"unsupported escape \\{e if e.isprintable() else repr(e)}", self.pos)
             chars.append(_ESCAPES[e])
             self.pos += 2
         lex = "".join(chars)
