@@ -122,16 +122,14 @@ def percent_encode(s: str) -> str:
     return urllib.parse.quote(s, safe="")
 
 
-_ENCODED_RE = re.compile(r"([A-Za-z0-9._~-]|%[0-9A-Fa-f]{2})*\Z")
-
-
 def percent_decode(s: str) -> str | None:
-    """Inverse of percent_encode; None on stray '%' or invalid UTF-8."""
-    if not _ENCODED_RE.fullmatch(s):
-        return None
+    """Inverse of percent_encode: the name whose encoding is s; None when
+    s is not an encoding percent_encode gives, as on a stray '%', invalid
+    UTF-8, a lowercase hex digit or an escaped unreserved character."""
     try:
-        return urllib.parse.unquote(s, errors="strict")
-    except UnicodeDecodeError:
+        decoded = urllib.parse.unquote(s, errors="strict")
+        return decoded if percent_encode(decoded) == s else None
+    except UnicodeError:  # escapes of invalid UTF-8, or a lone surrogate in s
         return None
 
 
@@ -151,7 +149,8 @@ class TemplateIriMapping(Frozen):
         return Iri(self.prefix + percent_encode(name))
 
     def invert(self, iri: Iri) -> str | None:
-        """None when the IRI lacks the prefix or its suffix does not decode."""
+        """The name that apply maps to iri; None when the IRI lacks the
+        prefix or its suffix is not an encoding percent_encode gives."""
         if not iri.value.startswith(self.prefix):
             return None
         return percent_decode(iri.value[len(self.prefix):])

@@ -146,18 +146,16 @@ class Triple(Frozen):
                 "triple object must be Iri, BNode, Literal, or Triple, "
                 f"got {type(object).__name__}"
             )
-        depth = 0
-        if subject.__class__ is Triple:
-            depth = subject._depth + 1
-        if object.__class__ is Triple and object._depth >= depth:
-            depth = object._depth + 1
-        if depth > MAX_NESTING_DEPTH:
-            raise ValueError(f"triple nested deeper than {MAX_NESTING_DEPTH} levels")
-        set_field(self, "subject", subject)
-        set_field(self, "predicate", predicate)
-        set_field(self, "object", object)
-        set_field(self, "_hash", hash((subject, predicate, object)))
-        set_field(self, "_depth", depth)
+        _fill_triple(self, subject, predicate, object)
+
+    @staticmethod
+    def _of(subject: "SubjectTerm", predicate: Iri, object: "ObjectTerm") -> Triple:
+        """The triple of these terms without the type checks, for terms the
+        package made itself.  The depth limit, its ValueError and the
+        stored hash and depth are those of the constructor."""
+        t = _new(Triple)
+        _fill_triple(t, subject, predicate, object)
+        return t
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -169,6 +167,27 @@ class Triple(Frozen):
 
     def __hash__(self) -> int:
         return self._hash
+
+
+_new = object.__new__
+_set_subject, _set_predicate, _set_object, _set_hash, _set_depth = (
+    Triple.__dict__[name].__set__ for name in Triple.__slots__)
+
+
+def _fill_triple(t: Triple, subject: SubjectTerm, predicate: Iri, object: ObjectTerm) -> None:
+    """Set the fields of a new triple t, its depth and hash included."""
+    depth = 0
+    if subject.__class__ is Triple:
+        depth = subject._depth + 1
+    if object.__class__ is Triple and object._depth >= depth:
+        depth = object._depth + 1
+    if depth > MAX_NESTING_DEPTH:
+        raise ValueError(f"triple nested deeper than {MAX_NESTING_DEPTH} levels")
+    _set_subject(t, subject)
+    _set_predicate(t, predicate)
+    _set_object(t, object)
+    _set_hash(t, hash((subject, predicate, object)))
+    _set_depth(t, depth)
 
 
 SubjectTerm = Union[Iri, BNode, Triple]
@@ -218,6 +237,14 @@ class RdfStarGraph:
             if not isinstance(t, Triple):
                 raise TypeError(f"graph element is not a Triple: {t!r}")
         self._triples = tset
+
+    @classmethod
+    def _of(cls, triples: frozenset[Triple]) -> RdfStarGraph:
+        """The graph of a frozenset of triples the package built itself,
+        taken as it is: no type check, no copy."""
+        g = _new(cls)
+        g._triples = triples
+        return g
 
     @property
     def triples(self) -> frozenset[Triple]:
@@ -323,7 +350,7 @@ def minimize(g: RdfStarGraph) -> RdfStarGraph:
     returned itself.
     """
     redundant = redundant_triples(g)
-    return RdfStarGraph(g.triples - redundant) if redundant else g
+    return RdfStarGraph._of(g.triples - redundant) if redundant else g
 
 
 def subject_object_terms(g: RdfStarGraph) -> frozenset[Term]:
@@ -362,10 +389,12 @@ def _holds_bnode(x: Term) -> bool:
 
 def _rewrite(x: Term, f: Callable[[Term], Term]) -> Term:
     """x with every leaf in subject or object position, embedded ones
-    included, replaced by f(leaf); x itself when f changes none of them."""
+    included, replaced by f(leaf); x itself when f changes none of them.
+    f returns a term that fits the leaf's position, so the triples are
+    built without the type checks."""
     if isinstance(x, Triple):
         s, o = _rewrite(x.subject, f), _rewrite(x.object, f)
-        return x if s is x.subject and o is x.object else Triple(s, x.predicate, o)
+        return x if s is x.subject and o is x.object else Triple._of(s, x.predicate, o)
     return f(x)
 
 
@@ -376,7 +405,7 @@ def relabel_bnodes(g: RdfStarGraph, mapping: dict[str, str]) -> RdfStarGraph:
         new = mapping.get(x.label) if isinstance(x, BNode) else None
         return x if new is None else BNode(new)
 
-    return RdfStarGraph(_rewrite(t, relabel) for t in g.triples)
+    return RdfStarGraph._of(frozenset(_rewrite(t, relabel) for t in g.triples))
 
 
 _ERASED = (1, "")  # term_key of a blank node with its label erased

@@ -59,6 +59,8 @@ KIND_LITERAL = "literal"
 _KIND_IRI = Property(KIND_KEY, Text(KIND_IRI))
 _KIND_BLANK_NODE = Property(KIND_KEY, Text(KIND_BLANK_NODE))
 _KIND_LITERAL = Property(KIND_KEY, Text(KIND_LITERAL))
+# The properties to_rdf_like_pg writes for a blank node.
+_BLANK_NODE_PROPERTIES = (_KIND_BLANK_NODE,)
 
 # The property keys a vertex of each kind may carry.
 _VERTEX_KEYS = {
@@ -225,22 +227,35 @@ def check_strongly_pg_convertible(g: RdfStarGraph, mode: str = "lenient") -> Con
 
 
 def _classify(g: RdfStarGraph, mode: str,
-              strong: bool) -> tuple[Valuer, list[Triple], list[Triple]]:
-    """The prologue of both RDF-to-PG transforms: one checked pass over g.
+              strong: bool) -> tuple[Valuer, list[Triple], list[Triple], dict[Term, int]]:
+    """The prologue of both RDF-to-PG transforms: one checked pass over g,
+    and the one term sort of the transform.
 
-    Returns the valuer the pass filled, g's ordinary triples in term
-    order, which fixes the edge ids, and g's metadata triples in no
-    particular order, or raises with the report.  By conditions 1-3 every
-    metadata triple is <<plain>> p literal, so the ordinary triples are
-    the embedding-free ones plus the embedded subjects g does not assert.
+    Returns the valuer the pass filled; g's ordinary triples in term
+    order, which fixes the edge ids; g's metadata triples in no particular
+    order; and the subject and object terms of the ordinary triples, each
+    mapped to its rank 1, 2, ... in term order and held in that order,
+    which fixes the vertex ids.  Or it raises with the report.
+
+    By conditions 1-3 every metadata triple is <<plain>> p literal, so the
+    ordinary triples are the embedding-free ones plus the embedded
+    subjects g does not assert, and none of their terms is a triple.  So
+    the triples sort by (rank of subject, predicate, rank of object),
+    which is term order: an ordinary triple's term key is its subject's
+    key, its predicate and its object's key run together, and each term
+    key is self-delimiting.
     """
     value = literal_valuer(mode)
     report, plain, metadata = _check(g, strong, value)
     if not report.convertible:
         raise (NotStronglyConvertibleError if strong else NotConvertibleError)(report)
-    unasserted = {m.subject for m in metadata} - g.triples
-    ordinary = sorted([*plain, *unasserted], key=term_key)
-    return value, ordinary, metadata
+    ordinary = plain
+    ordinary += {m.subject for m in metadata} - g.triples  # the unasserted ones
+    terms = sorted({x for t in ordinary for x in (t.subject, t.object)}, key=term_key)
+    rank = dict(zip(terms, range(1, len(terms) + 1)))
+    del terms  # rank alone holds the terms, in order, from here on
+    ordinary.sort(key=lambda t: (rank[t.subject], t.predicate.value, rank[t.object]))
+    return value, ordinary, metadata, rank
 
 
 class PgResult(Frozen):
@@ -267,24 +282,38 @@ def _property_table(value: Valuer) -> Callable[[Iri, Literal], Property]:
     return cache(lambda predicate, l: Property(predicate.value, value(l)))
 
 
-def _assemble(metadata: list[Triple], edges: list[Triple], vertex_map: dict, edge_map: dict,
+def _assemble(metadata: list[Triple], edges: list[Triple], vertex_map: dict[Term, str],
               props: dict[str, tuple[Property, ...]],
-              property_of: Callable[[Iri, Literal], Property]) -> PropertyGraph:
-    """The property graph both RDF-to-PG transforms share: one edge per
-    triple of edges, and the metadata triples as properties of the edge
-    of their embedded subject.  props holds every vertex's properties and
-    gains every edge's; the graph takes the containers without a copy."""
-    src = {edge_map[t]: vertex_map[t.subject] for t in edges}
-    tgt = {edge_map[t]: vertex_map[t.object] for t in edges}
-    lbl = {edge_map[t]: t.predicate.value for t in edges}
+              property_of: Callable[[Iri, Literal], Property]
+              ) -> tuple[PropertyGraph, dict[Triple, str]]:
+    """The property graph both RDF-to-PG transforms share, and its edge
+    map: one edge per triple of edges, numbered e1, e2, ... in their
+    order, and the metadata triples as properties of the edge of their
+    embedded subject.  props holds every vertex's properties and gains
+    every edge's; the graph takes the containers without a copy.
+
+    One pass over the edges fills the edge map, the endpoints, the labels
+    and the empty tuple of properties; then only the edges that carry
+    metadata collect and order theirs."""
+    edge_map: dict[Triple, str] = {}
+    src: dict[str, str] = {}
+    tgt: dict[str, str] = {}
+    lbl: dict[str, str] = {}
+    for i, t in enumerate(edges, start=1):
+        e = edge_map[t] = f"e{i}"
+        src[e] = vertex_map[t.subject]
+        tgt[e] = vertex_map[t.object]
+        lbl[e] = t.predicate.value
+        props[e] = ()
     edge_props: dict[str, set[Property]] = defaultdict(set)
     for m in metadata:
         # m.object is a literal by condition 3.
         edge_props[edge_map[m.subject]].add(property_of(m.predicate, m.object))
-    for e in lbl:
-        props[e] = ordered_properties(edge_props.get(e, ()))
-    return PropertyGraph._trusted(frozenset(vertex_map.values()), frozenset(lbl), src, tgt,
-                                  lbl, props)
+    for e, ps in edge_props.items():
+        props[e] = ordered_properties(ps)
+    graph = PropertyGraph._trusted(frozenset(vertex_map.values()), frozenset(lbl), src, tgt,
+                                   lbl, props)
+    return graph, edge_map
 
 
 def to_rdf_like_pg(g: RdfStarGraph, mode: str = "lenient") -> PgResult:
@@ -294,29 +323,29 @@ def to_rdf_like_pg(g: RdfStarGraph, mode: str = "lenient") -> PgResult:
     its kind (and IRI text, or literal value/datatype); one edge per
     ordinary triple, labeled with the predicate IRI text; metadata triples
     become properties of the edge for their embedded subject.  The check
-    runs in the same pass over g as the classification.
+    runs in the same pass over g as the classification, and the terms are
+    sorted once there: vertex ids v1, v2, ... and edge ids e1, e2, ...
+    follow the term order of the terms and of the ordinary triples.
     """
-    value, ordinary, metadata = _classify(g, mode, strong=False)
-    # The terms, none a triple (conditions 1-3), in a sorted list: their
-    # set is freed before the assembly, where a round trip peaks.
-    terms = sorted({x for t in ordinary for x in (t.subject, t.object)}, key=term_key)
-    vertex_map = {term: f"v{i}" for i, term in enumerate(terms, start=1)}
-    edge_map = {t: f"e{i}" for i, t in enumerate(ordinary, start=1)}
+    value, ordinary, metadata, vertex_map = _classify(g, mode, strong=False)
 
-    # Each vertex's properties, written in property_sort_key order: the
-    # keys IRI < datatype < kind < literal are all distinct.
+    # Each term's rank becomes its vertex id in place, so no second table
+    # of the terms is built.  Each vertex's properties are written in
+    # property_sort_key order: the keys IRI < datatype < kind < literal
+    # are all distinct.
     text_property = cache(_text_property)  # datatypes repeat
     props: dict[str, tuple[Property, ...]] = {}
-    for term, vid in vertex_map.items():
+    for term, rank in vertex_map.items():
+        vid = vertex_map[term] = f"v{rank}"
         if isinstance(term, Iri):
             props[vid] = (_text_property(IRI_KEY, term.value), _KIND_IRI)
         elif isinstance(term, BNode):
-            props[vid] = (_KIND_BLANK_NODE,)
+            props[vid] = _BLANK_NODE_PROPERTIES
         else:  # condition 4 gave the literal a value, so it has no language tag
             props[vid] = (text_property(DATATYPE_KEY, term.datatype.value), _KIND_LITERAL,
                           Property(LITERAL_KEY, value(term)))
 
-    graph = _assemble(metadata, ordinary, vertex_map, edge_map, props, _property_table(value))
+    graph, edge_map = _assemble(metadata, ordinary, vertex_map, props, _property_table(value))
     return PgResult(graph, vertex_map, edge_map)
 
 
@@ -335,6 +364,60 @@ def _text_value(value, key: str, vertex: str) -> str:
     return value.value
 
 
+def _written_term(props: tuple[Property, ...],
+                  iri_of: Callable[[str], Iri | None]) -> Iri | Literal | None:
+    """The term of an IRI or literal vertex whose properties are exactly
+    those to_rdf_like_pg writes for its kind, and that decode; None for
+    any other vertex."""
+    if len(props) == 2:
+        text, kind = props
+        if kind == _KIND_IRI and text.key == IRI_KEY and text.value.__class__ is Text:
+            return string_to_iri(text.value.value)
+    elif len(props) == 3:
+        datatype, kind, value = props
+        if (kind == _KIND_LITERAL and datatype.key == DATATYPE_KEY and value.key == LITERAL_KEY
+                and datatype.value.__class__ is Text):
+            dt_iri = iri_of(datatype.value.value)
+            if dt_iri is not None:
+                try:
+                    return Literal(value_to_literal(value.value).lexical_form, dt_iri)
+                except ValueError:
+                    pass
+    return None
+
+
+def _read_term(v: str, props: tuple[Property, ...],
+               iri_of: Callable[[str], Iri | None]) -> Iri | Literal | None:
+    """The term of vertex v read key by key from its properties, None for
+    a blank node; raises MalformedRdfLikePgError when they encode none."""
+    by_key: dict[str, list] = defaultdict(list)
+    for prop in props:
+        by_key[prop.key].append(prop.value)
+    kind = _text_value(_single(by_key, KIND_KEY, v), KIND_KEY, v)
+    keys = _VERTEX_KEYS.get(kind)
+    if keys is None:
+        raise MalformedRdfLikePgError(f"vertex {v!r} has unknown kind {kind!r}")
+    if not by_key.keys() <= keys:
+        raise MalformedRdfLikePgError(f"{kind} vertex {v!r} has unexpected properties")
+    if kind == KIND_IRI:
+        text = _text_value(_single(by_key, IRI_KEY, v), IRI_KEY, v)
+        iri = string_to_iri(text)
+        if iri is None:
+            raise MalformedRdfLikePgError(f"vertex {v!r} IRI is not a valid IRI: {text!r}")
+        return iri
+    if kind == KIND_BLANK_NODE:
+        return None
+    value = _single(by_key, LITERAL_KEY, v)
+    datatype = _text_value(_single(by_key, DATATYPE_KEY, v), DATATYPE_KEY, v)
+    dt_iri = iri_of(datatype)
+    if dt_iri is None:
+        raise MalformedRdfLikePgError(f"vertex {v!r} datatype is not a valid IRI: {datatype!r}")
+    try:
+        return Literal(value_to_literal(value).lexical_form, dt_iri)
+    except ValueError as exc:
+        raise MalformedRdfLikePgError(f"vertex {v!r}: {exc}") from exc
+
+
 def from_rdf_like_pg(p: PropertyGraph) -> RdfStarGraph:
     """Rebuild the RDF-star graph encoded by an RDF-like property graph.
 
@@ -345,43 +428,27 @@ def from_rdf_like_pg(p: PropertyGraph) -> RdfStarGraph:
     the keys that to_rdf_like_pg writes for its kind, so a "language"
     property is rejected.  The result is minimal: an edge's triple is kept
     at top level only when no metadata reasserts it embedded.
+
+    A vertex whose properties are exactly what to_rdf_like_pg writes for
+    its kind is decoded directly; every other vertex, errors included, is
+    read key by key.  The triples are built from the terms made here.
     """
     term_map: dict[str, Term] = {}
     counter = 0
     iri_of = cache(string_to_iri)  # labels, keys and datatypes repeat
     literal_of = cache(value_to_literal)  # and so do edge property values
     for v in sorted(p.vertices):
-        by_key: dict[str, list] = defaultdict(list)
-        for prop in p.properties(v):
-            by_key[prop.key].append(prop.value)
-        kind = _text_value(_single(by_key, KIND_KEY, v), KIND_KEY, v)
-        keys = _VERTEX_KEYS.get(kind)
-        if keys is None:
-            raise MalformedRdfLikePgError(f"vertex {v!r} has unknown kind {kind!r}")
-        if not by_key.keys() <= keys:
-            raise MalformedRdfLikePgError(f"{kind} vertex {v!r} has unexpected properties")
-        if kind == KIND_IRI:
-            text = _text_value(_single(by_key, IRI_KEY, v), IRI_KEY, v)
-            iri = string_to_iri(text)
-            if iri is None:
-                raise MalformedRdfLikePgError(f"vertex {v!r} IRI is not a valid IRI: {text!r}")
-            term_map[v] = iri
-        elif kind == KIND_BLANK_NODE:
-            counter += 1
-            term_map[v] = BNode(f"b{counter}")
+        props = p.properties(v)
+        if props == _BLANK_NODE_PROPERTIES:
+            term = None
         else:
-            value = _single(by_key, LITERAL_KEY, v)
-            datatype = _text_value(_single(by_key, DATATYPE_KEY, v), DATATYPE_KEY, v)
-            dt_iri = iri_of(datatype)
-            if dt_iri is None:
-                raise MalformedRdfLikePgError(
-                    f"vertex {v!r} datatype is not a valid IRI: {datatype!r}"
-                )
-            try:
-                term_map[v] = Literal(value_to_literal(value).lexical_form, dt_iri)
-            except ValueError as exc:
-                raise MalformedRdfLikePgError(f"vertex {v!r}: {exc}") from exc
+            term = _written_term(props, iri_of) or _read_term(v, props, iri_of)
+        if term is None:  # a blank node
+            counter += 1
+            term = BNode(f"b{counter}")
+        term_map[v] = term
 
+    of = Triple._of
     triples: list[Triple] = []
     annotated: set[Triple] = set()
     for e in sorted(p.edges):
@@ -391,7 +458,7 @@ def from_rdf_like_pg(p: PropertyGraph) -> RdfStarGraph:
         predicate = iri_of(p.label(e))
         if predicate is None:
             raise MalformedRdfLikePgError(f"edge {e!r} label is not a valid IRI: {p.label(e)!r}")
-        t = Triple(subject, predicate, term_map[p.target(e)])
+        t = of(subject, predicate, term_map[p.target(e)])
         props = p.properties(e)
         if props:
             annotated.add(t)
@@ -403,14 +470,14 @@ def from_rdf_like_pg(p: PropertyGraph) -> RdfStarGraph:
                 raise MalformedRdfLikePgError(
                     f"edge {e!r} property key is not a valid IRI: {prop.key!r}"
                 )
-            triples.append(Triple(t, key_iri, literal_of(prop.value)))
+            triples.append(of(t, key_iri, literal_of(prop.value)))
 
     # Metadata embeds only the triples of edges with properties, so leaving
     # those out at top level, also where a parallel bare edge asserts one,
     # makes the result minimal as it is built.  A list, not a set, holds
     # the triples until then: the graph's frozenset is the only table of
     # them, not a copy of another at the peak of a round trip.
-    return RdfStarGraph(t for t in triples if t not in annotated)
+    return RdfStarGraph._of(frozenset(t for t in triples if t not in annotated))
 
 
 def to_simple_pg(g: RdfStarGraph, mode: str = "lenient") -> PgResult:
@@ -420,28 +487,32 @@ def to_simple_pg(g: RdfStarGraph, mode: str = "lenient") -> PgResult:
     into vertex properties (IRI vertices also record their IRI text under
     the reserved "IRI" key); relationship triples become edges; metadata
     triples become edge properties.  The strong check runs in the same
-    pass over g as the classification.
+    pass over g as the classification, and the terms are sorted once
+    there: vertex ids v1, v2, ... follow the term order of the nodes, and
+    edge ids e1, e2, ... that of the relationship triples.
     """
-    value, ordinary, metadata = _classify(g, mode, strong=True)
-    nodes = {x for t in ordinary for x in (t.subject, t.object) if isinstance(x, (Iri, BNode))}
-    vertex_map = {n: f"v{i}" for i, n in enumerate(sorted(nodes, key=term_key), start=1)}
+    value, ordinary, metadata, vertex_map = _classify(g, mode, strong=True)
+    # The literals rank after every IRI and blank node, so once they are
+    # gone the nodes keep the ranks 1, 2, ..., which become their ids in
+    # place.
+    for literal in [x for x in vertex_map if isinstance(x, Literal)]:
+        del vertex_map[literal]
     relations = [t for t in ordinary if isinstance(t.object, (Iri, BNode))]
-    edge_map = {t: f"e{i}" for i, t in enumerate(relations, start=1)}
 
     property_of = _property_table(value)
     # Two literals may give one property, as "1" and "01" do as integers,
     # so each vertex collects a set and orders it once.
-    props: dict = {vid: set() for vid in vertex_map.values()}
-    for node, vid in vertex_map.items():
-        if isinstance(node, Iri):
-            props[vid].add(_text_property(IRI_KEY, node.value))
+    props: dict = {}
+    for node, rank in vertex_map.items():
+        vid = vertex_map[node] = f"v{rank}"
+        props[vid] = {_text_property(IRI_KEY, node.value)} if isinstance(node, Iri) else set()
     for a in ordinary:
         if isinstance(a.object, Literal):
             props[vertex_map[a.subject]].add(property_of(a.predicate, a.object))
     for vid, ps in props.items():
         props[vid] = ordered_properties(ps)
 
-    graph = _assemble(metadata, relations, vertex_map, edge_map, props, property_of)
+    graph, edge_map = _assemble(metadata, relations, vertex_map, props, property_of)
     return PgResult(graph, vertex_map, edge_map)
 
 
@@ -468,18 +539,19 @@ def pg_to_rdf_star(p: PropertyGraph, config: MappingConfig | None = None) -> Rdf
     # graph's frozenset is the only table of them.
     key_iri, label_iri = cache(config.key_map.apply), cache(config.label_map.apply)
     literal_of = cache(value_to_literal)
+    of = Triple._of  # every term comes from these tables or from node_of
     triples: list[Triple] = []
     for v in p.vertices:
         for prop in p.properties(v):
-            triples.append(Triple(node_of[v], key_iri(prop.key), literal_of(prop.value)))
+            triples.append(of(node_of[v], key_iri(prop.key), literal_of(prop.value)))
     for e in p.edges:
-        edge_triple = Triple(node_of[p.source(e)], label_iri(p.label(e)), node_of[p.target(e)])
+        edge_triple = of(node_of[p.source(e)], label_iri(p.label(e)), node_of[p.target(e)])
         edge_properties = p.properties(e)
         for prop in edge_properties:
-            triples.append(Triple(edge_triple, key_iri(prop.key), literal_of(prop.value)))
+            triples.append(of(edge_triple, key_iri(prop.key), literal_of(prop.value)))
         if not edge_properties:
             triples.append(edge_triple)
-    return RdfStarGraph(triples)
+    return RdfStarGraph._of(frozenset(triples))
 
 
 def canonicalize_values(g: RdfStarGraph, mode: str = "lenient") -> RdfStarGraph:
@@ -500,9 +572,15 @@ def canonicalize_values(g: RdfStarGraph, mode: str = "lenient") -> RdfStarGraph:
 
     changed = {}
     for t in g.triples:
-        c = _rewrite(t, canonical_leaf)
+        if is_metadata_triple(t):
+            c = _rewrite(t, canonical_leaf)
+        elif isinstance(t.object, Literal):  # a plain triple's only possible literal
+            o = canonical(t.object)
+            c = t if o is t.object else Triple._of(t.subject, t.predicate, o)
+        else:
+            continue
         if c is not t:
             changed[t] = c
     if not changed:
         return g  # graphs are immutable, so g itself is the result
-    return RdfStarGraph(changed.get(t, t) for t in g.triples)
+    return RdfStarGraph._of(frozenset(changed.get(t, t) for t in g.triples))

@@ -1,7 +1,8 @@
 """Turtle-star reading and writing for a crisp subset of the syntax.
 
 Supported: @prefix, IRIs in angle brackets, prefixed names, blank node
-labels, the keyword 'a', quoted strings with \\" \\\\ \\n \\r \\t escapes,
+labels, the keyword 'a', quoted strings with \\" \\\\ \\n \\r \\t escapes
+and \\uXXXX or \\UXXXXXXXX escapes of a Unicode scalar value,
 language tags, ^^ datatypes, bare integer/decimal/double/boolean
 shorthands, predicate lists (;), object lists (,), embedded triples in
 << >> nested up to MAX_NESTING_DEPTH levels, and # comments.  Everything
@@ -107,14 +108,20 @@ _NUMBER_RE = re.compile(
     r")"
 )
 _ESCAPES = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}
-_ESCAPE_RE = re.compile(r"\\(.)")
+# A \u escape takes 4 hex digits and a \U escape 8, and either must name
+# a Unicode scalar value: no surrogate, nothing beyond U+10FFFF.
+_HEX = "[0-9A-Fa-f]"
+_NOT_SURROGATE = "(?![Dd][89A-Fa-f])"
+_CODE_POINT_ESCAPE = (rf"u{_NOT_SURROGATE}{_HEX}{{4}}"
+                      rf"|U00(?:10|0[1-9A-Fa-f]|00{_NOT_SURROGATE}){_HEX}{{4}}")
+_ESCAPE_RE = re.compile(rf"\\(?:u({_HEX}{{4}})|U({_HEX}{{8}})|(.))")
 # Turtle constructs outside the subset, by the character their object starts with.
 _UNSUPPORTED = {"'": "single-quoted strings", "[": "blank node property lists",
                 "(": "collections"}
 _IRIREF = r"<[^>\n]*>"
 _IRIREF_RE = re.compile(rf"{_IRIREF}?")  # without its '>', an unterminated IRI
 _STRING_BODY_RE = re.compile(
-    rf'[^"\\\n\r]*(?:\\[{re.escape("".join(_ESCAPES))}][^"\\\n\r]*)*')
+    rf'[^"\\\n\r]*(?:\\(?:[{re.escape("".join(_ESCAPES))}]|{_CODE_POINT_ESCAPE})[^"\\\n\r]*)*')
 # One match: the trivia before a token, then the token, whose kind is the
 # name of its group.  A string takes an adjacent language tag or '^^'.  A
 # number never starts with '.': after an object '.5' is the statement's '.'
@@ -157,7 +164,9 @@ _STATEMENT = (
 
 def _unescape(lex: str) -> str:
     """The string a string token's body stands for."""
-    return _ESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], lex) if "\\" in lex else lex
+    if "\\" not in lex:
+        return lex
+    return _ESCAPE_RE.sub(lambda e: _ESCAPES[e[3]] if e[3] else chr(int(e[1] or e[2], 16)), lex)
 
 
 def _number_datatype(lex: str) -> str:
@@ -229,8 +238,15 @@ class _Parser:
         raises (an unknown prefix, an invalid IRI), the tokens read that
         statement again from the same position, with their own error.
         When the tokens have just read the statement before, they go on
-        from the token they hold instead of starting again."""
-        text, add, node = self.text, self.triples.add, self.node
+        from the token they hold instead of starting again.
+
+        A name is looked up among the prefixed names read so far before
+        node is called, and a string body or number token among those
+        read so far, so a repeated term costs one dict lookup."""
+        text, add, node, of = self.text, self.triples.add, self.node, Triple._of
+        named = self.pnames.get
+        strings: dict[str, Literal] = {}  # string body as written -> its literal
+        numbers: dict[str, Literal] = {}  # number token -> its literal
         xsd_string = self.iri(XSD_STRING)
         match = re.compile(_STATEMENT).match
         pos, tokens_at = 0, -1  # tokens_at: where the token the tokens hold starts
@@ -239,24 +255,32 @@ class _Parser:
             if m is not None:
                 es, ep, eo, s, p, o, lex, number = m.groups()
                 try:
-                    s = Triple(node(es), node(ep), node(eo)) if s is None else node(s)
-                    p = node(p)
-                    if o is not None:
-                        o = node(o)
-                    elif lex is not None:
-                        o = self.literal(_unescape(lex), xsd_string)
+                    if s is None:
+                        s = of(named(es) or node(es), named(ep) or node(ep), named(eo) or node(eo))
                     else:
-                        o = self.literal(number, self.iri(_number_datatype(number)))
+                        s = named(s) or node(s)
+                    p = named(p) or node(p)
+                    if o is not None:
+                        o = named(o) or node(o)
+                    elif lex is not None:
+                        o = strings.get(lex)
+                        if o is None:
+                            o = strings[lex] = self.literal(_unescape(lex), xsd_string)
+                    else:
+                        o = numbers.get(number)
+                        if o is None:
+                            o = numbers[number] = self.literal(
+                                number, self.iri(_number_datatype(number)))
                 except (KeyError, ValueError):
                     pass
                 else:
-                    add(Triple(s, p, o))
+                    add(of(s, p, o))
                     pos = m.end()
                     continue
             if pos != tokens_at:
                 self.scan_from(pos)
             if self.kind == "END":
-                return RdfStarGraph(self.triples), dict(self.prefixes)
+                return RdfStarGraph._of(frozenset(self.triples)), dict(self.prefixes)
             if self.kind == "AT":
                 self.directive()
             else:
@@ -309,7 +333,7 @@ class _Parser:
             predicate = self.term("predicate")
             while True:
                 obj = self.term("object")
-                self.triples.add(Triple(subject, predicate, obj))
+                self.triples.add(Triple._of(subject, predicate, obj))
                 if self.kind != "COMMA":
                     break
                 self.advance()
@@ -393,7 +417,7 @@ class _Parser:
             self.error("expected '>>'")
         self.advance()
         self.depth -= 1
-        return Triple(subject, predicate, obj)
+        return Triple._of(subject, predicate, obj)
 
     def iriref(self) -> Iri:
         m, kind = self.m, self.kind
@@ -446,6 +470,12 @@ class _Parser:
         end = _STRING_BODY_RE.match(self.text, at + 1).end()
         if self.text.startswith("\\", end):
             char = self.text[end + 1:end + 2]
+            if char in ("u", "U"):
+                n = 4 if char == "u" else 8
+                escape = self.text[end:end + 2 + n]
+                if re.fullmatch(rf"..{_HEX}{{{n}}}", escape):
+                    self.error(f"escape {escape} is not a Unicode scalar value", end)
+                self.error(f"\\{char} escape needs {n} hex digits", end)
             self.error(f"unsupported escape \\{char if char.isprintable() else repr(char)}", end)
         self.error("unterminated string literal")
 
@@ -480,7 +510,12 @@ def parse_turtle_star(text: str) -> tuple[RdfStarGraph, dict[str, str]]:
 
 # -- serialization -----------------------------------------------------
 
-_STRING_ESCAPES = str.maketrans({c: "\\" + e for e, c in _ESCAPES.items()})
+# The escapes of _ESCAPES, and \uXXXX for the other characters at which
+# str.splitlines breaks a line, so a quoted lexical form is one line.
+_STRING_ESCAPES = str.maketrans({
+    **{c: "\\" + e for e, c in _ESCAPES.items()},
+    **{c: f"\\u{ord(c):04X}" for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"},
+})
 
 
 def _quote(text: str) -> str:
@@ -618,15 +653,16 @@ def unfold_to_rdf(g: RdfStarGraph) -> RdfStarGraph:
     rdf_type, statement, subject, predicate, object_ = map(
         Iri, (RDF_TYPE, RDF_STATEMENT, RDF_SUBJECT, RDF_PREDICATE, RDF_OBJECT))
     # A triple that embeds nothing is kept as it is.
-    out = {Triple(node(t.subject), t.predicate, node(t.object)) if is_metadata_triple(t) else t
+    of = Triple._of
+    out = {of(node(t.subject), t.predicate, node(t.object)) if is_metadata_triple(t) else t
            for t in g.triples}
     for e in embedded:
         r = ref[e]
-        out.add(Triple(r, rdf_type, statement))
-        out.add(Triple(r, subject, node(e.subject)))
-        out.add(Triple(r, predicate, e.predicate))
-        out.add(Triple(r, object_, node(e.object)))
-    return RdfStarGraph(out)
+        out.add(of(r, rdf_type, statement))
+        out.add(of(r, subject, node(e.subject)))
+        out.add(of(r, predicate, e.predicate))
+        out.add(of(r, object_, node(e.object)))
+    return RdfStarGraph._of(frozenset(out))
 
 
 def embed_plain_rdf(g: RdfStarGraph) -> RdfStarGraph:

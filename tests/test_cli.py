@@ -29,6 +29,7 @@ from starpg import (
     PgResult,
     PropertyGraph,
     RdfStarGraph,
+    Triple,
     parse_pg_json,
     parse_turtle_star,
     pg_to_rdf_star,
@@ -613,6 +614,19 @@ class TestReportLines:
             [parsed] = graph.triples
             quoted.add(parsed.object)
         assert quoted == set(_AWKWARD_LITERALS[:count])
+
+    def test_a_literal_with_line_breaking_code_points_is_one_line(self, ttls, capsys):
+        # Every character but \n and \r at which str.splitlines breaks.
+        literal = Literal("a\v\f\x1c\x1d\x1e\x85\u2028\u2029b", language="en")
+        graph = RdfStarGraph([Triple(Iri(f"{EX}s"), Iri(f"{EX}p"), literal)])
+        assert main(["check", ttls(serialize_turtle_star(graph))]) == 1
+        out, err = capsys.readouterr()
+        assert err == "" and len(out.splitlines()) == 1
+        condition, reason, _ = _REPORT_LINE.fullmatch(out.removesuffix("\n")).groups()
+        assert condition == "4"
+        lexical = _LITERAL_REASON.fullmatch(reason)[1]
+        [parsed] = parse_turtle_star(f"<{EX}s> <{EX}p> {lexical} .")[0].triples
+        assert parsed.object == literal
 
     @pytest.mark.parametrize("transform", [to_rdf_like_pg, to_simple_pg])
     def test_error_text_is_one_line(self, transform):

@@ -20,6 +20,12 @@ transforms.py, whose transforms build their graphs themselves; every
 input boundary, parse_pg_json above all, goes through the checked
 constructor.
 
+Triple._of and RdfStarGraph._of, which skip the type checks, are used
+only in rdf.py, turtle.py and transforms.py, whose call sites build from
+terms the package made itself, and in tests/test_term_model.py, which
+checks them against the checked constructors; no input boundary uses
+them.
+
 No f-string in src/starpg outside turtle.py inserts a .lexical_form
 as it is: a literal shown to a user is quoted by the Turtle-star
 writer's escapes, so that it reads back as the same literal and a
@@ -198,6 +204,13 @@ def test_only_the_transforms_build_unchecked_graphs():
     users = {str(path.relative_to(ROOT)) for path in FILES
              if attribute_uses(path.read_text(encoding="utf-8"), "_trusted")}
     assert users == {"src/starpg/transforms.py"}
+
+
+def test_only_the_rdf_side_builds_unchecked_triples_and_graphs():
+    users = {str(path.relative_to(ROOT)) for path in FILES
+             if attribute_uses(path.read_text(encoding="utf-8"), "_of")}
+    assert users == {"src/starpg/rdf.py", "src/starpg/turtle.py", "src/starpg/transforms.py",
+                     "tests/test_term_model.py"}
 
 
 def lexical_form_insertions(source: str) -> list[int]:

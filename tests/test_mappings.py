@@ -178,6 +178,17 @@ class TestPercentEncoding:
         assert percent_decode("%zz") is None
         assert percent_decode("%FF") is None  # well-formed escapes, but not UTF-8
 
+    @pytest.mark.parametrize("text", ["a%2fb", "%41", "%7E", "%2D", "%e2%82%ac", "%E2%82%ac"])
+    def test_decode_rejects_encodings_percent_encode_never_gives(self, text):
+        # Lowercase hex digits, and escaped unreserved characters.
+        assert percent_decode(text) is None
+
+    @pytest.mark.parametrize("text, name", [("a%2Fb", "a/b"), ("A", "A"), ("%E2%82%AC", "€"),
+                                            ("", "")])
+    def test_decode_of_an_encoding(self, text, name):
+        assert percent_decode(text) == name
+        assert percent_encode(name) == text
+
     @given(st.text())
     def test_round_trip(self, s):
         assert percent_decode(percent_encode(s)) == s
@@ -200,6 +211,14 @@ class TestTemplateMapping:
     def test_invert_round_trip(self, s):
         m = TemplateIriMapping("http://example.org/k/")
         assert m.invert(m.apply(s)) == s
+
+    def test_invert_accepts_only_what_apply_gives(self):
+        m = TemplateIriMapping("http://example.org/k/")
+        assert m.invert(Iri("http://example.org/k/a%2Fb")) == "a/b"
+        assert m.invert(Iri("http://example.org/k/a%2fb")) is None
+        assert m.invert(Iri("http://example.org/k/%41")) is None
+        assert m.apply("A") == Iri("http://example.org/k/A")
+        assert m.invert(m.apply("A")) == "A"
 
     def test_invert_outside_prefix_is_undefined(self):
         m = TemplateIriMapping("http://example.org/k/")

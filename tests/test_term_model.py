@@ -1,13 +1,16 @@
 """The term model: immutable slotted terms, values and records with a hash
 stored or cached at construction, pickling and copying through the
-constructors, the nesting-depth limit on triples built in code, and the
+constructors, the nesting-depth limit on triples built in code, the
 term tables that make equal terms one object within a parse or a
-transformation."""
+transformation, and the trusted constructors Triple._of and
+RdfStarGraph._of, checked against the checked ones."""
 
 import copy
 import dataclasses
+import importlib.util
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -34,11 +37,17 @@ from starpg import (
     RdfStarGraph,
     Text,
     Triple,
+    blank_node_labels,
     canonicalize_bnodes,
     canonicalize_values,
+    embedded_triples,
+    from_rdf_like_pg,
+    minimize,
     nesting_depth,
+    parse_pg_json,
     parse_turtle_star,
     pg_to_rdf_star,
+    relabel_bnodes,
     serialize_turtle_star,
     to_rdf_like_pg,
     to_simple_pg,
@@ -47,6 +56,7 @@ from starpg import (
 from starpg.rdf import MAX_NESTING_DEPTH
 import starpg.turtle
 from conftest import EX, KNOWS_CERTAINTY, build_alice_bob, build_kubrick_pg
+import randgen
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -299,3 +309,96 @@ class TestTermTables:
         out = canonicalize_values(RdfStarGraph([kept, changed]))
         assert any(t is kept for t in out.triples)
         assert changed not in out
+
+
+IRI_VERTICES = MappingConfig(vertex_id_strategy=TemplateIriMapping(EX + "v/"))
+
+
+def _small_workload_inputs() -> dict[str, str]:
+    """The benchmark's three workloads at a small size, from its own
+    generator: file name -> text."""
+    path = SRC.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs  # dataclasses looks its module up
+    try:
+        spec.loader.exec_module(inputs)
+        files = [*inputs.social(1, persons=60, provenance=5), *inputs.pg(2, vertices=40),
+                 *inputs.anon(3, persons=30, anonymous=9, annotations=15, pg_vertices=8)]
+    finally:
+        del sys.modules[spec.name]
+    return {f.name: f.text for f in files}
+
+
+class TestTrustedTriplesAndGraphs:
+    """Triple._of and RdfStarGraph._of skip the type checks where the
+    package made the terms itself; each triple and graph they build must
+    be the one the checked constructors build from the same fields."""
+
+    @staticmethod
+    def assert_as_if_checked(g: RdfStarGraph) -> None:
+        assert type(g.triples) is frozenset
+        assert g == RdfStarGraph(g.triples)
+        for t in g.triples:
+            for x in (t, *embedded_triples(t)):
+                checked = Triple(x.subject, x.predicate, x.object)
+                assert x == checked
+                assert hash(x) == hash(checked) == hash((x.subject, x.predicate, x.object))
+                assert nesting_depth(x) == nesting_depth(checked)
+
+    def assert_rdf_results_as_if_checked(self, g: RdfStarGraph) -> None:
+        """Every graph an RDF-to-RDF call site of _of builds from g."""
+        self.assert_as_if_checked(parse_turtle_star(serialize_turtle_star(g))[0])
+        # Each embedded triple asserted too, so that minimize drops some.
+        redundant = RdfStarGraph(g.triples | embedded_triples(g))
+        for h in (g, redundant):
+            self.assert_as_if_checked(canonicalize_values(h))
+            self.assert_as_if_checked(minimize(h))
+            self.assert_as_if_checked(unfold_to_rdf(h))
+            self.assert_as_if_checked(canonicalize_bnodes(h))
+            labels = sorted(blank_node_labels(h))
+            self.assert_as_if_checked(
+                relabel_bnodes(h, {a: f"z{i}" for i, a in enumerate(labels[::2])}))
+
+    def test_random_corpora(self):
+        rng = random.Random(251)
+        for _ in range(150):
+            self.assert_rdf_results_as_if_checked(randgen.random_rdf_star_graph(rng))
+            self.assert_rdf_results_as_if_checked(randgen.random_one_level_graph(rng))
+            g = randgen.random_convertible_graph(rng)
+            self.assert_rdf_results_as_if_checked(g)
+            self.assert_as_if_checked(from_rdf_like_pg(to_rdf_like_pg(g).graph))
+            p = randgen.random_property_graph(rng)
+            self.assert_as_if_checked(pg_to_rdf_star(p))
+            self.assert_as_if_checked(pg_to_rdf_star(p, IRI_VERTICES))
+
+    def test_data_files_and_small_workload_inputs(self):
+        texts = {path.name: path.read_text(encoding="utf-8")
+                 for path in sorted((SRC.parent / "tests" / "data").iterdir())}
+        texts.update(_small_workload_inputs())
+        for name, text in texts.items():
+            if name.endswith(".ttls"):
+                g, _ = parse_turtle_star(text)
+                self.assert_as_if_checked(g)
+                self.assert_rdf_results_as_if_checked(g)
+                prepared = minimize(canonicalize_values(g))
+                self.assert_as_if_checked(from_rdf_like_pg(to_rdf_like_pg(prepared).graph))
+            else:
+                p = parse_pg_json(text)
+                self.assert_as_if_checked(pg_to_rdf_star(p))
+                self.assert_as_if_checked(pg_to_rdf_star(p, IRI_VERTICES))
+        assert sorted(texts) == ["alice_bob.ttls", "alice_bob_reduced.ttls", "anon.pg.json",
+                                 "anon.ttls", "graph.pg.json", "kubrick.pg.json",
+                                 "kubrick.ttls", "social.ttls"]
+
+    def test_the_depth_limit_and_its_error_are_kept(self):
+        deep = _chain(MAX_NESTING_DEPTH)
+        with pytest.raises(ValueError) as checked:
+            Triple(deep, P, O)
+        with pytest.raises(ValueError) as trusted:
+            Triple._of(deep, P, O)
+        assert str(trusted.value) == str(checked.value) == (
+            f"triple nested deeper than {MAX_NESTING_DEPTH} levels")
+        below = Triple._of(S, P, _chain(MAX_NESTING_DEPTH - 1))
+        assert nesting_depth(below) == MAX_NESTING_DEPTH
+        assert below == Triple(S, P, _chain(MAX_NESTING_DEPTH - 1))

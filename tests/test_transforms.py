@@ -41,9 +41,11 @@ from starpg import (
     isomorphic,
     mentioned_terms,
     ordinary_triples,
+    parse_pg_json,
     parse_turtle_star,
     pg_to_rdf_star,
     relationship_triples,
+    serialize_pg_json,
     term_key,
     to_rdf_like_pg,
     to_simple_pg,
@@ -389,6 +391,17 @@ class TestFromRdfLikePg:
     def test_empty(self):
         assert from_rdf_like_pg(PropertyGraph()) == RdfStarGraph()
 
+    def test_direct_decoding_agrees_with_reading_key_by_key(self, monkeypatch):
+        # The transform's own graphs, and the same read back from PG-JSON,
+        # whose properties are not the transform's shared objects.
+        rng = random.Random(331)
+        graphs = [to_rdf_like_pg(randgen.random_convertible_graph(rng)).graph
+                  for _ in range(200)]
+        graphs += [parse_pg_json(serialize_pg_json(p)) for p in graphs[:60]]
+        direct = [from_rdf_like_pg(p) for p in graphs]
+        monkeypatch.setattr(starpg.transforms, "_written_term", lambda *args: None)
+        assert [from_rdf_like_pg(p) for p in graphs] == direct
+
     def test_blank_node_vertices_get_fresh_labels(self):
         g = RdfStarGraph([Triple(BNode("weird"), P, BNode("other"))])
         back = from_rdf_like_pg(to_rdf_like_pg(g).graph)
@@ -608,6 +621,44 @@ class TestTrustedConstruction:
         self.assert_as_if_checked(simple.graph)
         assert simple.graph.properties(simple.vertex_map[S]) == (
             Property("IRI", Text(S.value)), Property(P.value, Integer(1)))
+
+
+class TestIdsFollowTermOrder:
+    """Both RDF-to-PG transforms sort the terms once and order the ordinary
+    triples by the ranks of their subject and object; the ids must be
+    those of numbering by term_key itself.  A language-tagged literal has
+    no property value, so no convertible graph holds one."""
+
+    @staticmethod
+    def numbered_by_term_key(g: RdfStarGraph, simple: bool) -> tuple[dict, dict]:
+        ordinary = sorted(ordinary_triples(g), key=term_key)
+        edges = [t for t in ordinary if not (simple and isinstance(t.object, Literal))]
+        terms = {x for t in ordinary for x in (t.subject, t.object)
+                 if not (simple and isinstance(x, Literal))}
+        vertex_map = {x: f"v{i}" for i, x in enumerate(sorted(terms, key=term_key), start=1)}
+        return vertex_map, {t: f"e{i}" for i, t in enumerate(edges, start=1)}
+
+    @pytest.mark.parametrize("simple", [False, True], ids=["rdf-like", "simple"])
+    def test_random_corpora(self, simple):
+        transform = to_simple_pg if simple else to_rdf_like_pg
+        rng = random.Random(409)
+        seen = set()
+        for _ in range(300):
+            g = randgen.random_convertible_graph(rng, strong=simple)
+            # Typed literals with odd lexical forms, and strings, that have a value.
+            extra = [Triple(randgen.BNODES[0] if rng.random() < 0.5 else S, P, literal)
+                     for literal in (randgen.random_literal(rng) for _ in range(6))
+                     if value_from_literal(literal) is not None]
+            g = RdfStarGraph(g.triples | set(extra))
+            result = transform(g)
+            vertex_map, edge_map = self.numbered_by_term_key(g, simple)
+            assert result.vertex_map == vertex_map
+            assert result.edge_map == edge_map
+            seen |= {type(x) for x in vertex_map}
+            seen |= {"typed" for x in vertex_map
+                     if isinstance(x, Literal) and x.datatype.value != XSD_STRING}
+            seen |= {"unasserted" for t in edge_map if t not in g}
+        assert seen >= {Iri, BNode, "unasserted"} | (set() if simple else {Literal, "typed"})
 
 
 class TestCanonicalizeValues:

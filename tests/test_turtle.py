@@ -183,6 +183,11 @@ class TestParseLiterals:
             (r"a\nb", "a\nb"),
             (r"a\rb", "a\rb"),
             (r"a\tb", "a\tb"),
+            (r"\u00e9\u00E9", "éé"),
+            (r"a\u000Bb\u2028", "a\vb\u2028"),
+            (r"\U0001F600\U0010FFFF\U00000041", "\U0001F600\U0010FFFFA"),
+            (r"\uD7FF\uE000", "\ud7ff\ue000"),
+            (r"\u005C\u0022", '\\"'),
         ],
     )
     def test_string_escapes(self, escaped, unescaped):
@@ -302,6 +307,19 @@ PARSE_ERRORS = [
     # A character that is not printable is shown by its repr.
     ('<e:s> <e:p> "a\\\nb" .', 1, 15, "unsupported escape \\'\\n'"),
     ('<e:s> <e:p> "a\\\tb" .', 1, 15, "unsupported escape \\'\\t'"),
+    # A code point escape names a Unicode scalar value with exactly its digits.
+    ('<e:s> <e:p> "a\\uD800" .', 1, 15, "escape \\uD800 is not a Unicode scalar value"),
+    ('<e:s> <e:p> "a\\udfff" .', 1, 15, "escape \\udfff is not a Unicode scalar value"),
+    ('<e:s> <e:p> "a\\U0000DC00" .', 1, 15,
+     "escape \\U0000DC00 is not a Unicode scalar value"),
+    ('<e:s> <e:p> "a\\U00110000" .', 1, 15,
+     "escape \\U00110000 is not a Unicode scalar value"),
+    ('<e:s> <e:p> "a\\U7FFFFFFF"@en .', 1, 15,
+     "escape \\U7FFFFFFF is not a Unicode scalar value"),
+    ('<e:s> <e:p> "a\\u12" .', 1, 15, "\\u escape needs 4 hex digits"),
+    ('<e:s> <e:p> "a\\u12g4" .', 1, 15, "\\u escape needs 4 hex digits"),
+    ('<e:s> <e:p> "a\\U0001F60" .', 1, 15, "\\U escape needs 8 hex digits"),
+    ('<<<e:s> <e:p> <e:o>>> <e:q> "\\u" .', 1, 30, "\\u escape needs 4 hex digits"),
     ('<e:s> <e:p> "x"@9 .', 1, 17, "malformed language tag"),
     ('<e:s> <e:p> "x"^^<<e:d>> .', 1, 18, "expected datatype IRI"),
     (f'<e:s> <e:p> "x"^^<{RDF}langString> .', 1, 13,
@@ -459,7 +477,8 @@ _ONE_TRIPLE_TERMS = [
                      "zz:s", "<bad iri>", "_:b-1", '"x"', "1", "ex:abc:d", "ex:o-", "a",
                      '<<ex:a ex:b "lit">>', "<<ex:a ex:b ex:c", "<<<<ex:a ex:b ex:c>> ex:b ex:c>>"]),
     st.sampled_from(["ex:p", f"<{EX}p>", "a", "_:p", "zz:p", "ex:p:q", "<<ex:a ex:b ex:c>>"]),
-    st.sampled_from(["ex:o", "_:b1x", '"x"', '"a\\"b\\n"', '""', "12", "1.5", "1.e3", "-3",
+    st.sampled_from(["ex:o", "_:b1x", '"x"', '"a\\"b\\n"', '"\\u00e9\\U0001F600"', '"\\uDC00"',
+                     '"\\U00110000"', '"\\u12"', '""', "12", "1.5", "1.e3", "-3",
                      "+2E5", ".5", "1.5ex:t", '"x"@en', '"x"^^ex:t', "<bad iri>", "ex:o-", "true",
                      '"""x"""', '"x"^', "1" * 500, "_:b_", "<<ex:a ex:b ex:c>>"]),
     st.sampled_from([".", ";", ",", ".5", ">>", ""]),
@@ -622,6 +641,18 @@ class TestSerialize:
         g = RdfStarGraph([Triple(S, P, Literal('a"b\\c\nd\re\tf'))])
         text = serialize_turtle_star(g)
         assert '"a\\"b\\\\c\\nd\\re\\tf"' in text
+
+    def test_line_breaking_code_points_are_escaped_and_read_back(self):
+        # Every character but \n and \r at which str.splitlines breaks.
+        breaks = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+        assert all(len(f"a{c}b".splitlines()) == 2 for c in breaks)
+        literal = Literal(f"a{breaks}b\u00e9", language="en")
+        g = RdfStarGraph([Triple(S, P, literal), Triple(Triple(S, P, Literal(breaks)), Q, O)])
+        text = serialize_turtle_star(g)
+        assert '"a\\u000B\\u000C\\u001C\\u001D\\u001E\\u0085\\u2028\\u2029b\u00e9"@en' in text
+        assert len(text.splitlines()) == 2
+        assert parse(text) == g
+        assert format_term(literal).splitlines() == [format_term(literal)]
 
     def test_blank_nodes_renumbered_canonically(self):
         g = RdfStarGraph([Triple(BNode("weird"), P, BNode("names"))])

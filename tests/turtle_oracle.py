@@ -3,6 +3,10 @@ oracle: a character-level recursive descent, frozen with its own copies
 of the token patterns.  tests/test_turtle.py checks that parse_turtle_star
 gives the same graph and prefixes, or the same error at the same line and
 column, on every document it draws.
+
+Since then it has learnt what the reader learnt: \\uXXXX and \\UXXXXXXXX
+escapes, checked here digit by digit and by arithmetic rather than by
+the reader's pattern.
 """
 
 from __future__ import annotations
@@ -295,6 +299,18 @@ class _Parser:
             self.error("malformed number")
         return self.literal(lex, self.iri(_number_datatype(lex)))
 
+    def code_point_escape(self, e: str) -> str:
+        """The character of the \\u or \\U escape at the backslash at pos."""
+        n = 4 if e == "u" else 8
+        digits = self.text[self.pos + 2:self.pos + 2 + n]
+        if len(digits) < n or any(d not in "0123456789abcdefABCDEF" for d in digits):
+            self.error(f"\\{e} escape needs {n} hex digits", self.pos)
+        code = int(digits, 16)
+        if 0xD800 <= code <= 0xDFFF or code > 0x10FFFF:
+            self.error(f"escape \\{e}{digits} is not a Unicode scalar value", self.pos)
+        self.pos += 2 + n
+        return chr(code)
+
     def string_literal(self) -> Literal:
         at = self.pos
         self.pos += 1  # opening quote
@@ -311,6 +327,9 @@ class _Parser:
                 break
             # c is a backslash
             e = self.peek(1)
+            if e in ("u", "U"):
+                chars.append(self.code_point_escape(e))
+                continue
             if e not in _ESCAPES:
                 self.error(f"unsupported escape \\{e if e.isprintable() else repr(e)}", self.pos)
             chars.append(_ESCAPES[e])
