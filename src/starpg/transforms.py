@@ -349,66 +349,48 @@ def to_rdf_like_pg(g: RdfStarGraph, mode: str = "lenient") -> PgResult:
     return PgResult(graph, vertex_map, edge_map)
 
 
-def _single(props_by_key: dict[str, list], key: str, vertex: str):
-    values = props_by_key.get(key, [])
-    if len(values) != 1:
-        raise MalformedRdfLikePgError(
-            f"vertex {vertex!r} needs exactly one {key!r} property, has {len(values)}"
-        )
-    return values[0]
+def _one(v: str, props: tuple[Property, ...], keys: list[str], key: str) -> PropertyValue:
+    """The value of vertex v's one property under key, where keys lists
+    the keys of props in order; raises unless exactly one is key."""
+    n = keys.count(key)
+    if n != 1:
+        raise MalformedRdfLikePgError(f"vertex {v!r} needs exactly one {key!r} property, has {n}")
+    return props[keys.index(key)].value
 
 
-def _text_value(value, key: str, vertex: str) -> str:
+def _text(v: str, props: tuple[Property, ...], keys: list[str], key: str) -> str:
+    """As _one, for a property whose value must be Text; returns its text."""
+    value = _one(v, props, keys, key)
     if not isinstance(value, Text):
-        raise MalformedRdfLikePgError(f"vertex {vertex!r} property {key!r} must be Text")
+        raise MalformedRdfLikePgError(f"vertex {v!r} property {key!r} must be Text")
     return value.value
 
 
-def _written_term(props: tuple[Property, ...],
-                  iri_of: Callable[[str], Iri | None]) -> Iri | Literal | None:
-    """The term of an IRI or literal vertex whose properties are exactly
-    those to_rdf_like_pg writes for its kind, and that decode; None for
-    any other vertex."""
-    if len(props) == 2:
-        text, kind = props
-        if kind == _KIND_IRI and text.key == IRI_KEY and text.value.__class__ is Text:
-            return string_to_iri(text.value.value)
-    elif len(props) == 3:
-        datatype, kind, value = props
-        if (kind == _KIND_LITERAL and datatype.key == DATATYPE_KEY and value.key == LITERAL_KEY
-                and datatype.value.__class__ is Text):
-            dt_iri = iri_of(datatype.value.value)
-            if dt_iri is not None:
-                try:
-                    return Literal(value_to_literal(value.value).lexical_form, dt_iri)
-                except ValueError:
-                    pass
-    return None
+def _vertex_term(v: str, props: tuple[Property, ...],
+                 iri_of: Callable[[str], Iri | None]) -> Iri | Literal | None:
+    """The term vertex v's properties encode, None for a blank node.
 
-
-def _read_term(v: str, props: tuple[Property, ...],
-               iri_of: Callable[[str], Iri | None]) -> Iri | Literal | None:
-    """The term of vertex v read key by key from its properties, None for
-    a blank node; raises MalformedRdfLikePgError when they encode none."""
-    by_key: dict[str, list] = defaultdict(list)
-    for prop in props:
-        by_key[prop.key].append(prop.value)
-    kind = _text_value(_single(by_key, KIND_KEY, v), KIND_KEY, v)
-    keys = _VERTEX_KEYS.get(kind)
-    if keys is None:
+    Raises MalformedRdfLikePgError at the first rule they break, in this
+    order: one Text kind, a known kind, only the keys of that kind, then
+    one valid IRI, or one literal value and one valid datatype that
+    together build a literal."""
+    keys = [prop.key for prop in props]
+    kind = _text(v, props, keys, KIND_KEY)
+    allowed = _VERTEX_KEYS.get(kind)
+    if allowed is None:
         raise MalformedRdfLikePgError(f"vertex {v!r} has unknown kind {kind!r}")
-    if not by_key.keys() <= keys:
+    if not allowed.issuperset(keys):
         raise MalformedRdfLikePgError(f"{kind} vertex {v!r} has unexpected properties")
+    if kind == KIND_BLANK_NODE:
+        return None
     if kind == KIND_IRI:
-        text = _text_value(_single(by_key, IRI_KEY, v), IRI_KEY, v)
+        text = _text(v, props, keys, IRI_KEY)
         iri = string_to_iri(text)
         if iri is None:
             raise MalformedRdfLikePgError(f"vertex {v!r} IRI is not a valid IRI: {text!r}")
         return iri
-    if kind == KIND_BLANK_NODE:
-        return None
-    value = _single(by_key, LITERAL_KEY, v)
-    datatype = _text_value(_single(by_key, DATATYPE_KEY, v), DATATYPE_KEY, v)
+    value = _one(v, props, keys, LITERAL_KEY)
+    datatype = _text(v, props, keys, DATATYPE_KEY)
     dt_iri = iri_of(datatype)
     if dt_iri is None:
         raise MalformedRdfLikePgError(f"vertex {v!r} datatype is not a valid IRI: {datatype!r}")
@@ -429,20 +411,15 @@ def from_rdf_like_pg(p: PropertyGraph) -> RdfStarGraph:
     property is rejected.  The result is minimal: an edge's triple is kept
     at top level only when no metadata reasserts it embedded.
 
-    A vertex whose properties are exactly what to_rdf_like_pg writes for
-    its kind is decoded directly; every other vertex, errors included, is
-    read key by key.  The triples are built from the terms made here.
+    Every vertex goes through one checked decoder, which raises at the
+    first rule it breaks.  The triples are built from the terms made here.
     """
     term_map: dict[str, Term] = {}
     counter = 0
     iri_of = cache(string_to_iri)  # labels, keys and datatypes repeat
     literal_of = cache(value_to_literal)  # and so do edge property values
     for v in sorted(p.vertices):
-        props = p.properties(v)
-        if props == _BLANK_NODE_PROPERTIES:
-            term = None
-        else:
-            term = _written_term(props, iri_of) or _read_term(v, props, iri_of)
+        term = _vertex_term(v, p.properties(v), iri_of)
         if term is None:  # a blank node
             counter += 1
             term = BNode(f"b{counter}")

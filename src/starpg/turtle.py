@@ -126,9 +126,11 @@ _STRING_BODY_RE = re.compile(
 # name of its group.  A string takes an adjacent language tag or '^^'.  A
 # number never starts with '.': after an object '.5' is the statement's '.'
 # and '5', so where an object starts the parser reads '.5' itself.  CHAR
-# is any other character, which the parser reads by itself.
-_TOKEN_RE = re.compile(
-    r"(?:[ \t\r\n]+|#[^\n]*)*(?:"
+# is any other character, which the parser reads by itself.  The parser
+# compiles it when it starts, as it does _STATEMENT: compiled at its first
+# use, in the middle of a parse, it raised the process's peak memory.
+_TOKEN = (
+    r"(?s)(?:[ \t\r\n]+|#[^\n]*)*(?:"
     rf"(?P<PNAME>(?:{_PREFIX_RE.pattern})?:{_LOCAL_RE.pattern})"
     r"|(?P<DOT>\.)|(?P<SEMI>;)|(?P<COMMA>,)"
     rf'|(?P<STRING>"(?!"")(?P<lex>{_STRING_BODY_RE.pattern})"'
@@ -137,15 +139,14 @@ _TOKEN_RE = re.compile(
     rf"|(?P<NUMBER>(?!\.){_NUMBER_RE.pattern})"
     rf"|(?P<BNODE>_:(?P<label>{_BNODE_LABEL_RE.pattern}))"
     rf"|(?P<WORD>{_PREFIX_RE.pattern})|(?P<AT>@(?:{_PREFIX_RE.pattern})?)"
-    r"|(?P<END>\Z)|(?P<CHAR>.))",
-    re.DOTALL,
+    r"|(?P<END>\Z)|(?P<CHAR>.))"
 )
 # One match: a whole statement "subject predicate object ." with the
-# trivia before each token, cut into the tokens _TOKEN_RE would cut.  A
+# trivia before each token, cut into the tokens _TOKEN would cut.  A
 # node is a prefixed name, an <IRI> or a blank node; the subject is a node
 # or << node name node >>, the predicate a name, and the object a node, a
 # plain string or a number.  A name or label ends where its token ends; a
-# number is the token _TOKEN_RE takes, held by the lookahead so that a
+# number is the token _TOKEN takes, held by the lookahead so that a
 # later failure cannot shorten it; a string has no tag or datatype after
 # it.  A comment here always has a token after it, so it ends at its
 # newline.  The groups are the embedded subject, predicate and object,
@@ -179,7 +180,7 @@ def _number_datatype(lex: str) -> str:
 
 class _Parser:
     """One _STATEMENT match per statement of one triple, and recursive
-    descent over the tokens of _TOKEN_RE for the rest: there the parser
+    descent over the tokens of _TOKEN for the rest: there the parser
     holds the current match and takes the next only when it moves on.
     Line and column are computed from a token's start when an error is
     raised."""
@@ -201,7 +202,7 @@ class _Parser:
 
     def scan_from(self, pos: int) -> None:
         """Start the lexer at pos and move to its first token."""
-        self.next_token = _TOKEN_RE.finditer(self.text, pos).__next__
+        self.next_token = self.tokens(self.text, pos).__next__
         self.advance()
 
     def advance(self) -> None:
@@ -249,6 +250,7 @@ class _Parser:
         numbers: dict[str, Literal] = {}  # number token -> its literal
         xsd_string = self.iri(XSD_STRING)
         match = re.compile(_STATEMENT).match
+        self.tokens = re.compile(_TOKEN).finditer
         pos, tokens_at = 0, -1  # tokens_at: where the token the tokens hold starts
         while True:
             m = match(text, pos)

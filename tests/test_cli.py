@@ -193,6 +193,24 @@ class TestRdf2Pg:
         assert seen == [graphs()]
 
 
+# Runs starpg.cli.main on argv in a fresh interpreter and prints its exit
+# code and how often the Turtle-star token and statement patterns were
+# passed to re.compile, from the import of starpg on.
+_PATTERN_COMPILES = """
+import contextlib, io, re, sys
+patterns = []
+compile = re.compile
+def counting(pattern, flags=0):
+    patterns.append(pattern)
+    return compile(pattern, flags)
+re.compile = counting
+import starpg.cli, starpg.turtle
+with contextlib.redirect_stdout(io.StringIO()):
+    code = starpg.cli.main(sys.argv[1:])
+print(code, patterns.count(starpg.turtle._TOKEN), patterns.count(starpg.turtle._STATEMENT))
+"""
+
+
 class TestPg2Rdf:
     def test_kubrick_to_turtle(self, capsys):
         assert main(["pg2rdf", KUBRICK]) == 0
@@ -244,15 +262,40 @@ class TestPg2Rdf:
         assert main(["pg2rdf", str(path)]) == 2
         assert "schema error" in capsys.readouterr().err
 
-    def test_deeply_nested_json_is_exit_2(self, tmp_path, capsys):
+    @staticmethod
+    def nested_pg2rdf(depth, tmp_path, capsys) -> str:
+        """pg2rdf's stderr on a document whose vertices nest depth arrays
+        deep; asserts exit 2 and one schema error line."""
         path = tmp_path / "deep.pg.json"
-        depth = 5000
         path.write_text('{"vertices": ' + "[" * depth + "]" * depth + ', "edges": []}',
                         encoding="utf-8")
         assert main(["pg2rdf", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "schema error: /: invalid JSON: arrays or objects nested too deeply" in err
+        assert err.startswith("schema error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        return err
+
+    def test_deeply_nested_json_is_exit_2(self, tmp_path, capsys):
+        # Deep enough for the json module of every supported Python.
+        err = self.nested_pg2rdf(100_000, tmp_path, capsys)
+        assert err == "schema error: /: invalid JSON: arrays or objects nested too deeply\n"
+
+    def test_nested_json_some_json_modules_decode_is_exit_2(self, tmp_path, capsys):
+        # Python 3.13's json decodes this depth and the schema check
+        # rejects the first vertex; older ones reject the nesting.
+        self.nested_pg2rdf(5000, tmp_path, capsys)
+
+    @pytest.mark.parametrize("argv, reads_turtle", [
+        (["pg2rdf", KUBRICK], False),
+        (["check", ALICE_BOB], True),
+    ], ids=["pg2rdf", "check"])
+    def test_turtle_patterns_compiled_only_by_a_turtle_parse(self, argv, reads_turtle):
+        env = {**os.environ, "PYTHONPATH": str(Path(starpg.__file__).parent.parent)}
+        result = subprocess.run([sys.executable, "-c", _PATTERN_COMPILES, *argv],
+                                capture_output=True, text=True, env=env, check=True)
+        code, tokens, statements = map(int, result.stdout.split())
+        assert code == 0
+        assert (tokens > 0, statements > 0) == (reads_turtle, reads_turtle)
 
     def test_equal_mapping_prefixes_rejected(self, capsys):
         code = main([
