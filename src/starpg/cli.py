@@ -3,16 +3,18 @@
 Subcommands: check, rdf2pg, pg2rdf, unfold, roundtrip.  Exit codes:
 0 success, 1 domain/validation failure, 2 parse/format/usage error.
 Data goes to -o or standard output as it is made, in pieces of about
-64 KiB; a regular -o file is replaced only once the whole output is
-written.  The replacement is a new file, put in place by os.replace: it
-keeps the old file's permission bits, but not its hard links, owner,
-group or extended attributes.
+64 KiB, and is UTF-8 in either, whatever the locale; a regular -o file
+is replaced only once the whole output is written.  The replacement is
+a new file, put in place by os.replace: it keeps the old file's
+permission bits, but not its hard links, owner, group or extended
+attributes.
 Diagnostics go to standard error.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import gc
 import json
 import os
@@ -205,6 +207,17 @@ def _replacing(path: str) -> Iterator[TextIO]:
         raise
 
 
+def _stdout() -> TextIO:
+    """Standard output, written in UTF-8 whatever its encoding: through
+    its binary buffer, after the text written before, or as text to a
+    stream that has no buffer."""
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        return sys.stdout
+    sys.stdout.flush()
+    return codecs.getwriter("utf-8")(buffer)
+
+
 def _write(chunks: Iterable[str], path: str | None = None, stream: TextIO | None = None) -> None:
     """Write the chunks to the file at path, else to stream, standard
     output by default, a piece at a time.  Nothing is made before the
@@ -212,7 +225,7 @@ def _write(chunks: Iterable[str], path: str | None = None, stream: TextIO | None
     last piece is written, an existing one keeps its bytes."""
     pieces = _pieces(chunks)
     first = [next(pieces)]
-    with nullcontext(stream or sys.stdout) if path is None else _replacing(path) as out:
+    with nullcontext(stream or _stdout()) if path is None else _replacing(path) as out:
         for piece in chain(first, pieces):
             if piece:
                 out.write(piece)

@@ -137,7 +137,7 @@ _TOKEN = (
     rf"(?:@(?P<lang>{_LANG_TAG_RE.pattern})?|(?P<dt>\^\^))?)"
     rf"|(?P<LTLT><<)|(?P<GTGT>>>)|(?P<IRI>{_IRIREF_RE.pattern})"
     rf"|(?P<NUMBER>(?!\.){_NUMBER_RE.pattern})"
-    rf"|(?P<BNODE>_:(?P<label>{_BNODE_LABEL_RE.pattern}))"
+    rf"|(?P<BNODE>_:{_BNODE_LABEL_RE.pattern})"
     rf"|(?P<WORD>{_PREFIX_RE.pattern})|(?P<AT>@(?:{_PREFIX_RE.pattern})?)"
     r"|(?P<END>\Z)|(?P<CHAR>.))"
 )
@@ -149,16 +149,17 @@ _TOKEN = (
 # number is the token _TOKEN takes, held by the lookahead so that a
 # later failure cannot shorten it; a string has no tag or datatype after
 # it.  A comment here always has a token after it, so it ends at its
-# newline.  The groups are the embedded subject, predicate and object,
-# the subject node, the predicate, the object node, the string body and
-# the number.  The parser compiles it when it first runs: re.compile keeps
-# what it compiled, and a command that reads no Turtle-star never pays.
+# newline.  The groups are the tokens of the embedded subject, predicate
+# and object, of the subject node, of the predicate and of the object, and
+# last the number the lookahead holds.  The parser compiles it when it
+# first runs: re.compile keeps what it compiled, and a command that reads
+# no Turtle-star never pays.
 _T = r"[ \t\r\n]*(?:#[^\n]*\n[ \t\r\n]*)*"
 _NAME = rf"(?:{_PREFIX_RE.pattern})?:{_LOCAL_RE.pattern}(?![A-Za-z0-9_-])|(?!<<){_IRIREF}"
 _NODE = rf"{_NAME}|_:{_BNODE_LABEL_RE.pattern}(?![A-Za-z0-9_-])"
 _STATEMENT = (
     rf"{_T}(?:<<{_T}({_NODE}){_T}({_NAME}){_T}({_NODE}){_T}>>|({_NODE}))"
-    rf'{_T}({_NAME}){_T}(?:({_NODE})|"(?!"")({_STRING_BODY_RE.pattern})"(?![@^])'
+    rf'{_T}({_NAME}){_T}({_NODE}|"(?!""){_STRING_BODY_RE.pattern}"(?![@^])'
     rf"|(?=(?!\.)(?P<n>{_NUMBER_RE.pattern}))(?P=n)){_T}\."
 )
 
@@ -190,12 +191,13 @@ class _Parser:
         self.prefixes: dict[str, str] = {}
         self.triples: set[Triple] = set()
         # The term tables: equal IRIs share one object, and so do equal
-        # literals, keyed by lexical form, datatype and language tag.  The
-        # prefixed names resolved so far map their text to their IRI until
-        # the next @prefix.
+        # literals, keyed by lexical form, datatype and language tag.  seen
+        # maps the text of each prefixed name, <IRI>, blank node, plain
+        # string and number token read so far to its term, until the next
+        # @prefix; token_term fills it.
         self.iris: dict[str, Iri] = {}
         self.literals: dict[tuple, Literal] = {}
-        self.pnames: dict[str, Iri] = {}
+        self.seen: dict[str, Term] = {}
         self.depth = 0  # << >> levels open at the current token
 
     # -- tokens --------------------------------------------------------
@@ -241,38 +243,25 @@ class _Parser:
         When the tokens have just read the statement before, they go on
         from the token they hold instead of starting again.
 
-        A name is looked up among the prefixed names read so far before
-        node is called, and a string body or number token among those
-        read so far, so a repeated term costs one dict lookup."""
-        text, add, node, of = self.text, self.triples.add, self.node, Triple._of
-        named = self.pnames.get
-        strings: dict[str, Literal] = {}  # string body as written -> its literal
-        numbers: dict[str, Literal] = {}  # number token -> its literal
-        xsd_string = self.iri(XSD_STRING)
+        Each token is looked up in seen before token_term is called, so
+        a repeated term costs one dict lookup."""
+        text, add, of = self.text, self.triples.add, Triple._of
+        seen, token_term = self.seen.get, self.token_term
         match = re.compile(_STATEMENT).match
         self.tokens = re.compile(_TOKEN).finditer
         pos, tokens_at = 0, -1  # tokens_at: where the token the tokens hold starts
         while True:
             m = match(text, pos)
             if m is not None:
-                es, ep, eo, s, p, o, lex, number = m.groups()
+                es, ep, eo, s, p, o, _ = m.groups()
                 try:
                     if s is None:
-                        s = of(named(es) or node(es), named(ep) or node(ep), named(eo) or node(eo))
+                        s = of(seen(es) or token_term(es), seen(ep) or token_term(ep),
+                               seen(eo) or token_term(eo))
                     else:
-                        s = named(s) or node(s)
-                    p = named(p) or node(p)
-                    if o is not None:
-                        o = named(o) or node(o)
-                    elif lex is not None:
-                        o = strings.get(lex)
-                        if o is None:
-                            o = strings[lex] = self.literal(_unescape(lex), xsd_string)
-                    else:
-                        o = numbers.get(number)
-                        if o is None:
-                            o = numbers[number] = self.literal(
-                                number, self.iri(_number_datatype(number)))
+                        s = seen(s) or token_term(s)
+                    p = seen(p) or token_term(p)
+                    o = seen(o) or token_term(o)
                 except (KeyError, ValueError):
                     pass
                 else:
@@ -282,6 +271,7 @@ class _Parser:
             if pos != tokens_at:
                 self.scan_from(pos)
             if self.kind == "END":
+                self.seen.clear()  # freed before the copy below, or it adds to the peak
                 return RdfStarGraph._of(frozenset(self.triples)), dict(self.prefixes)
             if self.kind == "AT":
                 self.directive()
@@ -289,21 +279,25 @@ class _Parser:
                 self.statement()
             pos = tokens_at = self.m.start()
 
-    def node(self, token: str) -> Iri | BNode:
-        """The term of a prefixed name, <IRI> or blank node token of
-        _STATEMENT; raises KeyError for an unknown prefix and
-        ValueError for an invalid IRI."""
-        iri = self.pnames.get(token)
-        if iri is not None:
-            return iri
-        if token[0] == "<":
-            return self.iri(token[1:-1])
-        if token[0] == "_":
-            return BNode(token[2:])
-        label, _, local = token.partition(":")
-        # A declared namespace is a valid IRI, and so is any local name after it.
-        iri = self.pnames[token] = self.iri(self.prefixes[label] + local)
-        return iri
+    def token_term(self, token: str) -> Term:
+        """The term of a prefixed name, <IRI>, blank node, plain string or
+        number token, kept in seen; raises KeyError for an unknown prefix
+        and ValueError for an invalid IRI."""
+        c = token[0]
+        if c == '"':
+            term = self.literal(_unescape(token[1:-1]), self.iri(XSD_STRING))
+        elif c == "<":
+            term = self.iri(token[1:-1])
+        elif c == "_":
+            term = BNode(token[2:])
+        elif c in "+-.0123456789":
+            term = self.literal(token, self.iri(_number_datatype(token)))
+        else:  # a prefixed name
+            label, _, local = token.partition(":")
+            # A declared namespace is a valid IRI, and so is any local name after it.
+            term = self.iri(self.prefixes[label] + local)
+        self.seen[token] = term
+        return term
 
     def directive(self) -> None:
         word = self.m["AT"][1:]
@@ -322,7 +316,7 @@ class _Parser:
         self.advance()
         iri = self.iriref()
         self.prefixes[label] = iri.value  # a later declaration wins
-        self.pnames.clear()
+        self.seen.clear()
         self.expect_dot()
 
     def statement(self) -> None:
@@ -357,7 +351,7 @@ class _Parser:
         a literal start is an embedded triple with literal subject."""
         kind = self.kind
         if kind == "PNAME":  # the commonest term, read here without a call
-            iri = self.pnames.get(self.m["PNAME"])
+            iri = self.seen.get(self.m["PNAME"])
             if iri is not None:
                 self.advance()
                 return iri
@@ -370,16 +364,11 @@ class _Parser:
                 self.error("embedded triple not allowed as predicate")
             return self.embedded()
         m = self.m
-        if position != "predicate" and kind == "BNODE":
+        if kind == "BNODE" and position != "predicate" or kind == "NUMBER" and position == "object":
             self.advance()
-            return BNode(m["label"])
-        if position == "object":
-            if kind == "STRING":
-                return self.string_literal()
-            if kind == "NUMBER":
-                self.advance()
-                lex = m["NUMBER"]
-                return self.literal(lex, self.iri(_number_datatype(lex)))
+            return self.seen.get(m[kind]) or self.token_term(m[kind])
+        if kind == "STRING" and position == "object":
+            return self.string_literal()
         # Any other token is read by its first character.
         at = m.start(kind)
         c = self.text[at]
@@ -396,8 +385,7 @@ class _Parser:
                 if number is None:
                     self.error("malformed number")
                 self.scan_from(number.end())
-                lex = number.group()
-                return self.literal(lex, self.iri(_number_datatype(lex)))
+                return self.seen.get(number[0]) or self.token_term(number[0])
             if c in _UNSUPPORTED:
                 self.error(f"{_UNSUPPORTED[c]} are not supported")
         elif c == '"' or c.isdigit() or c in "+-" or (
@@ -443,7 +431,7 @@ class _Parser:
         m, kind = self.m, self.kind
         if kind == "PNAME":
             try:
-                iri = self.node(m[kind])
+                iri = self.seen.get(m[kind]) or self.token_term(m[kind])
             except KeyError:
                 iri = None  # raised below, so the KeyError is not its context
             if iri is None:

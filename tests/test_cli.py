@@ -488,6 +488,28 @@ class TestExitCodeContract:
         assert capsys.readouterr().err == (
             f"schema error: {where}: string holds a lone surrogate\n")
 
+    @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+    def test_stdout_is_utf_8_whatever_the_locale(self, tmp_path, encoding):
+        """Standard output gets the bytes of a UTF-8 run, as an -o file
+        does, where its locale cannot encode the text or encodes it otherwise."""
+        ttls = tmp_path / "input.ttls"
+        ttls.write_text(f'<<<{EX}s> <{EX}p> "café">> <{EX}q> "naïve"@en .\n', encoding="utf-8")
+        pg_json = self.pg_json(tmp_path, self.typed("string", '"café"'))
+        runs = []
+        for io_encoding in ("utf-8", encoding):
+            env = {**os.environ, "PYTHONPATH": str(Path(starpg.__file__).parent.parent),
+                   "PYTHONUTF8": "0", "PYTHONIOENCODING": io_encoding}
+            runs.append([
+                subprocess.run([sys.executable, "-m", "starpg", *argv],
+                               capture_output=True, env=env)
+                for argv in (["unfold", str(ttls)], ["check", str(ttls), "--report", "text"],
+                             ["pg2rdf", pg_json])])
+        utf8, other = ([(r.returncode, r.stdout, r.stderr) for r in run] for run in runs)
+        assert [code for code, _, _ in utf8] == [0, 1, 0]
+        assert all("café".encode() in out for _, out, _ in utf8)
+        assert other == utf8
+        assert not any(err for _, _, err in other)
+
     @pytest.mark.parametrize("argv, expected, wrong", [
         (["rdf2pg", ALICE_BOB, "--mode", "simple"], "pg-json", "turtle-star"),
         (["pg2rdf", KUBRICK], "turtle-star", "pg-json"),

@@ -270,14 +270,26 @@ def _components(g: RdfStarGraph):
 
 class TestTermTables:
     def test_a_parse_shares_equal_iris_and_literals(self):
-        g, _ = parse_turtle_star(
+        """Across statements of one match and of the tokens, <IRI> and
+        prefixed spellings of one IRI, and a @prefix that redeclares a
+        label part way through."""
+        g, prefixes = parse_turtle_star(
             f"@prefix ex: <{EX}> .\n"
             f'ex:a ex:p "x", "x"@en, 5, 0.5, true, "5"^^<{XSD_INTEGER}> .\n'
             f'<{EX}b> ex:p "x", "x"@en, 5, 0.5, true, ex:a .\n'
-            '<<ex:a ex:p 5>> ex:q "x"@en, false .\n')
+            '<<ex:a ex:p 5>> ex:q "x"@en, false .\n'
+            f'<{EX}a> <{EX}p> "x" .\n'
+            'ex:b ex:p 0.5 ; ex:q "x" .\n'
+            f"@prefix ex: <{EX}new/> .\n"
+            'ex:a ex:p "x" .\n'
+            f"<{EX}b> <{EX}q> 5 .\n"
+            f'<<<{EX}a> <{EX}p> 0.5>> ex:q "x" ; ex:p 5 .\n')
+        assert prefixes == {"ex": f"{EX}new/"}
         objects = list(_components(g))
-        assert len(objects) > len(set(objects)) + 10
+        assert len(objects) > len(set(objects)) + 30
         assert _shared(objects)
+        assert Triple(Iri(f"{EX}new/a"), Iri(f"{EX}new/p"), Literal("x")) in g
+        assert Triple(Iri(f"{EX}a"), Iri(f"{EX}p"), Literal("x")) in g
 
     def test_pg_to_rdf_star_shares_keys_labels_and_values(self):
         props = {v: [Property("name", Text("same")), Property("age", Integer(7))]
